@@ -16,6 +16,7 @@ of the truncated Drury-Arveson space; since every monomial of degree
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +80,44 @@ class AnnihilatorBasis:
         Valid for ``max_degree >= degree_bound``: shifted basis elements
         ``q * x^beta`` of degree at most ``max_degree`` span the slice,
         because every monomial of degree ``>= degree_bound`` already lies
-        in the span of such shifts.
+        in the span of such shifts.  Multiplying by ``x^beta`` only moves
+        each coefficient from row ``alpha`` to row ``alpha + beta``, so the
+        columns are built by that index map, basis element by basis
+        element and ``beta`` in graded order.
         """
         if max_degree < self.degree_bound:
             raise ShapeError(
                 f"slice degree {max_degree} below the degree bound {self.degree_bound}"
             )
         monomials = graded_indices(self.d, max_degree)
+        positions = {alpha: i for i, alpha in enumerate(monomials)}
+        source = self.monomials()
+        shifts: dict[tuple[int, ...], np.ndarray] = {}
+
+        def shift_rows(beta: tuple[int, ...]) -> np.ndarray:
+            # rows of x^alpha * x^beta for the graded prefix of sources it keeps in range
+            if beta not in shifts:
+                room = max_degree - sum(beta)
+                shifts[beta] = np.array(
+                    [
+                        positions[tuple(a + b for a, b in zip(alpha, beta))]
+                        for alpha in source
+                        if sum(alpha) <= room
+                    ],
+                    dtype=np.intp,
+                )
+            return shifts[beta]
+
         columns = []
-        for q in self.basis:
-            budget = max_degree - max(q.degree(), 0)
-            for beta in graded_indices(self.d, budget):
-                columns.append((q * Polynomial.monomial(self.d, beta)).coefficient_vector(monomials))
+        for q in self.coefficient_matrix().T:
+            support = np.flatnonzero(q)
+            # graded order: q lives on the leading block ending at its last term
+            length = support[-1] + 1 if support.size else 0
+            degree = sum(source[length - 1]) if length else 0
+            for beta in graded_indices(self.d, max_degree - degree):
+                column = np.zeros(len(monomials), dtype=np.complex128)
+                column[shift_rows(beta)[:length]] = q[:length]
+                columns.append(column)
         if not columns:
             return np.zeros((len(monomials), 0), dtype=np.complex128)
         return np.array(columns, dtype=np.complex128).T
@@ -307,6 +334,7 @@ def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, .
     scale = max(1.0, max((operator_norm(mat) for mat in t.mats), default=1.0))
     cutoff = tol.rank_rel_tol * scale
 
+    @functools.cache
     def is_zero(alpha):
         return operator_norm(t.monomial(alpha)) <= cutoff
 

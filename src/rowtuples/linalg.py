@@ -2,9 +2,16 @@
 
 All matrices are dense ``numpy.ndarray`` objects with dtype ``complex128``;
 ``operator_norm`` alone also takes a ``scipy.sparse`` matrix.  Rank
-decisions are always made relative to the largest singular value of the
-matrix at hand, never against an absolute cutoff, so that uniformly scaled
-inputs produce identical decisions.
+decisions are always made relative to the largest singular value
+``sigma_max`` of the matrix at hand, never against an absolute cutoff, so
+that uniformly scaled inputs produce identical decisions.
+
+Each decision computes only the factors it returns.  ``numerical_rank``
+needs singular values alone.  ``rank_and_kernel`` needs the right singular
+vectors too, but never the left ones: a tall matrix is first reduced to
+the square triangular factor ``R`` of its QR decomposition, which has the
+same singular values and right singular vectors (the R-SVD of T. F. Chan,
+ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -143,24 +151,40 @@ def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, np.ndar
 
     Rank counts singular values exceeding ``rank_rel_tol * sigma_max``;
     the kernel basis is the trailing right singular vectors, returned as
-    the columns of an ``(ncols, ncols - rank)`` matrix.
+    the columns of an ``(ncols, ncols - rank)`` matrix.  A tall ``a`` is
+    first reduced to the ``ncols x ncols`` R factor of its QR
+    decomposition: ``a* a = R* R``, so ``R`` has the singular values and
+    right singular vectors of ``a``, and the left factor of ``a`` is never
+    formed.  A wide ``a`` gets a full SVD directly, since its kernel needs
+    all of ``vh`` and its left factor is only ``nrows x nrows``.
     """
     m = as_matrix(a)
-    ncols = m.shape[1]
+    nrows, ncols = m.shape
     if m.size == 0:
         return 0, np.eye(ncols, dtype=np.complex128)
+    if nrows > ncols:
+        m = scipy.linalg.qr(m, mode="r", check_finite=False)[0][:ncols]
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    cutoff = tol.rank_rel_tol * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = _rank_from_singular_values(s, tol)
     return rank, vh[rank:].conj().T
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    return rank_and_kernel(a, tol)[0]
+    """Count of singular values of ``a`` above ``rank_rel_tol * sigma_max``."""
+    m = as_matrix(a)
+    if m.size == 0:
+        return 0
+    return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rank_and_kernel(a, tol)[1]
+
+
+def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
+    """Count of the descending singular values ``s`` above the relative cutoff."""
+    cutoff = tol.rank_rel_tol * (s[0] if s.size else 0.0)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def psd_below_identity(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -191,9 +215,7 @@ def orthonormalize(v, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol.rank_rel_tol * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    return u[:, :rank]
+    return u[:, :_rank_from_singular_values(s, tol)]
 
 
 def projector(frame) -> np.ndarray:

@@ -276,29 +276,31 @@ _TOKEN = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
+def _tokenize(text: str) -> list[tuple[str, str, str]]:
+    """Tokens as ``(kind, value, source text)`` triples."""
+    tokens: list[tuple[str, str, str]] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
             raise PolynomialParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
         pos = m.end()
+        source = m.group(0).lstrip()
         if m.group("var"):
-            tokens.append(("var", m.group("vidx")))
+            tokens.append(("var", m.group("vidx"), source))
         elif m.group("num"):
             kind = "inum" if m.group("imag") else "num"
             value = m.group("num")[:-1] if m.group("imag") else m.group("num")
-            tokens.append((kind, value))
+            tokens.append((kind, value, source))
         elif m.group("bare_i"):
-            tokens.append(("inum", "1"))
+            tokens.append(("inum", "1", source))
         else:
-            tokens.append((m.group("op"), m.group("op")))
+            tokens.append((m.group("op"), m.group("op"), source))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], d: int):
+    def __init__(self, tokens: list[tuple[str, str, str]], d: int):
         self.tokens = tokens
         self.pos = 0
         self.d = d
@@ -306,12 +308,12 @@ class _Parser:
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def take(self, kind: str | None = None) -> tuple[str, str]:
+    def take(self, kind: str | None = None) -> tuple[str, str, str]:
         if self.pos >= len(self.tokens):
             raise PolynomialParseError("unexpected end of input")
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise PolynomialParseError(f"expected {kind!r}, got {tok[1]!r}")
+            raise PolynomialParseError(f"expected {kind!r}, got {tok[2]!r}")
         self.pos += 1
         return tok
 
@@ -321,7 +323,7 @@ class _Parser:
             sign = -1.0 if self.take()[0] == "-" else 1.0
             poly = poly + self.parse_term(sign)
         if self.pos != len(self.tokens):
-            raise PolynomialParseError(f"trailing input: {self.tokens[self.pos][1]!r}")
+            raise PolynomialParseError(f"trailing input: {self.tokens[self.pos][2]!r}")
         return poly
 
     def parse_sign(self) -> float:
@@ -363,7 +365,7 @@ class _Parser:
             value = self.parse_complex_literal()
             self.take(")")
             return Polynomial.constant(self.d, value)
-        raise PolynomialParseError(f"unexpected token {self.tokens[self.pos][1]!r}")
+        raise PolynomialParseError(f"unexpected token {self.tokens[self.pos][2]!r}")
 
     def parse_complex_literal(self) -> complex:
         sign = self.parse_sign()
@@ -374,12 +376,12 @@ class _Parser:
         return value
 
     def parse_number(self) -> complex:
-        kind, text = self.take()
+        kind, value, source = self.take()
         if kind == "num":
-            return complex(float(text))
+            return complex(float(value))
         if kind == "inum":
-            return complex(0, float(text))
-        raise PolynomialParseError(f"expected a number, got {text!r}")
+            return complex(0, float(value))
+        raise PolynomialParseError(f"expected a number, got {source!r}")
 
 
 def parse_polynomial(text: str, d: int | None = None) -> Polynomial:

@@ -18,6 +18,7 @@ from rowtuples.ideals import (
     quotient_algebra,
 )
 from rowtuples.polynomials import Polynomial, graded_indices, parse_polynomial
+from rowtuples.sweeps import random_similarity
 from rowtuples.tuples import RowTuple, nilpotency_index, poly_eval, validate
 
 
@@ -95,6 +96,41 @@ class TestMonomialAnnihilator:
         target = Polynomial.monomial(2, (2, 2)).coefficient_vector(graded_indices(2, 4))
         coeffs, *_ = np.linalg.lstsq(sl, target, rcond=None)
         assert np.linalg.norm(sl @ coeffs - target) < 1e-10
+
+
+def _shifted_products(ann: AnnihilatorBasis, max_degree: int) -> np.ndarray:
+    """The slice by Polynomial multiplication: columns ``q * x^beta``."""
+    monomials = graded_indices(ann.d, max_degree)
+    columns = [
+        (q * Polynomial.monomial(ann.d, beta)).coefficient_vector(monomials)
+        for q in ann.basis
+        for beta in graded_indices(ann.d, max_degree - max(q.degree(), 0))
+    ]
+    return np.array(columns, dtype=np.complex128).T.reshape(len(monomials), len(columns))
+
+
+class TestIdealSlice:
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_matches_polynomial_multiplication(self, extra):
+        rng = np.random.default_rng(23)
+        anns = [
+            annihilator(maxcount()),
+            annihilator(random_similarity(rng, rectangle(3, 2))),
+            annihilator(random_similarity(rng, rectangle(2, 2, 2))),
+            monomial_annihilator(2, [(3, 0), (1, 1), (0, 4)]),
+            monomial_annihilator(1, [(2,)]),
+            AnnihilatorBasis(2, 2, (Polynomial.zero(2), parse_polynomial("x1 - 2*x2^2"))),
+        ]
+        for ann in anns:
+            degree = ann.degree_bound + extra
+            expected = _shifted_products(ann, degree)
+            got = ann.ideal_slice(degree)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+    def test_empty_basis(self):
+        ann = AnnihilatorBasis(2, 1, ())
+        assert ann.ideal_slice(2).shape == (6, 0)
 
 
 class TestAnnihilatorsEqual:

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowtuples.errors import (
     ConvergenceError,
@@ -11,6 +15,7 @@ from rowtuples.errors import (
 from rowtuples.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    numerical_rank,
     operator_norm,
     orthonormalize,
     projector,
@@ -127,6 +132,48 @@ class TestRankAndKernel:
         a[:, 4] = a[:, 0] + a[:, 1]
         for scale in (1e-8, 1.0, 1e8):
             assert rank_and_kernel(scale * a)[0] == 4
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(9, 4), (12, 7), (6, 6), (4, 9), (3, 11)]),
+        rank_fraction=st.floats(0.0, 1.0),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_r_products_match_full_svd(self, shape, rank_fraction, scale, seed):
+        # tall, square and wide shapes; singular values in [1, 10] times scale
+        rows, cols = shape
+        r = 1 + round(rank_fraction * (min(shape) - 1))
+        rng = np.random.default_rng(seed)
+
+        def frame(n):
+            g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            return np.linalg.qr(g)[0]
+
+        a = scale * (frame(rows) * rng.uniform(1.0, 10.0, r)) @ frame(cols).conj().T
+        rank, kernel = rank_and_kernel(a)
+        assert rank == numerical_rank(a) == r
+        assert kernel.shape == (cols, cols - r)
+        assert np.linalg.norm(kernel.conj().T @ kernel - np.eye(cols - r)) < 1e-12
+        norm = np.linalg.norm(a, 2)
+        if kernel.size:
+            assert np.linalg.norm(a @ kernel, 2) <= 1e-10 * norm
+        oracle = np.linalg.svd(a, full_matrices=True)[2][r:].conj().T
+        assert np.abs(projector(kernel) - projector(oracle)).max() < 1e-10
+
+    def test_tall_input_forms_no_left_factor(self):
+        # the full left factor of a 2704 x 105 complex matrix alone is 117 MB
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((2704, 105)) + 1j * rng.standard_normal((2704, 105))
+        tracemalloc.start()
+        try:
+            rank, kernel = rank_and_kernel(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rank, kernel.shape) == (105, (105, 0))
+        assert peak < 20 * 2**20
 
 
 class TestPsdBelowIdentity:

@@ -151,6 +151,15 @@ class TestParseFormat:
         with pytest.raises(PolynomialParseError):
             parse_polynomial(bad)
 
+    def test_errors_quote_source_text(self):
+        with pytest.raises(PolynomialParseError, match="trailing input: 'x2'"):
+            parse_polynomial("x1^2 - 0.5 x2")
+        with pytest.raises(PolynomialParseError, match="expected 'num', got 'x3'"):
+            parse_polynomial("x1^x3")
+
+    def test_readme_example(self):
+        assert parse_polynomial("x1^2 - 0.5*x2") == Polynomial(2, {(2, 0): 1, (0, 1): -0.5})
+
     def test_format_examples(self):
         assert format_polynomial(parse_polynomial("3*x1 + 2*x2")) == "3*x1 + 2*x2"
         assert format_polynomial(Polynomial.zero(2)) == "0"
