@@ -31,6 +31,7 @@ from .fock import (
     multiplication_matrix,
     symmetrization_map,
     truncated_multiplier_norm,
+    truncated_multiplier_norms,
 )
 from .ideals import (
     AnnihilatorBasis,
@@ -44,7 +45,7 @@ from .ideals import (
     omega_e,
     quotient_algebra,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
+from .linalg import DEFAULT_TOL, ToleranceConfig, norm_at_most, operator_norm
 from .polynomials import Polynomial, graded_indices, parse_polynomial
 from .subspaces import (
     DecompositionReport,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 hypothesis-inapplicable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,7 +28,7 @@ from .errors import (
     RowTuplesError,
 )
 from .fixtures import build, fixture_catalog
-from .fock import truncated_multiplier_norm
+from .fock import truncated_multiplier_norms
 from .ideals import (
     annihilator,
     model_space,
@@ -84,7 +85,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="rowtuples", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -346,7 +349,7 @@ def _cmd_fock(args, tol):
     top = args.degree if args.degree is not None else 12
     if top < 1:
         raise UsageError("degree: must be at least 1")
-    norms = [_float(truncated_multiplier_norm(p, n, tol)) for n in range(1, top + 1)]
+    norms = [_float(x) for x in truncated_multiplier_norms(p, top, tol)]
     results = {
         "poly": str(p),
         "d": d,

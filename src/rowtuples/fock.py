@@ -40,6 +40,7 @@ __all__ = [
     "da_kernel",
     "multiplication_matrix",
     "truncated_multiplier_norm",
+    "truncated_multiplier_norms",
     "creation_matrix",
     "symmetrization_map",
     "gleason_decompose",
@@ -186,6 +187,20 @@ def truncated_multiplier_norm(
     converge within ``tol.max_iter`` iterations.
     """
     return operator_norm(_multiplication_sparse(p, TruncatedDA(p.d, max_degree)), tol)
+
+
+def truncated_multiplier_norms(
+    p: Polynomial, max_degree: int, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[float]:
+    """``truncated_multiplier_norm(p, n, tol)`` for every cap ``n = 1 .. max_degree``.
+
+    The operator is assembled once, at the top cap: in the graded order the
+    cap-``n`` matrix is its leading ``TruncatedDA(d, n).dim`` block, entry
+    for entry, so each norm equals the one computed at its own cap.
+    """
+    full = _multiplication_sparse(p, TruncatedDA(p.d, max_degree))
+    sizes = (TruncatedDA(p.d, n).dim for n in range(1, max_degree + 1))
+    return [operator_norm(full[:k, :k], tol) for k in sizes]
 
 
 def creation_matrix(k: int, space: TruncatedFock) -> np.ndarray:

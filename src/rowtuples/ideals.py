@@ -16,7 +16,6 @@ of the truncated Drury-Arveson space; since every monomial of degree
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    operator_norm,
     orthonormalize,
     rank_and_kernel,
     subspaces_equal,
@@ -331,22 +329,16 @@ def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, .
     m = nilpotency_index(t, tol=tol)
     if m is None:
         raise NotNilpotentError("omega_e is defined for nilpotent tuples")
-    scale = max(1.0, max((operator_norm(mat) for mat in t.mats), default=1.0))
-    cutoff = tol.rank_rel_tol * scale
-
-    @functools.cache
-    def is_zero(alpha):
-        return operator_norm(t.monomial(alpha)) <= cutoff
-
+    cutoff = tol.rank_rel_tol * t.scale
     out = set()
     for alpha in graded_indices(t.d, max(m - 1, 0)):
-        if is_zero(alpha):
+        if t.monomial_vanishes(alpha, cutoff):
             continue
         successors = (
             tuple(a + (1 if i == k else 0) for i, a in enumerate(alpha))
             for k in range(t.d)
         )
-        if all(is_zero(s) for s in successors):
+        if all(t.monomial_vanishes(s, cutoff) for s in successors):
             out.add(alpha)
     return out
 

@@ -12,6 +12,14 @@ vectors too, but never the left ones: a tall matrix is first reduced to
 the square triangular factor ``R`` of its QR decomposition, which has the
 same singular values and right singular vectors (the R-SVD of T. F. Chan,
 ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
+
+A decision that only compares a norm with a cutoff goes through
+``norm_at_most``, never through ``operator_norm``.  The Frobenius norm
+brackets the spectral norm, ``||A||_F / sqrt(min(m, n)) <= ||A||_2 <=
+||A||_F`` (Golub & Van Loan, *Matrix Computations*, section 2.3), so the
+verdict is settled without an SVD unless the cutoff falls inside that
+bracket; only then does an SVD run.  Norms whose value is reported or
+used keep ``operator_norm``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "operator_norm",
+    "norm_at_most",
     "rank_and_kernel",
     "numerical_rank",
     "kernel_basis",
@@ -48,6 +57,15 @@ _DENSE_SVD_LIMIT = 600
 # ARPACK's complex eigensolver needs a Gram operator of order at least 3;
 # thinner matrices always get the (then cheap) full SVD.
 _LANCZOS_MIN_ORDER = 3
+# Relative margin of the Frobenius bracket in norm_at_most.  Rounding moves
+# the computed Frobenius and spectral norms by far less than this, so a
+# verdict settled inside the margins is the one the SVD would give.
+_BRACKET_MARGIN = 1e-8
+# Below this Frobenius norm, squared entries may have underflowed and the
+# computed norm may be off; norm_at_most then asks the SVD.  Above it, even
+# squares lost entirely below the normal range (< 2.3e-308 each) move the
+# sum by under 1e-21 relative per million entries.
+_FROBENIUS_FLOOR = 1e-140
 
 
 @dataclass(frozen=True)
@@ -132,6 +150,30 @@ def operator_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     except scipy.sparse.linalg.ArpackError as exc:
         raise ConvergenceError(f"operator norm did not converge: {exc}") from exc
     return float(np.sqrt(max(top[0].real, 0.0)))
+
+
+def norm_at_most(a, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether ``operator_norm(a, tol) <= bound``, mostly without an SVD.
+
+    With ``f = ||a||_F`` and ``k = min(a.shape)``, ``f <= bound`` proves the
+    verdict true and ``f > bound * sqrt(k)`` proves it false; each test has
+    a relative margin of ``1e-8`` against rounding.  Only a bound inside the
+    bracket, or a Frobenius sum that overflows or underflows, runs
+    ``operator_norm``.  Empty input is within every nonnegative bound.
+    """
+    m = as_matrix(a)
+    if m.size == 0:
+        return 0.0 <= bound
+    with np.errstate(over="ignore", under="ignore"):
+        fro = float(np.sqrt(np.vdot(m, m).real))
+    if fro == 0.0 and not m.any():
+        return 0.0 <= bound
+    if _FROBENIUS_FLOOR < fro < np.inf:
+        if fro <= bound * (1.0 - _BRACKET_MARGIN):
+            return True
+        if fro > bound * np.sqrt(min(m.shape)) * (1.0 + _BRACKET_MARGIN):
+            return False
+    return operator_norm(m, tol) <= bound
 
 
 def _as_operand(a):
@@ -241,4 +283,4 @@ def subspaces_equal(frame_a, frame_b, tol: float = 1e-8) -> bool:
     b = as_matrix(frame_b)
     if a.shape[1] != b.shape[1]:
         return False
-    return subspace_distance(a, b) <= tol
+    return norm_at_most(projector(a) - projector(b), tol)

@@ -28,8 +28,8 @@ from .linalg import (
     as_matrix,
     as_vector,
     kernel_basis,
+    norm_at_most,
     numerical_rank,
-    operator_norm,
     orthonormalize,
     subspaces_equal,
 )
@@ -123,9 +123,8 @@ def is_invariant(
     _same_ambient(t, m)
     p = m.projector()
     comp = np.eye(t.dim) - p
-    for mat in t.mats:
-        thresh = atol * max(1.0, operator_norm(mat, tol))
-        if operator_norm(comp @ mat @ p, tol) > thresh:
+    for mat, norm in zip(t.mats, t.norms):
+        if not norm_at_most(comp @ mat @ p, atol * max(1.0, norm), tol):
             return False
     return True
 
@@ -137,9 +136,8 @@ def is_coinvariant(
     _same_ambient(t, m)
     p = m.projector()
     comp = np.eye(t.dim) - p
-    for mat in t.mats:
-        thresh = atol * max(1.0, operator_norm(mat, tol))
-        if operator_norm(p @ mat @ comp, tol) > thresh:
+    for mat, norm in zip(t.mats, t.norms):
+        if not norm_at_most(p @ mat @ comp, atol * max(1.0, norm), tol):
             return False
     return True
 
@@ -372,7 +370,7 @@ def _eig_clusters(eigs: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
 
 
 def _spectral_idempotent(
-    a: np.ndarray, mats, tol: ToleranceConfig
+    a: np.ndarray, t: RowTuple, tol: ToleranceConfig
 ) -> np.ndarray | None:
     """Riesz projector onto one eigenvalue cluster of a commutant element.
 
@@ -411,12 +409,10 @@ def _spectral_idempotent(
     for _ in range(3):
         ee = e @ e
         e = 3.0 * ee - 2.0 * (ee @ e)
-    if operator_norm(e @ e - e, tol) > 1e-9:
+    if not norm_at_most(e @ e - e, 1e-9, tol):
         return None
-    for mat in mats:
-        if operator_norm(e @ mat - mat @ e, tol) > 1e-9 * max(
-            1.0, operator_norm(mat, tol)
-        ):
+    for mat, norm in zip(t.mats, t.norms):
+        if not norm_at_most(e @ mat - mat @ e, 1e-9 * max(1.0, norm), tol):
             return None
     rank = float(np.trace(e).real)
     if abs(rank - round(rank)) > 0.1 or not 0 < round(rank) < n:
@@ -462,7 +458,7 @@ def decomposition_exists(
         else:
             w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
             a = sum(c * b for c, b in zip(w, basis))
-        idem = _spectral_idempotent(a, t.mats, tol)
+        idem = _spectral_idempotent(a, t, tol)
         if idem is not None:
             break
     if idem is None:
@@ -499,7 +495,7 @@ def decomposition_find(
         for _ in range(32):
             w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             a = sum(c * b for c, b in zip(w, basis))
-            e = _spectral_idempotent(a, t.mats, tol)
+            e = _spectral_idempotent(a, t, tol)
             if e is not None:
                 yield e
 

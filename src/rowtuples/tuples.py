@@ -22,11 +22,12 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    norm_at_most,
     numerical_rank,
     operator_norm,
     psd_below_identity,
 )
-from .polynomials import Polynomial, graded_indices
+from .polynomials import Polynomial, indices_of_degree
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
            "poly_eval", "word_eval"]
@@ -38,9 +39,18 @@ class RowTuple:
     ``dim = 0`` is permitted so that restrictions to the zero subspace
     remain representable; such degenerate tuples evaluate every polynomial
     to the (empty) zero operator.
+
+    Since the tuple never changes, it memoizes what it derives from its
+    matrices:
+
+    * ``_monomials`` maps ``alpha`` to ``T^alpha`` (see :meth:`monomial`);
+    * ``_norms`` holds ``(||T_1||, .., ||T_d||)``, computed on first use of
+      :attr:`norms` or :attr:`scale` at the default tolerance;
+    * ``_vanishing`` maps ``(alpha, cutoff)`` to the verdict
+      ``||T^alpha|| <= cutoff`` (see :meth:`monomial_vanishes`).
     """
 
-    __slots__ = ("d", "dim", "mats", "_monomials")
+    __slots__ = ("d", "dim", "mats", "_monomials", "_norms", "_vanishing")
 
     def __init__(self, mats):
         mats = tuple(as_matrix(m, square=True) for m in mats)
@@ -55,6 +65,8 @@ class RowTuple:
         self.dim = dim
         self.mats = mats
         self._monomials: dict[tuple[int, ...], np.ndarray] = {}
+        self._norms: tuple[float, ...] | None = None
+        self._vanishing: dict[tuple[tuple[int, ...], float], bool] = {}
 
     def __repr__(self):
         return f"RowTuple(d={self.d}, dim={self.dim})"
@@ -91,6 +103,26 @@ class RowTuple:
         self._monomials[alpha] = out
         return out
 
+    @property
+    def norms(self) -> tuple[float, ...]:
+        """Operator norms ``(||T_1||, .., ||T_d||)``, computed once."""
+        if self._norms is None:
+            self._norms = tuple(operator_norm(m) for m in self.mats)
+        return self._norms
+
+    @property
+    def scale(self) -> float:
+        """``max(1, max_k ||T_k||)``, the scale of absolute zero tests."""
+        return max(1.0, *self.norms)
+
+    def monomial_vanishes(self, alpha, cutoff: float) -> bool:
+        """Whether ``||T^alpha|| <= cutoff``, decided once per ``(alpha, cutoff)``."""
+        key = (tuple(int(a) for a in alpha), float(cutoff))
+        verdict = self._vanishing.get(key)
+        if verdict is None:
+            verdict = self._vanishing[key] = norm_at_most(self.monomial(key[0]), cutoff)
+        return verdict
+
 
 @dataclass(frozen=True)
 class TupleReport:
@@ -110,11 +142,10 @@ class TupleReport:
 
 
 def _commuting(t: RowTuple, tol: ToleranceConfig) -> bool:
-    scale = max(1.0, max((operator_norm(m) for m in t.mats), default=1.0) ** 2)
+    cutoff = tol.rank_rel_tol * t.scale ** 2
     for j in range(t.d):
         for k in range(j + 1, t.d):
-            gap = operator_norm(t.mats[j] @ t.mats[k] - t.mats[k] @ t.mats[j])
-            if gap > tol.rank_rel_tol * scale:
+            if not norm_at_most(t.mats[j] @ t.mats[k] - t.mats[k] @ t.mats[j], cutoff):
                 return False
     return True
 
@@ -176,14 +207,9 @@ def nilpotency_index(
         raise NotCommutingError("nilpotency index is defined for commuting tuples")
     if cap is None:
         cap = t.dim + 1
-    scale = max(1.0, max((operator_norm(m) for m in t.mats), default=1.0))
+    cutoff = tol.rank_rel_tol * t.scale
     for m in range(cap + 1):
-        degree_norms = (
-            operator_norm(t.monomial(alpha))
-            for alpha in graded_indices(t.d, m)
-            if sum(alpha) == m
-        )
-        if all(n <= tol.rank_rel_tol * scale for n in degree_norms):
+        if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):
             return m
     return None
 

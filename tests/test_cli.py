@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rowtuples
 from rowtuples.cli import main
 from rowtuples.fixtures import maxcount
+from rowtuples.fock import truncated_multiplier_norm
 from rowtuples.linalg import ToleranceConfig
+from rowtuples.polynomials import parse_polynomial
 from rowtuples.serialize import (
     matrix_from_json,
     tuple_from_json,
@@ -299,6 +305,14 @@ class TestFockAndFixtures:
         assert abs(r["norms"][-1] - math.sqrt(2)) < 1e-12
         assert len(r["norms"]) == 6
 
+    @pytest.mark.parametrize("text, d", [("0.6*x1^2 + 0.8*x2", 2), ("x1^2 - x2*x3", 3)])
+    def test_fock_norms_equal_per_cap_norms(self, capsys, text, d):
+        # one assembly at the top cap; each cap's norm is unchanged bit for bit
+        code, rep, _ = run_json(capsys, "fock", "--poly", text, "--degree", "40")
+        assert code == 0
+        p = parse_polynomial(text, d)
+        assert rep["results"]["norms"] == [truncated_multiplier_norm(p, n) for n in range(1, 41)]
+
     def test_fock_nonconvergence_exits_1(self, capsys, monkeypatch):
         # caps from 34 up take the Lanczos path, which cannot finish in 1 step
         monkeypatch.setattr("rowtuples.cli.DEFAULT_TOL", ToleranceConfig(max_iter=1))
@@ -354,6 +368,33 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+    def test_repeated_main_matches_fresh_processes(self, capsys):
+        # the parser is built once per process; reuse must not leak state
+        argvs = [
+            ["fock", "--poly", "x1 + x2", "--degree", "3", "--json"],
+            ["ann", "--fixture", "jordan(3)", "--bogus", "--json"],
+            ["fock", "--poly", "x1 + x2", "--json"],
+            ["check", "--fixture", "maxcount", "--tol", "1e-6", "--json"],
+            ["check", "--fixture", "maxcount", "--json"],
+            ["sweep", "--suite", "greedy", "--count", "2", "--seed", "1", "--json"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowtuples.__file__)))
+
+        def without_time(code, out, err):
+            report = json.loads(out) if out else None
+            if report:
+                report.pop("wall_time_s")
+            return code, report, err
+
+        in_process = [without_time(*run(capsys, *argv)) for argv in argvs]
+        assert [r[0] for r in in_process] == [0, 1, 0, 0, 0, 0]
+        for argv, seen in zip(argvs, in_process):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "rowtuples", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert seen == without_time(fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_human_output_lists_results(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "maxcount")

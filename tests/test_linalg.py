@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rowtuples.errors import (
 from rowtuples.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    norm_at_most,
     numerical_rank,
     operator_norm,
     orthonormalize,
@@ -96,6 +98,71 @@ class TestOperatorNorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ShapeError):
             operator_norm([[np.inf, 0], [0, 0]])
+
+
+class TestNormAtMost:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from([(9, 4), (12, 7), (6, 6), (1, 1), (4, 9), (3, 11)]),
+        rank_fraction=st.floats(0.0, 1.0),
+        scale=st.floats(1e-12, 1e12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_matches_svd_at_the_bracket_edges(self, shape, rank_fraction, scale, seed):
+        # rank 0 .. min(shape); bounds where either bracket end or the SVD decides
+        rows, cols = shape
+        r = round(rank_fraction * min(shape))
+        rng = np.random.default_rng(seed)
+
+        def gaussian(m, n):
+            return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+        a = scale * gaussian(rows, r) @ gaussian(r, cols)
+        sigma = operator_norm(a)
+        fro = float(np.linalg.norm(a))
+        low = fro / np.sqrt(min(shape))
+        bounds = [sigma]
+        for centre, eps in ((sigma, 1e-12), (fro, 1e-9), (low, 1e-9)):
+            bounds += [centre * (1.0 - eps), centre * (1.0 + eps)]
+        for bound in bounds:
+            assert norm_at_most(a, bound) == (sigma <= bound)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (8, 3), (3, 8)])
+    def test_huge_entries_raise_no_warning(self, shape):
+        # the squared entries overflow, so the Frobenius sum is not finite
+        rng = np.random.default_rng(41)
+        a = 1e200 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        sigma = operator_norm(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bound in (0.5 * sigma, sigma, 2.0 * sigma, 1e308):
+                assert norm_at_most(a, bound) == (sigma <= bound)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-162, 1e-160])
+    def test_tiny_entries_are_not_rounded(self, scale):
+        # squares of such entries underflow or lose digits as subnormals;
+        # a rank-one matrix sits on the upper end of the bracket, a unitary
+        # one on the lower end, where a short or long Frobenius sum flips
+        rng = np.random.default_rng(43)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for a in (scale * np.outer(g[0], g[1]), scale * np.linalg.qr(g)[0]):
+            sigma = operator_norm(a)
+            for bound in (sigma * (1.0 - 1e-12), sigma, sigma * (1.0 + 1e-12), 1e-250):
+                assert norm_at_most(a, bound) == (sigma <= bound)
+
+    def test_empty_and_zero(self):
+        assert norm_at_most(np.zeros((0, 0)), 0.0)
+        assert norm_at_most(np.zeros((3, 0)), 0.0)
+        assert norm_at_most(np.zeros((3, 3)), 0.0)
+        assert not norm_at_most(np.zeros((3, 3)), -1.0)
+
+    def test_rejects_what_as_matrix_rejects(self):
+        with pytest.raises(ShapeError):
+            norm_at_most([[np.inf, 0], [0, 0]], 1.0)
+        with pytest.raises(ShapeError):
+            norm_at_most([[np.nan]], 1.0)
+        with pytest.raises(ShapeError):
+            norm_at_most(np.ones(3), 1.0)
 
 
 class TestRankAndKernel:

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rowtuples import ideals, linalg, tuples
 from rowtuples.errors import NotCommutingError, NotRowContractionError, ShapeError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import truncated_multiplier_norm
+from rowtuples.ideals import annihilator, omega_e
 from rowtuples.polynomials import Polynomial, abelianize, parse_polynomial
+from rowtuples.sweeps import random_similarity
 from rowtuples.tuples import (
     RowTuple,
     nilpotency_index,
@@ -132,6 +135,42 @@ class TestNilpotencyIndex:
         t = RowTuple([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
         with pytest.raises(NotCommutingError):
             nilpotency_index(t)
+
+
+class TestMemoizedVerdicts:
+    @pytest.mark.parametrize("sides", [(4,), (3, 3)])
+    def test_index_and_omega_e_match_the_staircase(self, sides):
+        # the model of (x1^s1, .., xd^sd) has the box staircase prod [0, s_i)
+        corner = tuple(s - 1 for s in sides)
+        model = rectangle(*sides)
+        similar = random_similarity(np.random.default_rng(sum(sides)), model)
+        for t in (model, similar):
+            assert nilpotency_index(t) == 1 + sum(corner)
+            assert omega_e(t) == {corner}
+
+    def test_repeat_queries_reuse_norms_and_verdicts(self, monkeypatch):
+        t = random_similarity(np.random.default_rng(8), rectangle(3, 3))
+        annihilator(t)
+        monomials = dict(t._monomials)
+        calls = []
+        real = linalg.operator_norm
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        for module in (linalg, tuples, ideals):
+            monkeypatch.setattr(module, "operator_norm", counting, raising=False)
+        assert omega_e(t) == {(2, 2)}
+        assert nilpotency_index(t) == 5
+        assert calls == []
+        assert t._monomials.keys() == monomials.keys()
+
+    def test_norms_and_scale(self):
+        t = RowTuple([np.diag([0.5, 0.25]), np.diag([3.0, 0.0])])
+        assert t.norms == pytest.approx((0.5, 3.0), rel=1e-15)
+        assert t.scale == pytest.approx(3.0, rel=1e-15)
+        assert zero_tuple(2, 3).scale == 1.0
 
 
 class TestPolyEval:
