@@ -29,7 +29,6 @@ from .fock import (
     da_kernel,
     da_monomial_norm,
     multiplication_matrix,
-    symmetrization_map,
     truncated_multiplier_norm,
     truncated_multiplier_norms,
 )
@@ -71,7 +70,6 @@ from .tuples import (
     poly_eval,
     purity,
     validate,
-    word_eval,
 )
 from .vectors import (
     GramReport,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import time
 
@@ -51,8 +50,8 @@ from .serialize import (
 from .subspaces import (
     SubspaceBasis,
     Verdict,
-    decomposition_exists,
-    decomposition_find,
+    _complementary_pair,
+    _decompose,
     rigidity_coinvariant_check,
     rigidity_invariant_check,
     splitting_construct,
@@ -309,7 +308,7 @@ def _cmd_rigidity(t, payload, args, tol):
 
 
 def _cmd_decompose(t, payload, args, tol):
-    rep = decomposition_exists(t, seed=args.seed, tol=tol)
+    rep, commutant = _decompose(t, args.seed, tol)
     results = {
         "exists": rep.exists,
         "commutant_dim": rep.commutant_dim,
@@ -317,7 +316,7 @@ def _cmd_decompose(t, payload, args, tol):
         "idempotent": None if rep.idempotent is None else matrix_to_json(rep.idempotent),
     }
     if rep.exists:
-        found = decomposition_find(t, seed=args.seed, tol=tol)
+        found = _complementary_pair(t, rep, commutant, False, args.seed, tol)
         if found is not None:
             results["m_dim"], results["n_dim"] = found[0].dim, found[1].dim
     return results, [], EXIT_OK
@@ -343,16 +342,14 @@ def _cmd_split(t, payload, args, tol):
 def _cmd_fock(args, tol):
     if not args.poly:
         raise UsageError("poly: the fock command needs --poly")
-    indices = [int(m) for m in re.findall(r"x(\d+)", args.poly)]
-    d = max(indices, default=1)
-    p = parse_polynomial(args.poly, d)
+    p = parse_polynomial(args.poly)
     top = args.degree if args.degree is not None else 12
     if top < 1:
         raise UsageError("degree: must be at least 1")
     norms = [_float(x) for x in truncated_multiplier_norms(p, top, tol)]
     results = {
         "poly": str(p),
-        "d": d,
+        "d": p.d,
         "degrees": list(range(1, top + 1)),
         "norms": norms,
         "nondecreasing": all(b >= a - 1e-12 for a, b in zip(norms, norms[1:])),

@@ -25,13 +25,7 @@ import scipy.sparse
 
 from .errors import DomainError, ShapeError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
-from .polynomials import (
-    Polynomial,
-    abelianize,
-    graded_indices,
-    graded_words,
-    multinomial,
-)
+from .polynomials import Polynomial, graded_indices, graded_words, multinomial
 
 __all__ = [
     "TruncatedDA",
@@ -42,8 +36,6 @@ __all__ = [
     "truncated_multiplier_norm",
     "truncated_multiplier_norms",
     "creation_matrix",
-    "symmetrization_map",
-    "gleason_decompose",
 ]
 
 
@@ -215,70 +207,3 @@ def creation_matrix(k: int, space: TruncatedFock) -> np.ndarray:
         if len(word) < space.max_length:
             out[space.position((k, *word)), j] = 1.0
     return out
-
-
-def symmetrization_map(space: TruncatedFock) -> np.ndarray:
-    """Isometry from the degree-matched Drury-Arveson truncation into Fock space.
-
-    The normalized monomial of ``alpha`` is sent to the normalized average
-    of the words abelianizing to ``alpha``.  Columns follow the graded
-    multi-index order; the result has orthonormal columns.
-    """
-    da = TruncatedDA(space.d, space.max_length)
-    out = np.zeros((space.dim, da.dim), dtype=np.complex128)
-    for j, alpha in enumerate(da.basis()):
-        weight = 1.0 / math.sqrt(multinomial(alpha))
-        for i, word in enumerate(space.basis()):
-            if abelianize(word, space.d) == alpha:
-                out[i, j] = weight
-    return out
-
-
-def gleason_decompose(
-    p: Polynomial, w, order: int
-) -> tuple[Polynomial, dict[tuple[int, ...], Polynomial]]:
-    """Split ``p`` into its Taylor part at ``w`` plus degree-``order`` multiples.
-
-    Returns ``(taylor, remainders)`` with
-
-        p = taylor + sum_{|a| = order} (x - w)^a * remainders[a],
-
-    where ``taylor`` is the Taylor expansion of ``p`` at ``w`` of degree
-    below ``order``.  The split is made canonical by dividing each shifted
-    monomial by the variables in index order: ``(x1 - w1)`` is exhausted
-    first, then ``(x2 - w2)``, and so on.  The remainder dict carries every
-    multi-index of total degree ``order``, including zero remainders.
-    """
-    if order < 0:
-        raise ShapeError(f"order must be nonnegative, got {order}")
-    w = as_vector(w)
-    if w.shape != (p.d,):
-        raise ShapeError(f"expected a center with {p.d} coordinates")
-
-    shifted = p.shift(w)  # q(y) = p(y + w)
-    low: dict[tuple[int, ...], complex] = {}
-    rem_shifted: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {
-        alpha: {} for alpha in graded_indices(p.d, order) if sum(alpha) == order
-    }
-    for beta, c in shifted.coeffs.items():
-        if sum(beta) < order:
-            low[beta] = c
-            continue
-        budget = order
-        alpha = []
-        for b in beta:
-            take = min(b, budget)
-            alpha.append(take)
-            budget -= take
-        alpha = tuple(alpha)
-        residue = tuple(b - a for b, a in zip(beta, alpha))
-        bucket = rem_shifted[alpha]
-        bucket[residue] = bucket.get(residue, 0) + c
-
-    back = -w
-    taylor = Polynomial(p.d, low).shift(back)
-    remainders = {
-        alpha: Polynomial(p.d, bucket).shift(back)
-        for alpha, bucket in rem_shifted.items()
-    }
-    return taylor, remainders

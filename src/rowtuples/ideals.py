@@ -3,10 +3,12 @@
 For a commuting nilpotent tuple ``T`` with vanishing degree ``m``, every
 polynomial of degree ``>= m`` annihilates ``T`` monomial by monomial, so
 the annihilator ideal is captured exactly by the finite-dimensional slice
-``Ann(T) ∩ C[x]_{<=m}``.  This module computes that slice as a kernel of
-the evaluation map, derives the quotient algebra ``A = C[x]/Ann(T)`` with
-its monomial basis and structure constants, and realizes the quotient
-concretely as a compressed multiplication tuple on the subspace
+``Ann(T) ∩ C[x]_{<=m}``.  This module computes that slice as the kernel
+of the evaluation map and keeps it in that form: a matrix whose columns
+are coefficient vectors over the graded monomials of degree at most
+``m``.  From it follow the quotient algebra ``A = C[x]/Ann(T)`` with its
+monomial basis and structure constants, and a concrete realization of
+the quotient as a compressed multiplication tuple on the subspace
 
     H_J = ( Ann(T) ∩ C[x]_{<=m} )^⊥
 
@@ -16,6 +18,7 @@ of the truncated Drury-Arveson space; since every monomial of degree
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,7 @@ from .fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    as_matrix,
     orthonormalize,
     rank_and_kernel,
     subspaces_equal,
@@ -39,7 +43,6 @@ __all__ = [
     "annihilator",
     "annihilators_equal",
     "monomial_annihilator",
-    "generating_subset",
     "quotient_algebra",
     "omega_e",
     "model_space",
@@ -49,16 +52,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnnihilatorBasis:
-    """Vector-space basis of ``Ann(T) ∩ C[x]_{<=degree_bound}``.
+    """Vector-space basis of ``Ann(T) ∩ C[x]_{<=degree_bound}``, as a matrix.
 
+    ``coefficients`` has one row per monomial of :meth:`monomials` and one
+    column per basis element; it is copied on construction and read-only.
     This is deliberately not a Gröbner basis: every construction in the
     package needs only membership tests and quotient dimensions, which
-    are rank computations on the coefficient matrix.
+    are rank computations on this matrix.  :attr:`basis` renders the
+    columns as polynomials for reports.
     """
 
     d: int
     degree_bound: int
-    basis: tuple[Polynomial, ...]
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        # adding zero copies the matrix and turns negative zeros into +0
+        mat = as_matrix(self.coefficients) + 0.0
+        rows = math.comb(self.degree_bound + self.d, self.d)
+        if mat.shape[0] != rows:
+            raise ShapeError(f"coefficient matrix has {mat.shape[0]} rows, expected {rows}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "coefficients", mat)
 
     def monomials(self) -> list[tuple[int, ...]]:
         """Graded monomial list of the ambient slice ``C[x]_{<=m}``."""
@@ -66,11 +81,16 @@ class AnnihilatorBasis:
 
     def coefficient_matrix(self) -> np.ndarray:
         """Columns are basis coefficient vectors over :meth:`monomials`."""
+        return self.coefficients
+
+    @property
+    def basis(self) -> tuple[Polynomial, ...]:
+        """The basis elements as polynomials, one per column."""
         monomials = self.monomials()
-        out = np.zeros((len(monomials), len(self.basis)), dtype=np.complex128)
-        for j, q in enumerate(self.basis):
-            out[:, j] = q.coefficient_vector(monomials)
-        return out
+        return tuple(
+            Polynomial.from_coefficient_vector(self.d, monomials, col)
+            for col in self.coefficients.T
+        )
 
     def ideal_slice(self, max_degree: int) -> np.ndarray:
         """Coefficient columns spanning ``Ann ∩ C[x]_{<=max_degree}``.
@@ -182,11 +202,7 @@ def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorB
     for j, alpha in enumerate(monomials):
         eval_map[:, j] = t.monomial(alpha).reshape(-1)
     _, kernel = rank_and_kernel(eval_map, tol)
-    basis = tuple(
-        Polynomial.from_coefficient_vector(t.d, monomials, kernel[:, j])
-        for j in range(kernel.shape[1])
-    )
-    return AnnihilatorBasis(d=t.d, degree_bound=m, basis=basis)
+    return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel)
 
 
 def monomial_annihilator(d: int, generators) -> AnnihilatorBasis:
@@ -217,12 +233,11 @@ def monomial_annihilator(d: int, generators) -> AnnihilatorBasis:
     ))
     staircase = [a for a in graded_indices(d, pure_cap) if not in_ideal(a)]
     m = 1 + max((sum(a) for a in staircase), default=-1)
-    basis = tuple(
-        Polynomial.monomial(d, alpha)
-        for alpha in graded_indices(d, m)
-        if in_ideal(alpha)
+    monomials = graded_indices(d, m)
+    rows = [i for i, alpha in enumerate(monomials) if in_ideal(alpha)]
+    return AnnihilatorBasis(
+        d=d, degree_bound=m, coefficients=np.eye(len(monomials))[:, rows]
     )
-    return AnnihilatorBasis(d=d, degree_bound=m, basis=basis)
 
 
 def annihilators_equal(
@@ -239,31 +254,6 @@ def annihilators_equal(
     frame_a = orthonormalize(a.ideal_slice(degree))
     frame_b = orthonormalize(b.ideal_slice(degree))
     return subspaces_equal(frame_a, frame_b, tol)
-
-
-def generating_subset(
-    ann: AnnihilatorBasis, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[Polynomial, ...]:
-    """A small generating set for the ideal slice, chosen greedily.
-
-    Basis elements are visited in order of increasing degree and kept only
-    when they fall outside the ideal generated so far.  The result is not
-    canonical — ties are broken by basis order — but its shifts span the
-    full slice.
-    """
-    monomials = ann.monomials()
-    ordered = sorted(ann.basis, key=lambda q: q.degree())
-    chosen: list[Polynomial] = []
-    frame = np.zeros((len(monomials), 0), dtype=np.complex128)
-    for q in ordered:
-        vec = q.coefficient_vector(monomials)
-        residual = vec - frame @ (frame.conj().T @ vec)
-        if np.linalg.norm(residual) <= tol.rank_rel_tol * max(1.0, np.linalg.norm(vec)):
-            continue
-        chosen.append(q)
-        partial = AnnihilatorBasis(ann.d, ann.degree_bound, tuple(chosen))
-        frame = orthonormalize(partial.ideal_slice(ann.degree_bound), tol)
-    return tuple(chosen)
 
 
 def quotient_algebra(
@@ -373,7 +363,7 @@ def model_space(
             )
 
     space = TruncatedDA(ann.d, degree_cap)
-    if not ann.basis:
+    if ann.coefficient_matrix().shape[1] == 0:
         frame = np.eye(space.dim, dtype=np.complex128)
         return ModelSpace(d=ann.d, degree_cap=degree_cap, frame=frame)
     weights = np.array([da_monomial_norm(alpha) for alpha in space.basis()])

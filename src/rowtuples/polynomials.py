@@ -207,32 +207,6 @@ class Polynomial:
             total += term
         return complex(total)
 
-    def shift(self, w) -> "Polynomial":
-        """Compose with a translation: return ``q`` with ``q(y) = p(y + w)``."""
-        w = np.asarray(w, dtype=np.complex128)
-        if w.shape != (self.d,):
-            raise ShapeError(f"expected a shift with {self.d} coordinates")
-        out: dict[tuple[int, ...], complex] = {}
-        for gamma, c in self.coeffs.items():
-            # expand prod_i (y_i + w_i)^gamma_i
-            expansion = [((0,) * self.d, c)]
-            for i, g in enumerate(gamma):
-                if g == 0:
-                    continue
-                row = [(math.comb(g, b) * w[i] ** (g - b), b) for b in range(g + 1)]
-                new = []
-                for beta, coeff in expansion:
-                    for binom, b in row:
-                        if binom == 0:
-                            continue
-                        nb = list(beta)
-                        nb[i] = b
-                        new.append((tuple(nb), coeff * binom))
-                expansion = new
-            for beta, coeff in expansion:
-                out[beta] = out.get(beta, 0) + coeff
-        return Polynomial(self.d, out)
-
     def coefficient_vector(self, indices: list[tuple[int, ...]]) -> np.ndarray:
         """Coefficients read off along the given multi-index list."""
         missing = set(self.coeffs) - set(indices)

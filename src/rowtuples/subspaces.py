@@ -116,30 +116,32 @@ def _same_ambient(t: RowTuple, m: SubspaceBasis) -> None:
         )
 
 
+def _corner_vanishes(
+    t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig, atol: float, *, upper: bool
+) -> bool:
+    """Whether ``P T_k (I−P)`` (``upper``) or ``(I−P) T_k P`` vanishes for all k."""
+    _same_ambient(t, m)
+    p = m.projector()
+    comp = np.eye(t.dim) - p
+    left, right = (p, comp) if upper else (comp, p)
+    return all(
+        norm_at_most(left @ mat @ right, atol * max(1.0, norm), tol)
+        for mat, norm in zip(t.mats, t.norms)
+    )
+
+
 def is_invariant(
     t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL, *, atol: float = 1e-9
 ) -> bool:
     """Whether ``T_k M ⊆ M`` for all k, i.e. ``(I−P)T_kP`` vanishes."""
-    _same_ambient(t, m)
-    p = m.projector()
-    comp = np.eye(t.dim) - p
-    for mat, norm in zip(t.mats, t.norms):
-        if not norm_at_most(comp @ mat @ p, atol * max(1.0, norm), tol):
-            return False
-    return True
+    return _corner_vanishes(t, m, tol, atol, upper=False)
 
 
 def is_coinvariant(
     t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL, *, atol: float = 1e-9
 ) -> bool:
     """Whether the orthogonal complement of ``M`` is invariant."""
-    _same_ambient(t, m)
-    p = m.projector()
-    comp = np.eye(t.dim) - p
-    for mat, norm in zip(t.mats, t.norms):
-        if not norm_at_most(p @ mat @ comp, atol * max(1.0, norm), tol):
-            return False
-    return True
+    return _corner_vanishes(t, m, tol, atol, upper=True)
 
 
 def generated_invariant(
@@ -180,11 +182,9 @@ def restrict(
 
     Requires an invariant subspace; the compression formula is exact there.
     """
-    _same_ambient(t, m)
     if check and not is_invariant(t, m, tol):
         raise DomainError("restrict requires an invariant subspace")
-    f = m.frame
-    return RowTuple([f.conj().T @ mat @ f for mat in t.mats])
+    return compress(t, m)
 
 
 def compress(t: RowTuple, m: SubspaceBasis) -> RowTuple:
@@ -248,11 +248,25 @@ class RigidityReport:
     detail: str = ""
 
 
-def _require_nilpotent(t: RowTuple, tol: ToleranceConfig) -> int:
-    idx = nilpotency_index(t, tol=tol)
-    if idx is None:
+def _check_pair(
+    t: RowTuple, m: SubspaceBasis, n: SubspaceBasis, tol: ToleranceConfig, member, kind: str
+) -> None:
+    """Shared hypotheses: ``T`` nilpotent and both subspaces pass ``member``."""
+    if nilpotency_index(t, tol=tol) is None:
         raise NotNilpotentError("tuple is not nilpotent")
-    return idx
+    for label, sub in (("first", m), ("second", n)):
+        if not member(t, sub, tol):
+            raise DomainError(f"{label} subspace is not {kind}")
+
+
+def _compare_pair(
+    t: RowTuple, m: SubspaceBasis, n: SubspaceBasis, tol: ToleranceConfig
+) -> tuple[bool, bool]:
+    """Whether the compressions share an annihilator, and whether ``M = N``."""
+    ann_eq = annihilators_equal(
+        annihilator(compress(t, m), tol), annihilator(compress(t, n), tol)
+    )
+    return ann_eq, m.dim == n.dim and subspaces_equal(m.frame, n.frame)
 
 
 def rigidity_invariant_check(
@@ -270,12 +284,7 @@ def rigidity_invariant_check(
     """
     from .vectors import multiplicity
 
-    _require_nilpotent(t, tol)
-    for label, sub in (("first", m), ("second", n)):
-        _same_ambient(t, sub)
-        if not is_invariant(t, sub, tol):
-            raise DomainError(f"{label} subspace is not invariant")
-
+    _check_pair(t, m, n, tol, is_invariant, "invariant")
     if multiplicity(t.adjoint(), tol=tol) == 1:
         route = "adjoint-cyclic"
     elif multiplicity(t, tol=tol) == 1 and t.dim in (m.dim, n.dim):
@@ -289,11 +298,7 @@ def rigidity_invariant_check(
             "requires a cyclic adjoint tuple, or a cyclic tuple compared "
             "against the whole space",
         )
-
-    ann_m = annihilator(restrict(t, m, tol, check=False), tol)
-    ann_n = annihilator(restrict(t, n, tol, check=False), tol)
-    ann_eq = annihilators_equal(ann_m, ann_n)
-    sp_eq = m.dim == n.dim and subspaces_equal(m.frame, n.frame)
+    ann_eq, sp_eq = _compare_pair(t, m, n, tol)
     verdict = (
         Verdict.THEOREM_VIOLATION if (ann_eq and not sp_eq) else Verdict.CONSISTENT
     )
@@ -314,21 +319,12 @@ def rigidity_coinvariant_check(
     """
     from .vectors import multiplicity
 
-    _require_nilpotent(t, tol)
-    for label, sub in (("first", m), ("second", n)):
-        _same_ambient(t, sub)
-        if not is_coinvariant(t, sub, tol):
-            raise DomainError(f"{label} subspace is not co-invariant")
-
+    _check_pair(t, m, n, tol, is_coinvariant, "co-invariant")
     if multiplicity(t, tol=tol) != 1:
         return RigidityReport(
             Verdict.INAPPLICABLE, None, None, None, "requires a cyclic tuple"
         )
-
-    ann_m = annihilator(compress(t, m), tol)
-    ann_n = annihilator(compress(t, n), tol)
-    ann_eq = annihilators_equal(ann_m, ann_n)
-    sp_eq = m.dim == n.dim and subspaces_equal(m.frame, n.frame)
+    ann_eq, sp_eq = _compare_pair(t, m, n, tol)
     verdict = Verdict.CONSISTENT if ann_eq == sp_eq else Verdict.THEOREM_VIOLATION
     return RigidityReport(verdict, "cyclic", ann_eq, sp_eq)
 
@@ -341,10 +337,6 @@ class DecompositionReport:
     commutant_dim: int
     semisimple_dim: int
     idempotent: np.ndarray | None
-
-
-def _commutant_basis(t: RowTuple, tol: ToleranceConfig) -> list[np.ndarray]:
-    return list(intertwiner_space(t, t, tol).basis)
 
 
 def _eig_clusters(eigs: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
@@ -432,10 +424,17 @@ def decomposition_exists(
     The radical is the kernel of the trace form of the left regular
     representation, valid in characteristic zero.
     """
-    basis = _commutant_basis(t, tol)
+    return _decompose(t, seed, tol)[0]
+
+
+def _decompose(
+    t: RowTuple, seed: int, tol: ToleranceConfig
+) -> tuple[DecompositionReport, tuple]:
+    """:func:`decomposition_exists` together with the commutant basis it used."""
+    basis = intertwiner_space(t, t, tol).basis
     r = len(basis)
     if r == 0:
-        return DecompositionReport(False, 0, 0, None)
+        return DecompositionReport(False, 0, 0, None), basis
     flat = np.column_stack([b.ravel() for b in basis])
     left = []
     for b in basis:
@@ -448,7 +447,7 @@ def decomposition_exists(
     semisimple = numerical_rank(k, tol)
     exists = semisimple > 1
     if not exists:
-        return DecompositionReport(False, r, semisimple, None)
+        return DecompositionReport(False, r, semisimple, None), basis
 
     idem = None
     rng = np.random.default_rng(seed)
@@ -467,7 +466,7 @@ def decomposition_exists(
             "was found within the retry budget"
         )
     idem.setflags(write=False)
-    return DecompositionReport(True, r, semisimple, idem)
+    return DecompositionReport(True, r, semisimple, idem), basis
 
 
 def decomposition_find(
@@ -482,12 +481,23 @@ def decomposition_find(
     when no decomposition exists (or no candidate passes the cyclicity
     filter when ``want_cyclic``).
     """
+    report, basis = _decompose(t, seed, tol)
+    return _complementary_pair(t, report, basis, want_cyclic, seed, tol)
+
+
+def _complementary_pair(
+    t: RowTuple,
+    report: DecompositionReport,
+    basis,
+    want_cyclic: bool,
+    seed: int,
+    tol: ToleranceConfig,
+):
+    """:func:`decomposition_find` from an existence report and its commutant basis."""
     from .vectors import multiplicity
 
-    report = decomposition_exists(t, seed=seed, tol=tol)
     if not report.exists:
         return None
-    basis = _commutant_basis(t, tol)
     rng = np.random.default_rng(seed + 1)
 
     def candidates():
@@ -508,7 +518,7 @@ def decomposition_find(
                 continue
             if not (is_invariant(t, m, tol, atol=1e-7) and is_invariant(t, n, tol, atol=1e-7)):
                 continue
-            if want_cyclic and multiplicity(restrict(t, m, tol, check=False), tol=tol) != 1:
+            if want_cyclic and multiplicity(compress(t, m), tol=tol) != 1:
                 continue
             return m, n
     return None
@@ -537,7 +547,7 @@ def splitting_construct(
         raise HypothesisError("nilpotent", "tuple is not nilpotent")
     if not is_invariant(t, m, tol):
         raise HypothesisError("invariant_subspace", "subspace is not invariant")
-    r = restrict(t, m, tol, check=False)
+    r = compress(t, m)
     radj = r.adjoint()
     if m.dim == 0 or multiplicity(radj, tol=tol) != 1:
         raise HypothesisError(

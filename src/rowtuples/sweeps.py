@@ -11,9 +11,11 @@ shared by the test suite and the command-line ``sweep`` command.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .fock import TruncatedDA, TruncatedFock, creation_matrix
 from .ideals import (
@@ -29,6 +31,8 @@ from .polynomials import Polynomial
 from .subspaces import (
     SubspaceBasis,
     Verdict,
+    _complementary_pair,
+    _decompose,
     generated_invariant,
     is_invariant,
     rigidity_coinvariant_check,
@@ -57,6 +61,15 @@ __all__ = [
 
 def random_staircase(rng, d: int, max_size: int) -> set[tuple[int, ...]]:
     """Random order ideal (staircase) in N^d containing the origin."""
+    return _grow_staircase(rng, d, max_size)
+
+
+def _grow_staircase(rng, d: int, max_size: int, sides=None) -> set[tuple[int, ...]]:
+    """:func:`random_staircase`, kept inside the box with the given sides if any.
+
+    The size is drawn from ``1 .. max_size``; the staircase then grows one
+    random corner at a time, chosen among the sorted addable monomials.
+    """
     target = int(rng.integers(1, max_size + 1))
     lam = {(0,) * d}
     while len(lam) < target:
@@ -66,7 +79,7 @@ def random_staircase(rng, d: int, max_size: int) -> set[tuple[int, ...]]:
                 up = list(alpha)
                 up[k] += 1
                 cand = tuple(up)
-                if cand in lam:
+                if cand in lam or (sides is not None and cand[k] >= sides[k]):
                     continue
                 if all(
                     cand[j] == 0
@@ -124,10 +137,31 @@ def random_similarity(
     return RowTuple(mats)
 
 
+def _model(ann: AnnihilatorBasis) -> RowTuple:
+    """The model tuple of a nilpotent ideal."""
+    return model_tuple(model_space(ann))
+
+
+def _direct_sum(a: RowTuple, b: RowTuple) -> RowTuple:
+    """The block-diagonal tuple ``A ⊕ B``."""
+    return RowTuple([block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats)])
+
+
+def _random_box(rng, d: int, max_side: int) -> tuple[list[int], AnnihilatorBasis]:
+    """Random box sides (not all 1) and the ideal ``(x1^s1, .., xd^sd)``."""
+    sides = [int(rng.integers(1, max_side + 1)) for _ in range(d)]
+    if all(s == 1 for s in sides):
+        sides[int(rng.integers(d))] = 2
+    gens = [
+        tuple(sides[k] if j == k else 0 for j in range(d)) for k in range(d)
+    ]
+    return sides, monomial_annihilator(d, gens)
+
+
 def cyclic_instance(rng, d: int = 2, max_delta: int = 8) -> RowTuple:
     """Random cyclic nilpotent row contraction (a conjugated model tuple)."""
     ann = random_monomial_ideal(rng, d, max_delta)
-    return random_similarity(rng, model_tuple(model_space(ann)))
+    return random_similarity(rng, _model(ann))
 
 
 def adjoint_cyclic_instance(rng, d: int = 2, max_side: int = 3) -> RowTuple:
@@ -136,14 +170,8 @@ def adjoint_cyclic_instance(rng, d: int = 2, max_side: int = 3) -> RowTuple:
     Box staircases have a unique maximal element, so the model's socle is
     simple and the adjoint tuple is cyclic; similarity preserves this.
     """
-    sides = [int(rng.integers(1, max_side + 1)) for _ in range(d)]
-    if all(s == 1 for s in sides):
-        sides[int(rng.integers(d))] = 2
-    gens = [
-        tuple(sides[k] if j == k else 0 for j in range(d)) for k in range(d)
-    ]
-    ann = monomial_annihilator(d, gens)
-    return random_similarity(rng, model_tuple(model_space(ann)))
+    _, ann = _random_box(rng, d, max_side)
+    return random_similarity(rng, _model(ann))
 
 
 def proper_invariant(rng, t: RowTuple) -> SubspaceBasis:
@@ -159,59 +187,19 @@ def random_coinvariant(rng, t: RowTuple) -> SubspaceBasis:
     return generated_invariant(t.adjoint(), [v])
 
 
-def _sub_box_staircase(rng, sides) -> set[tuple[int, ...]]:
-    """Random staircase contained in the box with the given sides."""
-    box = set(itertools.product(*(range(s) for s in sides)))
-    target = int(rng.integers(1, len(box) + 1))
-    lam = {(0,) * len(sides)}
-    while len(lam) < target:
-        frontier = set()
-        for alpha in lam:
-            for k in range(len(sides)):
-                up = list(alpha)
-                up[k] += 1
-                cand = tuple(up)
-                if cand in lam or cand not in box:
-                    continue
-                if all(
-                    cand[j] == 0
-                    or tuple(c - (1 if j == i else 0) for i, c in enumerate(cand))
-                    in lam
-                    for j in range(len(sides))
-                ):
-                    frontier.add(cand)
-        if not frontier:
-            break
-        ordered = sorted(frontier)
-        lam.add(ordered[int(rng.integers(len(ordered)))])
-    return lam
-
-
 def splitting_instance(rng, d: int = 2, max_side: int = 3):
     """Direct sum ``A ⊕ B`` with ``M = 0 ⊕ H_B`` satisfying the splitting hypotheses.
 
     ``B`` is a box model (adjoint cyclic) and ``Ann(A) ⊇ Ann(B)``, so the
     restriction to ``M`` has the full annihilator.
     """
-    sides = [int(rng.integers(1, max_side + 1)) for _ in range(d)]
-    if all(s == 1 for s in sides):
-        sides[int(rng.integers(d))] = 2
-    box_gens = [
-        tuple(sides[k] if j == k else 0 for j in range(d)) for k in range(d)
-    ]
-    b = model_tuple(model_space(monomial_annihilator(d, box_gens)))
-    lam_a = _sub_box_staircase(rng, sides)
-    a = model_tuple(model_space(monomial_annihilator(d, staircase_generators(d, lam_a))))
-    mats = []
-    for ma, mb in zip(a.mats, b.mats):
-        block = np.zeros((a.dim + b.dim, a.dim + b.dim), dtype=np.complex128)
-        block[: a.dim, : a.dim] = ma
-        block[a.dim :, a.dim :] = mb
-        mats.append(block)
-    t = RowTuple(mats)
+    sides, box = _random_box(rng, d, max_side)
+    b = _model(box)
+    lam_a = _grow_staircase(rng, d, math.prod(sides), sides)
+    a = _model(monomial_annihilator(d, staircase_generators(d, lam_a)))
     frame = np.zeros((a.dim + b.dim, b.dim), dtype=np.complex128)
     frame[a.dim :, :] = np.eye(b.dim)
-    return t, SubspaceBasis(a.dim + b.dim, frame)
+    return _direct_sum(a, b), SubspaceBasis(a.dim + b.dim, frame)
 
 
 def small_nilpotent_instance(rng, dim_cap: int = 4) -> RowTuple:
@@ -223,14 +211,11 @@ def small_nilpotent_instance(rng, dim_cap: int = 4) -> RowTuple:
     """
     kind = int(rng.integers(3))
     if kind == 0:
-        ann = random_monomial_ideal(rng, 2, dim_cap)
-        return random_similarity(rng, model_tuple(model_space(ann)))
+        return cyclic_instance(rng, d=2, max_delta=dim_cap)
     if kind == 1:
         a = int(rng.integers(1, dim_cap))
         b = int(rng.integers(1, dim_cap + 1 - a))
-        block = np.zeros((a + b, a + b))
-        block[:a, :a] = np.eye(a, k=-1)
-        block[a:, a:] = np.eye(b, k=-1)
+        block = block_diag(np.eye(a, k=-1), np.eye(b, k=-1))
         t = RowTuple([block / 2.0, np.zeros((a + b, a + b))])
         return random_similarity(rng, t)
     n = int(rng.integers(2, dim_cap + 1))
@@ -269,7 +254,13 @@ def _streams(seed: int, count: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _outcome(name, results):
+def _sweep(name: str, seed: int, count: int, case) -> SweepOutcome:
+    """Run ``case(i, rng)`` on each seeded stream and tally its results.
+
+    ``case`` returns ``(ok, message, violation)``; messages of failed or
+    violating instances are kept, at most eight.
+    """
+    results = [case(i, rng) for i, rng in enumerate(_streams(seed, count))]
     passed = sum(1 for ok, _, viol in results if ok and not viol)
     violations = sum(1 for _, _, viol in results if viol)
     failed = len(results) - passed - violations
@@ -277,58 +268,63 @@ def _outcome(name, results):
     return SweepOutcome(name, len(results), passed, failed, violations, messages)
 
 
+def _rigidity_sweep(name, seed, count, instance, draw, check, *, against_full=False):
+    """Rigidity sweep over ``instance`` tuples and subspace pairs from ``draw``.
+
+    Every eighth instance compares a subspace with itself.  With
+    ``against_full`` the second subspace is the whole space.
+    """
+
+    def case(i, rng):
+        t = instance(rng)
+        if against_full:
+            n = SubspaceBasis.full(t.dim)
+            m = n if i % 8 == 7 else draw(rng, t)
+        else:
+            m = draw(rng, t)
+            n = m if i % 8 == 7 else draw(rng, t)
+        rep = check(t, m, n)
+        ok = rep.verdict is Verdict.CONSISTENT
+        viol = rep.verdict is Verdict.THEOREM_VIOLATION
+        return ok, f"instance {i}: {rep.verdict.value}" if not ok else "", viol
+
+    return _sweep(name, seed, count, case)
+
+
 def sweep_rigidity_full(seed: int = 0, count: int = 200) -> SweepOutcome:
     """Rigidity sweep: cyclic tuples whose invariant subspace fills the space."""
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
-        t = cyclic_instance(rng, d=2, max_delta=8)
-        m = SubspaceBasis.full(t.dim) if i % 8 == 7 else proper_invariant(rng, t)
-        rep = rigidity_invariant_check(t, m, SubspaceBasis.full(t.dim))
-        viol = rep.verdict is Verdict.THEOREM_VIOLATION
-        ok = rep.verdict is Verdict.CONSISTENT
-        results.append((ok, f"instance {i}: {rep.verdict.value}" if not ok else "", viol))
-    return _outcome("rigidity-full", results)
+    return _rigidity_sweep(
+        "rigidity-full", seed, count, cyclic_instance, proper_invariant,
+        rigidity_invariant_check, against_full=True,
+    )
 
 
 def sweep_rigidity_coinvariant(seed: int = 0, count: int = 200) -> SweepOutcome:
     """Rigidity sweep: co-invariant pairs under a cyclic tuple."""
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
-        t = cyclic_instance(rng, d=2, max_delta=8)
-        m = random_coinvariant(rng, t)
-        n = m if i % 8 == 7 else random_coinvariant(rng, t)
-        rep = rigidity_coinvariant_check(t, m, n)
-        viol = rep.verdict is Verdict.THEOREM_VIOLATION
-        ok = rep.verdict is Verdict.CONSISTENT
-        results.append((ok, f"instance {i}: {rep.verdict.value}" if not ok else "", viol))
-    return _outcome("rigidity-coinvariant", results)
+    return _rigidity_sweep(
+        "rigidity-coinvariant", seed, count, cyclic_instance, random_coinvariant,
+        rigidity_coinvariant_check,
+    )
 
 
 def sweep_rigidity_adjoint(seed: int = 0, count: int = 200) -> SweepOutcome:
     """Rigidity sweep: invariant pairs under an adjoint-cyclic tuple."""
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
-        t = adjoint_cyclic_instance(rng, d=2, max_side=3)
-        m = proper_invariant(rng, t)
-        n = m if i % 8 == 7 else proper_invariant(rng, t)
-        rep = rigidity_invariant_check(t, m, n)
-        viol = rep.verdict is Verdict.THEOREM_VIOLATION
-        ok = rep.verdict is Verdict.CONSISTENT
-        results.append((ok, f"instance {i}: {rep.verdict.value}" if not ok else "", viol))
-    return _outcome("rigidity-adjoint", results)
+    return _rigidity_sweep(
+        "rigidity-adjoint", seed, count, adjoint_cyclic_instance, proper_invariant,
+        rigidity_invariant_check,
+    )
 
 
 def sweep_splitting(seed: int = 0, count: int = 100) -> SweepOutcome:
     """Splitting-construction sweep: verify the three postconditions."""
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
+
+    def case(i, rng):
         t, m = splitting_instance(rng, d=2, max_side=3)
         inner = int(rng.integers(2**31))
         try:
             n = splitting_construct(t, m, seed=inner)
         except Exception as exc:  # noqa: BLE001 - aggregated into the outcome
-            results.append((False, f"instance {i}: {exc}", False))
-            continue
+            return False, f"instance {i}: {exc}", False
         stacked = np.hstack([m.frame, n.frame])
         svals = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.array([])
         checks = [
@@ -338,28 +334,19 @@ def sweep_splitting(seed: int = 0, count: int = 100) -> SweepOutcome:
             numerical_rank(stacked) == t.dim,
         ]
         ok = all(checks)
-        results.append((ok, f"instance {i}: checks={checks}" if not ok else "", False))
-    return _outcome("splitting", results)
+        return ok, f"instance {i}: checks={checks}" if not ok else "", False
+
+    return _sweep("splitting", seed, count, case)
 
 
 def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
     """Greedy separating-set sweep: size bound and strict kernel descent."""
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
+
+    def case(i, rng):
         if rng.random() < 0.3:
             ann1 = random_monomial_ideal(rng, 2, 6)
             ann2 = random_monomial_ideal(rng, 2, 6)
-            t1 = model_tuple(model_space(ann1))
-            t2 = model_tuple(model_space(ann2))
-            mats = []
-            for m1, m2 in zip(t1.mats, t2.mats):
-                block = np.zeros(
-                    (t1.dim + t2.dim, t1.dim + t2.dim), dtype=np.complex128
-                )
-                block[: t1.dim, : t1.dim] = m1
-                block[t1.dim :, t1.dim :] = m2
-                mats.append(block)
-            t = random_similarity(rng, RowTuple(mats))
+            t = random_similarity(rng, _direct_sum(_model(ann1), _model(ann2)))
         else:
             t = cyclic_instance(rng, d=2, max_delta=12)
         q = quotient_algebra(annihilator(t))
@@ -368,8 +355,7 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
         try:
             chosen, trace = separating_greedy(t, seed=inner, with_trace=True)
         except Exception as exc:  # noqa: BLE001
-            results.append((False, f"instance {i}: {exc}", False))
-            continue
+            return False, f"instance {i}: {exc}", False
         strict = all(a > b for a, b in zip(trace, trace[1:]))
         joint = np.vstack(
             [
@@ -379,23 +365,22 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
         )
         separating = numerical_rank(joint) == delta
         ok = len(chosen) <= delta and strict and separating and trace[-1] == 0
-        results.append(
-            (ok, f"instance {i}: size={len(chosen)} delta={delta} trace={trace}" if not ok else "", False)
-        )
-    return _outcome("greedy", results)
+        msg = f"instance {i}: size={len(chosen)} delta={delta} trace={trace}"
+        return ok, msg if not ok else "", False
+
+    return _sweep("greedy", seed, count, case)
 
 
 def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
     """Quasi-affine witness sweep with Gram and Fock intertwiner checks."""
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
+
+    def case(i, rng):
         t = cyclic_instance(rng, d=2, max_delta=8)
         inner = int(rng.integers(2**31))
         try:
             x = quasiaffine_witness(t, seed=inner)
         except Exception as exc:  # noqa: BLE001
-            results.append((False, f"instance {i}: {exc}", False))
-            continue
+            return False, f"instance {i}: {exc}", False
         ann = annihilator(t)
         space = model_space(ann)
         model = model_tuple(space)
@@ -422,49 +407,39 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
             and gram.bound <= 1.0 + 1e-8
             and fock_res < 1e-10
         )
-        results.append(
-            (
-                ok,
-                f"instance {i}: res={residual:.2e} rank={full_rank} "
-                f"bound={gram.bound:.6f} fock={fock_res:.2e}"
-                if not ok
-                else "",
-                False,
-            )
+        return (
+            ok,
+            f"instance {i}: res={residual:.2e} rank={full_rank} "
+            f"bound={gram.bound:.6f} fock={fock_res:.2e}"
+            if not ok
+            else "",
+            False,
         )
-    return _outcome("transform", results)
+
+    return _sweep("transform", seed, count, case)
 
 
 def sweep_decompose(seed: int = 0, count: int = 200) -> SweepOutcome:
     """Decomposition sweep: certificate validity and find-consistency."""
-    from .subspaces import decomposition_exists, decomposition_find
 
-    results = []
-    for i, rng in enumerate(_streams(seed, count)):
+    def case(i, rng):
         t = small_nilpotent_instance(rng, dim_cap=4)
         inner = int(rng.integers(2**31))
-        rep = decomposition_exists(t, seed=inner)
-        ok = True
-        msg = ""
-        if rep.exists:
-            e = rep.idempotent
-            cert = (
-                operator_norm(e @ e - e) < 1e-9
-                and all(
-                    operator_norm(e @ mat - mat @ e) < 1e-8 for mat in t.mats
-                )
-                and 0 < round(np.trace(e).real) < t.dim
-            )
-            pair = decomposition_find(t, seed=inner)
-            ok = cert and pair is not None
-            if not ok:
-                msg = f"instance {i}: cert={cert} pair={pair is not None}"
-        else:
-            ok = rep.idempotent is None and decomposition_find(t, seed=inner) is None
-            if not ok:
-                msg = f"instance {i}: inconsistent absence"
-        results.append((ok, msg, False))
-    return _outcome("decompose", results)
+        rep, commutant = _decompose(t, inner, DEFAULT_TOL)
+        pair = _complementary_pair(t, rep, commutant, False, inner, DEFAULT_TOL)
+        if not rep.exists:
+            ok = rep.idempotent is None and pair is None
+            return ok, "" if ok else f"instance {i}: inconsistent absence", False
+        e = rep.idempotent
+        cert = (
+            operator_norm(e @ e - e) < 1e-9
+            and all(operator_norm(e @ mat - mat @ e) < 1e-8 for mat in t.mats)
+            and 0 < round(np.trace(e).real) < t.dim
+        )
+        ok = cert and pair is not None
+        return ok, "" if ok else f"instance {i}: cert={cert} pair={pair is not None}", False
+
+    return _sweep("decompose", seed, count, case)
 
 
 SUITES = {

@@ -30,7 +30,7 @@ from .linalg import (
 from .polynomials import Polynomial, indices_of_degree
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
-           "poly_eval", "word_eval"]
+           "poly_eval"]
 
 
 class RowTuple:
@@ -221,15 +221,4 @@ def poly_eval(p: Polynomial, t: RowTuple) -> np.ndarray:
     out = np.zeros((t.dim, t.dim), dtype=np.complex128)
     for alpha, c in p.coeffs.items():
         out += c * t.monomial(alpha)
-    return out
-
-
-def word_eval(word, t: RowTuple) -> np.ndarray:
-    """Ordered product ``T_{w_1} T_{w_2} .. T_{w_s}``; empty word gives I."""
-    word = tuple(int(w) for w in word)
-    if any(not 1 <= w <= t.d for w in word):
-        raise ShapeError(f"word {word} has letters outside 1..{t.d}")
-    out = np.eye(t.dim, dtype=np.complex128)
-    for letter in reversed(word):
-        out = t.mats[letter - 1] @ out
     return out

@@ -71,36 +71,17 @@ def is_cyclic(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return krylov(t, xi, tol).dim == t.dim
 
 
-def multiplicity(
-    t: RowTuple,
-    *,
-    exhaustive: bool = False,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> int:
+def multiplicity(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Least cardinality of a cyclic set for a commuting nilpotent tuple.
 
     Computed as ``dim(H / Σ_k T_k H)``: by graded Nakayama, the minimal
-    number of module generators.  With ``exhaustive`` the count is instead
-    brute-forced by sampling candidate generating sets of growing size
-    (suitable for small dimensions only).
+    number of module generators.
     """
     if nilpotency_index(t, tol=tol) is None:
         raise NotNilpotentError("multiplicity requires a nilpotent tuple")
     if t.dim == 0:
         return 0
-    if not exhaustive:
-        return t.dim - numerical_rank(np.hstack(t.mats), tol)
-    rng = np.random.default_rng(seed)
-    for size in range(1, t.dim + 1):
-        for _ in range(40):
-            seeds = [
-                rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
-                for _ in range(size)
-            ]
-            if generated_invariant(t, seeds, tol).dim == t.dim:
-                return size
-    raise WitnessSearchError("exhaustive multiplicity search failed to generate")
+    return t.dim - numerical_rank(np.hstack(t.mats), tol)
 
 
 def _quotient(

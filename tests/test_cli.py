@@ -295,6 +295,31 @@ class TestDecompose:
         assert r["exists"] is True
         assert r["m_dim"] + r["n_dim"] == 4
 
+    def test_commutant_computed_once(self, capsys, tmp_path, monkeypatch):
+        import rowtuples.subspaces as subspaces
+        from rowtuples.fixtures import rectangle
+
+        a, b = rectangle(3, 3), rectangle(2, 2)
+        blocks = [
+            np.block([[ma, np.zeros((9, 4))], [np.zeros((4, 9)), mb]])
+            for ma, mb in zip(a.mats, b.mats)
+        ]
+        path = write_json(tmp_path, "t.json", tuple_to_json(rowtuples.RowTuple(blocks)))
+        calls = []
+        original = subspaces.intertwiner_space
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(subspaces, "intertwiner_space", counting)
+        code, rep, _ = run_json(capsys, "decompose", "--input", path)
+        assert code == 0
+        r = rep["results"]
+        assert r["exists"] is True and r["commutant_dim"] == 21
+        assert r["m_dim"] + r["n_dim"] == 13
+        assert len(calls) == 1
+
 
 class TestFockAndFixtures:
     def test_fock_linear_form(self, capsys):
@@ -325,6 +350,13 @@ class TestFockAndFixtures:
         code, _, err = run(capsys, "fock")
         assert code == 1
         assert "poly" in err
+
+    def test_fock_variable_index_zero(self, capsys):
+        # the parser infers d from the largest index, so x0 is out of range
+        code, out, err = run(capsys, "fock", "--poly", "x0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: variable x0 out of range for d=1\n"
 
     def test_fixture_listing(self, capsys):
         code, rep, _ = run_json(capsys, "fixtures")

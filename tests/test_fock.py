@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rowtuples.errors import ConvergenceError, DomainError, ShapeError
 from rowtuples.fock import (
@@ -12,18 +10,17 @@ from rowtuples.fock import (
     creation_matrix,
     da_kernel,
     da_monomial_norm,
-    gleason_decompose,
     multiplication_matrix,
-    symmetrization_map,
     truncated_multiplier_norm,
 )
 from rowtuples.linalg import ToleranceConfig, psd_below_identity
-from rowtuples.polynomials import Polynomial, graded_indices, parse_polynomial
-
-
-def coeffs_close(p: Polynomial, q: Polynomial, tol: float = 1e-12) -> bool:
-    keys = set(p.coeffs) | set(q.coeffs)
-    return all(abs(p.coeffs.get(k, 0) - q.coeffs.get(k, 0)) <= tol for k in keys)
+from rowtuples.polynomials import (
+    Polynomial,
+    abelianize,
+    graded_indices,
+    multinomial,
+    parse_polynomial,
+)
 
 
 class TestSpaces:
@@ -223,107 +220,26 @@ class TestCreation:
             creation_matrix(3, TruncatedFock(2, 2))
 
 
+def _symmetrization(fo: TruncatedFock, da: TruncatedDA) -> np.ndarray:
+    """Isometry sending ``x^α/||x^α||`` to the normalized sum of the words of ``α``."""
+    out = np.zeros((fo.dim, da.dim), dtype=np.complex128)
+    for j, alpha in enumerate(da.basis()):
+        for i, word in enumerate(fo.basis()):
+            if abelianize(word, fo.d) == alpha:
+                out[i, j] = 1.0 / math.sqrt(multinomial(alpha))
+    return out
+
+
 class TestSymmetrization:
-    def test_columns(self):
-        fo = TruncatedFock(2, 2)
-        da = TruncatedDA(2, 2)
-        u = symmetrization_map(fo)
-        assert u.shape == (7, 6)
-        # constant -> vacuum
-        assert u[fo.position(()), da.position((0, 0))] == 1.0
-        # x1^2 -> e_(1,1)
-        assert u[fo.position((1, 1)), da.position((2, 0))] == 1.0
-        # x1*x2 -> (e_(1,2) + e_(2,1)) / sqrt(2)
-        col = u[:, da.position((1, 1))]
-        assert col[fo.position((1, 2))] == pytest.approx(math.sqrt(0.5))
-        assert col[fo.position((2, 1))] == pytest.approx(math.sqrt(0.5))
-        assert np.count_nonzero(col) == 2
-
-    def test_isometry(self):
-        for d, cap in [(1, 3), (2, 3), (3, 2)]:
-            u = symmetrization_map(TruncatedFock(d, cap))
-            assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() < 1e-14
-
     @pytest.mark.parametrize("d,cap", [(2, 2), (2, 4), (3, 3)])
     def test_intertwines_shift_with_compressed_creation(self, d, cap):
         fo = TruncatedFock(d, cap)
         da = TruncatedDA(d, cap)
-        u = symmetrization_map(fo)
+        u = _symmetrization(fo, da)
+        assert np.abs(u.conj().T @ u - np.eye(da.dim)).max() < 1e-14
         p_sym = u @ u.conj().T
         low = [j for j, a in enumerate(da.basis()) if sum(a) < cap]
         for k in range(1, d + 1):
             lhs = u @ multiplication_matrix(Polynomial.variable(d, k), da)
             rhs = p_sym @ creation_matrix(k, fo) @ u
             assert np.abs((lhs - rhs)[:, low]).max() < 1e-10
-
-
-class TestGleason:
-    def test_square_at_origin(self):
-        p = parse_polynomial("x1^2", d=2)
-        taylor, rem = gleason_decompose(p, [0, 0], 1)
-        assert taylor.is_zero()
-        assert rem[(1, 0)] == parse_polynomial("x1", d=2)
-        assert rem[(0, 1)].is_zero()
-
-    def test_cross_term_order_two(self):
-        p = parse_polynomial("x1*x2", d=2)
-        taylor, rem = gleason_decompose(p, [0, 0], 2)
-        assert taylor.is_zero()
-        assert rem[(1, 1)] == Polynomial.constant(2, 1.0)
-        for alpha in ((2, 0), (0, 2)):
-            assert rem[alpha].is_zero()
-
-    def test_shifted_center(self):
-        p = parse_polynomial("x2^2", d=2)
-        taylor, rem = gleason_decompose(p, [0, 1], 1)
-        assert coeffs_close(taylor, Polynomial.constant(2, 1.0))
-        assert coeffs_close(rem[(0, 1)], parse_polynomial("x2 + 1", d=2))
-        assert rem[(1, 0)].is_zero()
-
-    def test_remainder_keys_complete(self):
-        p = parse_polynomial("x1^3", d=3)
-        _, rem = gleason_decompose(p, [0, 0, 0], 2)
-        assert sorted(rem) == sorted(
-            a for a in graded_indices(3, 2) if sum(a) == 2
-        )
-
-    def _reassemble(self, p, w, order):
-        taylor, rem = gleason_decompose(p, w, order)
-        total = taylor
-        for alpha, r in rem.items():
-            factor = Polynomial.constant(p.d, 1.0)
-            for i, a in enumerate(alpha):
-                linear = Polynomial.variable(p.d, i + 1) - Polynomial.constant(p.d, w[i])
-                for _ in range(a):
-                    factor = factor * linear
-            total = total + factor * r
-        return taylor, total
-
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 2), st.integers(0, 2)),
-            st.complex_numbers(
-                min_magnitude=0.1, max_magnitude=3, allow_nan=False, allow_infinity=False
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        st.tuples(
-            st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
-        ),
-        st.integers(1, 3),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_reassembly_identity(self, coeffs, w, order):
-        p = Polynomial(2, coeffs)
-        taylor, total = self._reassemble(p, list(w), order)
-        assert coeffs_close(total, p, tol=1e-10)
-        # the non-Taylor part vanishes to the given order at w
-        residue = (p - taylor).shift(list(w))
-        live = [sum(a) for a, c in residue.coeffs.items() if abs(c) > 1e-10]
-        assert min(live, default=order) >= order
-
-    def test_taylor_degree_bound(self):
-        p = parse_polynomial("x1^4 + x1*x2 + 2", d=2)
-        taylor, _ = gleason_decompose(p, [0.3, -0.2], 3)
-        assert taylor.degree() <= 2

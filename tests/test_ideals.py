@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rowtuples.errors import DomainError, NotNilpotentError
+from rowtuples.errors import DomainError, NotNilpotentError, ShapeError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import TruncatedDA, da_monomial_norm
 from rowtuples.ideals import (
     AnnihilatorBasis,
     annihilator,
     annihilators_equal,
-    generating_subset,
     model_space,
     model_tuple,
     monomial_annihilator,
@@ -24,6 +23,12 @@ from rowtuples.tuples import RowTuple, nilpotency_index, poly_eval, validate
 
 def zero_tuple(d: int, dim: int) -> RowTuple:
     return RowTuple([np.zeros((dim, dim))] * d)
+
+
+def _columns(d: int, degree: int, polys) -> np.ndarray:
+    """Coefficient columns of the polynomials over ``graded_indices(d, degree)``."""
+    monomials = graded_indices(d, degree)
+    return np.column_stack([p.coefficient_vector(monomials) for p in polys])
 
 
 class TestAnnihilator:
@@ -69,6 +74,32 @@ class TestAnnihilator:
     def test_requires_nilpotent(self):
         with pytest.raises(NotNilpotentError):
             annihilator(RowTuple([np.eye(2) * 0.5]))
+
+    def test_basis_renders_the_matrix_columns(self):
+        ann = annihilator(maxcount())
+        mat = ann.coefficient_matrix()
+        assert mat.shape == (len(ann.monomials()), 3)
+        assert not mat.flags.writeable
+        rebuilt = _columns(2, ann.degree_bound, ann.basis)
+        assert np.array_equal(rebuilt, mat)
+
+    def test_matrix_rows_must_match_the_slice(self):
+        with pytest.raises(ShapeError):
+            AnnihilatorBasis(2, 2, np.zeros((5, 1)))
+
+    def test_annihilator_and_model_space_build_no_polynomial(self, monkeypatch):
+        tuples = (maxcount(), rectangle(3, 3), fromgriff(3))
+        built = []
+        original = Polynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        dims = [model_space(annihilator(t)).dim for t in tuples]
+        assert dims == [3, 9, 3]
+        assert built == []
 
 
 class TestMonomialAnnihilator:
@@ -119,7 +150,9 @@ class TestIdealSlice:
             annihilator(random_similarity(rng, rectangle(2, 2, 2))),
             monomial_annihilator(2, [(3, 0), (1, 1), (0, 4)]),
             monomial_annihilator(1, [(2,)]),
-            AnnihilatorBasis(2, 2, (Polynomial.zero(2), parse_polynomial("x1 - 2*x2^2"))),
+            AnnihilatorBasis(
+                2, 2, _columns(2, 2, [Polynomial.zero(2), parse_polynomial("x1 - 2*x2^2")])
+            ),
         ]
         for ann in anns:
             degree = ann.degree_bound + extra
@@ -129,7 +162,7 @@ class TestIdealSlice:
             assert np.array_equal(got, expected)
 
     def test_empty_basis(self):
-        ann = AnnihilatorBasis(2, 1, ())
+        ann = AnnihilatorBasis(2, 1, np.zeros((3, 0)))
         assert ann.ideal_slice(2).shape == (6, 0)
 
 
@@ -147,29 +180,8 @@ class TestAnnihilatorsEqual:
 
     def test_scaled_basis_equal(self):
         a = monomial_annihilator(1, [(2,)])
-        scaled = AnnihilatorBasis(1, 2, tuple(q * 3.0 for q in a.basis))
+        scaled = AnnihilatorBasis(1, 2, 3.0 * a.coefficient_matrix())
         assert annihilators_equal(a, scaled)
-
-
-class TestGeneratingSubset:
-    def test_regenerates_slice(self):
-        for ann in (
-            annihilator(maxcount()),
-            monomial_annihilator(2, [(2, 0), (0, 2)]),
-            annihilator(rectangle(3, 2)),
-        ):
-            gens = generating_subset(ann)
-            assert len(gens) <= len(ann.basis)
-            regen = AnnihilatorBasis(ann.d, ann.degree_bound, tuple(gens))
-            m = ann.degree_bound
-            full = ann.ideal_slice(m)
-            partial = regen.ideal_slice(m)
-            assert np.linalg.matrix_rank(full) == np.linalg.matrix_rank(partial)
-
-    def test_rectangle_two_generators(self):
-        ann = monomial_annihilator(2, [(2, 0), (0, 2)])
-        gens = generating_subset(ann)
-        assert len(gens) == 2
 
 
 class TestQuotientAlgebra:
@@ -308,7 +320,7 @@ class TestModelSpace:
             model_space(ann, degree_cap=1)
 
     def test_rejects_non_cofinite_slice(self):
-        lone = AnnihilatorBasis(2, 2, (Polynomial.monomial(2, (2, 0)),))
+        lone = AnnihilatorBasis(2, 2, _columns(2, 2, [Polynomial.monomial(2, (2, 0))]))
         with pytest.raises(DomainError):
             model_space(lone)
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,19 +92,6 @@ class TestPolynomialArithmetic:
     def test_evaluate(self):
         p = parse_polynomial("x1^2*x2 + 2i*x2")
         assert p.evaluate([2.0, 3.0]) == pytest.approx(12 + 6j)
-
-    def test_shift_identity(self):
-        rng = np.random.default_rng(0)
-        p = Polynomial(2, {(2, 0): 1.5, (1, 1): -2j, (0, 0): 3})
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        q = p.shift(w)
-        for _ in range(5):
-            y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            assert q.evaluate(y) == pytest.approx(p.evaluate(y + w))
-
-    def test_shift_zero_is_identity(self):
-        p = Polynomial(3, {(1, 2, 0): 2.0})
-        assert p.shift([0, 0, 0]) == p
 
     def test_degree(self):
         assert Polynomial.zero(2).degree() == -1

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+
+from rowtuples import sweeps
 
 from rowtuples.ideals import annihilator, annihilators_equal, quotient_algebra
 from rowtuples.subspaces import is_invariant, restrict
@@ -99,6 +104,54 @@ class TestGenerators:
             assert t.dim <= 4
             assert nilpotency_index(t) is not None
             assert validate(t).commuting
+
+
+# Draws of fixed seeds.  The generators must keep consuming random numbers
+# in the same order, or every fixed-seed sweep outcome changes.
+STAIRCASES = {
+    (2, 0): {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0)},
+    (2, 1): {(0, 0), (1, 0), (2, 0), (3, 0)},
+    (2, 2): {(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)},
+    (3, 0): {(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 2, 0)},
+    (3, 1): {(0, 0, 0), (0, 1, 0), (1, 0, 0), (2, 0, 0)},
+    (3, 3): {(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4), (1, 0, 0)},
+}
+# seed, d, max_side -> (box sides, staircase drawn inside the box)
+SPLITTING_DRAWS = {
+    (0, 2, 3): ((3, 2), {(0, 0), (0, 1), (1, 0), (1, 1)}),
+    (4, 2, 3): ((3, 3), set(itertools.product(range(3), range(3))) - {(2, 2)}),
+    (5, 2, 3): ((3, 3), {(0, 0)}),
+    (11, 2, 3): ((1, 2), {(0, 0)}),  # sides (1, 1) drawn first, then one raised to 2
+    (0, 3, 2): ((2, 2, 2), {(0, 0, 0), (0, 1, 0), (0, 0, 1)}),
+}
+
+
+class TestPinnedDraws:
+    @pytest.mark.parametrize("d, seed", sorted(STAIRCASES))
+    def test_random_staircase(self, d, seed):
+        assert random_staircase(np.random.default_rng(seed), d, 7) == STAIRCASES[d, seed]
+
+    @pytest.mark.parametrize("seed, d, max_side", sorted(SPLITTING_DRAWS))
+    def test_splitting_instance(self, monkeypatch, seed, d, max_side):
+        drawn = []
+        original = sweeps.monomial_annihilator
+
+        def recording(d, gens):
+            drawn.append(sorted(tuple(g) for g in gens))
+            return original(d, gens)
+
+        monkeypatch.setattr(sweeps, "monomial_annihilator", recording)
+        t, m = splitting_instance(np.random.default_rng(seed), d=d, max_side=max_side)
+        sides, staircase = SPLITTING_DRAWS[seed, d, max_side]
+        box = [tuple(s if j == k else 0 for j in range(d)) for k, s in enumerate(sides)]
+        assert drawn == [sorted(box), staircase_generators(d, staircase)]
+        assert (t.dim, m.dim) == (math.prod(sides) + len(staircase), math.prod(sides))
+
+    def test_benchmark_splitting_input(self):
+        # the benchmark's pinned splitting op runs on this instance
+        rng = sweeps._streams(800019, 4)[3]
+        t, m = splitting_instance(rng, d=2, max_side=3)
+        assert (t.dim, m.dim) == (17, 9)
 
 
 class TestSuites:

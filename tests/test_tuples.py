@@ -8,7 +8,7 @@ from rowtuples.errors import NotCommutingError, NotRowContractionError, ShapeErr
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import truncated_multiplier_norm
 from rowtuples.ideals import annihilator, omega_e
-from rowtuples.polynomials import Polynomial, abelianize, parse_polynomial
+from rowtuples.polynomials import Polynomial, parse_polynomial
 from rowtuples.sweeps import random_similarity
 from rowtuples.tuples import (
     RowTuple,
@@ -16,7 +16,6 @@ from rowtuples.tuples import (
     poly_eval,
     purity,
     validate,
-    word_eval,
 )
 
 S3 = 1 / math.sqrt(3)
@@ -227,34 +226,6 @@ def _random_poly(rng, d, degree):
         if rng.random() < 0.5:
             coeffs[alpha] = complex(rng.standard_normal(), rng.standard_normal())
     return Polynomial(d, coeffs)
-
-
-class TestWordEval:
-    def test_empty_word(self):
-        assert np.allclose(word_eval((), maxcount()), np.eye(3))
-
-    def test_single_letter(self):
-        t = maxcount()
-        assert np.allclose(word_eval((1,), t), t.mats[0])
-
-    def test_commutativity(self):
-        t = maxcount()
-        assert np.allclose(word_eval((1, 2), t), word_eval((2, 1), t))
-
-    def test_abelianization_matches_poly_eval(self):
-        t = rectangle(2, 3)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            word = tuple(rng.integers(1, 3, size=rng.integers(0, 5)))
-            alpha = abelianize(word, 2)
-            assert np.allclose(
-                word_eval(word, t), poly_eval(Polynomial.monomial(2, alpha), t),
-                atol=1e-13,
-            )
-
-    def test_letter_out_of_range(self):
-        with pytest.raises(ShapeError):
-            word_eval((3,), maxcount())
 
 
 class TestCrossModuleInvariants:
