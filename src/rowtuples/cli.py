@@ -36,7 +36,7 @@ from .ideals import (
     quotient_algebra,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
-from .polynomials import parse_polynomial
+from .polynomials import format_columns, parse_polynomial
 from .serialize import (
     digest,
     load_document,
@@ -59,12 +59,12 @@ from .subspaces import (
 from .sweeps import SUITES, run_suite
 from .tuples import nilpotency_index, poly_eval, validate
 from .vectors import (
+    _quasiaffine_witness,
     gram_operator,
     is_cyclic,
     is_separating,
     krylov,
     multiplicity,
-    quasiaffine_witness,
     separating_greedy,
     separating_witness,
 )
@@ -197,7 +197,7 @@ def _cmd_ann(t, payload, args, tol):
     q = quotient_algebra(ann, tol)
     results = {
         "degree_bound": ann.degree_bound,
-        "basis": [str(p) for p in ann.basis],
+        "basis": format_columns(ann.monomials(), ann.coefficients),
         "delta": q.dim,
         "monomial_basis": [list(a) for a in q.monomial_basis],
         "omega_e": sorted(list(a) for a in omega_e(t, tol)),
@@ -263,8 +263,7 @@ def _cmd_gram(t, payload, args, tol):
 
 
 def _cmd_transform(t, payload, args, tol):
-    x = quasiaffine_witness(t, seed=args.seed, tol=tol)
-    mt = model_tuple(model_space(annihilator(t, tol), None, tol))
+    x, _, mt = _quasiaffine_witness(t, args.seed, tol)
     residual = max(
         operator_norm(t.mats[k] @ x - x @ mt.mats[k]) for k in range(t.d)
     )

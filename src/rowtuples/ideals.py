@@ -58,8 +58,10 @@ class AnnihilatorBasis:
     column per basis element; it is copied on construction and read-only.
     This is deliberately not a Gröbner basis: every construction in the
     package needs only membership tests and quotient dimensions, which
-    are rank computations on this matrix.  :attr:`basis` renders the
-    columns as polynomials for reports.
+    are rank computations on this matrix.  The ``ann`` report renders the
+    columns as text straight from the matrix
+    (:func:`~rowtuples.polynomials.format_columns`); :attr:`basis` turns
+    them into :class:`Polynomial` objects for callers that need them.
     """
 
     d: int
@@ -267,46 +269,49 @@ def quotient_algebra(
     change-of-basis matrix.
     """
     monomials = ann.monomials()
-    positions = {alpha: i for i, alpha in enumerate(monomials)}
+    n = len(monomials)
     ann_frame = orthonormalize(ann.coefficient_matrix(), tol)
     frame = ann_frame
-    selected: list[tuple[int, ...]] = []
-    selected_cols: list[np.ndarray] = []
-    for alpha in monomials:
-        vec = np.zeros(len(monomials), dtype=np.complex128)
-        vec[positions[alpha]] = 1.0
-        residual = vec - frame @ (frame.conj().T @ vec)
+    rows: list[int] = []
+    for pos in range(n):
+        vec = np.zeros(n, dtype=np.complex128)
+        vec[pos] = 1.0
+        # the frame's coefficients of e_pos are its conjugated row pos
+        residual = vec - frame @ frame[pos].conj()
         norm = np.linalg.norm(residual)
         if norm <= max(tol.rank_rel_tol, 1e-12):
             continue
-        selected.append(alpha)
-        selected_cols.append(vec)
+        rows.append(pos)
         frame = np.hstack([frame, (residual / norm)[:, None]])
 
-    delta = len(selected)
-    if delta + ann_frame.shape[1] != len(monomials):
+    delta = len(rows)
+    if delta + ann_frame.shape[1] != n:
         raise DomainError(
             "annihilator span and monomial classes do not fill the slice; "
             "the basis is numerically degenerate"
         )
-    class_cols = (
-        np.array(selected_cols, dtype=np.complex128).T
-        if selected_cols
-        else np.zeros((len(monomials), 0), dtype=np.complex128)
-    )
+    class_cols = np.zeros((n, delta), dtype=np.complex128)
+    class_cols[rows, np.arange(delta)] = 1.0
     change = np.hstack([class_cols, ann_frame])
     reducer = np.linalg.inv(change)[:delta, :]
 
+    # Row of each product x^a_i * x^a_j of degree <= m: exponents are
+    # encoded in radix m + 1, which is exact at those degrees, and looked up
+    # among the monomials' codes; a product of higher degree has class zero.
+    m = ann.degree_bound
+    exps = np.array(monomials, dtype=np.int64).reshape(n, ann.d)
+    fits = (m + 1) ** ann.d < 2**63  # else exact Python integers
+    radix = np.array([(m + 1) ** k for k in range(ann.d)], dtype=np.int64 if fits else object)
+    codes = exps @ radix
+    order = np.argsort(codes)
+    chosen = exps[rows]
+    products = chosen[:, None, :] + chosen[None, :, :]
+    inside = products.sum(axis=-1) <= m
+    found = order[np.searchsorted(codes[order], products[inside] @ radix)]
     table = np.zeros((delta, delta, delta), dtype=np.complex128)
-    for i, alpha in enumerate(selected):
-        for j, beta in enumerate(selected):
-            product = tuple(a + b for a, b in zip(alpha, beta))
-            pos = positions.get(product)
-            if pos is None:
-                continue  # degree beyond the bound: the class is zero
-            table[i, j, :] = reducer[:, pos]
+    table[inside] = reducer[:, found].T
     return QuotientAlgebra(
-        monomial_basis=tuple(selected),
+        monomial_basis=tuple(monomials[i] for i in rows),
         dim=delta,
         mult_table=table,
         _ann=ann,
@@ -386,15 +391,17 @@ def _canonical_frame(kernel: np.ndarray) -> np.ndarray:
         return kernel
     proj = kernel @ kernel.conj().T
     cols: list[np.ndarray] = []
+    conj_cols: list[np.ndarray] = []  # each accepted column conjugated once
     for j in range(proj.shape[0]):
         if len(cols) == rank:
             break
         v = proj[:, j].copy()
-        for u in cols:
-            v -= u * (u.conj() @ v)
+        for u, u_conj in zip(cols, conj_cols):
+            v -= u * (u_conj @ v)
         norm = np.linalg.norm(v)
         if norm > 1e-8:
             cols.append(v / norm)
+            conj_cols.append(cols[-1].conj())
     if len(cols) != rank:  # near-degenerate projector; keep the SVD frame
         return kernel
     out = []

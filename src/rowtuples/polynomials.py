@@ -31,6 +31,7 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
     "format_polynomial",
+    "format_columns",
 ]
 
 
@@ -390,17 +391,16 @@ def _format_coeff(c: complex) -> str:
     return f"({real}{joiner}{imag})"
 
 
-def format_polynomial(p: Polynomial) -> str:
-    """Render in the textual format; graded term order; ``0`` for zero."""
-    if p.is_zero():
-        return "0"
+def _monomial_text(alpha: tuple[int, ...]) -> str:
+    return "*".join(
+        f"x{i + 1}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(alpha) if a > 0
+    )
+
+
+def _format_terms(terms) -> str:
+    """Join ``(monomial text, nonzero coefficient)`` pairs; ``0`` when there are none."""
     pieces: list[str] = []
-    for alpha, c in p.terms():
-        mono = "*".join(
-            f"x{i + 1}" + (f"^{a}" if a > 1 else "")
-            for i, a in enumerate(alpha)
-            if a > 0
-        )
+    for mono, c in terms:
         # pull a leading minus out of real or pure-imaginary coefficients
         sign = ""
         if c.imag == 0 and c.real < 0 or c.real == 0 and c.imag < 0:
@@ -414,4 +414,27 @@ def format_polynomial(p: Polynomial) -> str:
             pieces.append(f"{sign}{body}")
         else:
             pieces.append(f"- {body}" if sign else f"+ {body}")
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0"
+
+
+def format_polynomial(p: Polynomial) -> str:
+    """Render in the textual format; graded term order; ``0`` for zero."""
+    return _format_terms((_monomial_text(alpha), c) for alpha, c in p.terms())
+
+
+def format_columns(monomials: list[tuple[int, ...]], coefficients) -> list[str]:
+    """Render each column of a coefficient matrix as :func:`format_polynomial` would.
+
+    Row ``i`` of ``coefficients`` is the coefficient of ``monomials[i]``.
+    The monomials must be in graded order, which is then the term order,
+    so no :class:`Polynomial` is built and nothing is sorted.
+    """
+    mat = np.asarray(coefficients, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != len(monomials):
+        raise ShapeError("coefficient matrix rows do not match the monomial list")
+    texts = [_monomial_text(alpha) for alpha in monomials]
+    out = []
+    for col in mat.T:
+        rows = np.flatnonzero(col)
+        out.append(_format_terms(zip([texts[i] for i in rows.tolist()], col[rows].tolist())))
+    return out

@@ -7,6 +7,14 @@ The on-disk tuple format is a JSON document
 with every matrix entry written as a two-element ``[re, im]`` pair.
 Decoding is lenient — bare numbers are accepted as real entries — but
 every failure carries a one-line diagnostic naming the offending field.
+
+Both directions make one array conversion per matrix or vector.  When
+numpy reads a document as an integer or float array of the expected
+depth (bare numbers, or a last axis of ``[re, im]`` pairs), that array
+is the result.  Anything else (booleans alone, bare numbers mixed with
+pairs, strings, ``None``, ragged rows, wrong nesting, integers beyond
+numpy's integer types) goes through a walk over the entries, which
+decides whether the document is accepted and which diagnostic it draws.
 """
 
 from __future__ import annotations
@@ -31,31 +39,65 @@ __all__ = [
 ]
 
 
-def _entry_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def _entry_from_json(obj, field: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) for x in obj)
-    ):
-        return complex(obj[0], obj[1])
+    try:
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if (
+            isinstance(obj, (list, tuple))
+            and len(obj) == 2
+            and all(isinstance(x, (int, float)) for x in obj)
+        ):
+            return complex(obj[0], obj[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ShapeError(f"{field}: entries must be finite") from None
     raise ShapeError(f"{field}: entries must be numbers or [re, im] pairs")
 
 
+def _pairs_to_json(arr: np.ndarray) -> list:
+    # [re, im] pairs along a new last axis; tolist keeps signed zeros
+    arr = np.asarray(arr, dtype=np.complex128)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def _array_from_json(obj, depth: int) -> np.ndarray | None:
+    """One-conversion decode of ``depth`` nested lists of entries, if it applies.
+
+    Returns None unless numpy reads ``obj`` as an integer or float array
+    of exactly ``depth`` axes (bare numbers) or ``depth + 1`` axes ending
+    in a pair axis; the caller then walks the entries one by one.
+    """
+    try:
+        arr = np.array(obj)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in "if":
+        return None
+    if arr.ndim == depth:
+        return arr.astype(np.complex128)
+    if arr.ndim == depth + 1 and arr.shape[-1] == 2:
+        # viewing the pairs as complex keeps an imaginary -0.0, unlike re + 1j*im
+        pairs = np.ascontiguousarray(arr, dtype=np.float64)
+        return pairs.view(np.complex128).reshape(arr.shape[:-1])
+    return None
+
+
+def _check_finite(arr: np.ndarray, field: str) -> np.ndarray:
+    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise ShapeError(f"{field}: entries must be finite")
+    return arr
+
+
 def matrix_to_json(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=np.complex128)
-    return [[_entry_to_pair(z) for z in row] for row in mat]
+    return _pairs_to_json(mat)
 
 
 def matrix_from_json(obj, field: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ShapeError(f"{field}: expected a non-empty list of rows")
+    mat = _array_from_json(obj, 2)
+    if mat is not None:
+        return _check_finite(mat, field)
     rows = []
     width = None
     for i, row in enumerate(obj):
@@ -66,14 +108,11 @@ def matrix_from_json(obj, field: str) -> np.ndarray:
         elif len(row) != width:
             raise ShapeError(f"{field}[{i}]: ragged row (got {len(row)}, want {width})")
         rows.append([_entry_from_json(z, f"{field}[{i}]") for z in row])
-    mat = np.array(rows, dtype=np.complex128)
-    if not np.all(np.isfinite(mat.view(np.float64))):
-        raise ShapeError(f"{field}: entries must be finite")
-    return mat
+    return _check_finite(np.array(rows, dtype=np.complex128), field)
 
 
 def vector_to_json(vec: np.ndarray) -> list:
-    return [_entry_to_pair(z) for z in np.asarray(vec, dtype=np.complex128)]
+    return _pairs_to_json(vec)
 
 
 def vector_from_json(obj, field: str) -> np.ndarray:
@@ -83,10 +122,10 @@ def vector_from_json(obj, field: str) -> np.ndarray:
             raise ShapeError(f"{field}: document has no 'vector' field")
     if not isinstance(obj, list) or not obj:
         raise ShapeError(f"{field}: expected a non-empty list of entries")
-    vec = np.array([_entry_from_json(z, field) for z in obj], dtype=np.complex128)
-    if not np.all(np.isfinite(vec.view(np.float64))):
-        raise ShapeError(f"{field}: entries must be finite")
-    return vec
+    vec = _array_from_json(obj, 1)
+    if vec is None:
+        vec = np.array([_entry_from_json(z, field) for z in obj], dtype=np.complex128)
+    return _check_finite(vec, field)
 
 
 def tuple_to_json(t: RowTuple) -> dict:

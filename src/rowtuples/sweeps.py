@@ -40,7 +40,7 @@ from .subspaces import (
     splitting_construct,
 )
 from .tuples import RowTuple, nilpotency_index
-from .vectors import fock_intertwiner, gram_operator, quasiaffine_witness, separating_greedy
+from .vectors import _quasiaffine_witness, fock_intertwiner, gram_operator, separating_greedy
 
 __all__ = [
     "SweepOutcome",
@@ -378,12 +378,9 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
         t = cyclic_instance(rng, d=2, max_delta=8)
         inner = int(rng.integers(2**31))
         try:
-            x = quasiaffine_witness(t, seed=inner)
+            x, space, model = _quasiaffine_witness(t, inner, DEFAULT_TOL)
         except Exception as exc:  # noqa: BLE001
             return False, f"instance {i}: {exc}", False
-        ann = annihilator(t)
-        space = model_space(ann)
-        model = model_tuple(space)
         residual = max(
             operator_norm(x @ mk - tk @ x) for mk, tk in zip(model.mats, t.mats)
         )

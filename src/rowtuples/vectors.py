@@ -21,7 +21,14 @@ from .errors import (
     WitnessSearchError,
 )
 from .fock import TruncatedFock
-from .ideals import QuotientAlgebra, annihilator, model_space, model_tuple, quotient_algebra
+from .ideals import (
+    ModelSpace,
+    QuotientAlgebra,
+    annihilator,
+    model_space,
+    model_tuple,
+    quotient_algebra,
+)
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -257,25 +264,31 @@ def quasiaffine_witness(
     solution space is searched for an invertible element by seeded random
     combination; the result is normalized to unit operator norm.
     """
+    return _quasiaffine_witness(t, seed, tol, max_tries)[0]
+
+
+def _quasiaffine_witness(
+    t: RowTuple, seed: int, tol: ToleranceConfig, max_tries: int = 32
+) -> tuple[np.ndarray, ModelSpace, RowTuple]:
+    """:func:`quasiaffine_witness` with the model space and model tuple it used."""
     ann = annihilator(t, tol)
     if multiplicity(t, tol=tol) != 1:
         raise NotCyclicError("quasi-affine witness requires a cyclic tuple")
-    model = model_tuple(model_space(ann, tol=tol))
+    space = model_space(ann, tol=tol)
+    model = model_tuple(space)
     if model.dim != t.dim:
         raise WitnessSearchError(
             f"model dimension {model.dim} does not match tuple dimension {t.dim}"
         )
-    space = intertwiner_space(model, t, tol)
-    if not space.basis:
+    basis = intertwiner_space(model, t, tol).basis
+    if not basis:
         raise WitnessSearchError("intertwiner space is trivial")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
-        w = rng.standard_normal(len(space.basis)) + 1j * rng.standard_normal(
-            len(space.basis)
-        )
-        x = sum(c * b for c, b in zip(w, space.basis))
+        w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+        x = sum(c * b for c, b in zip(w, basis))
         if x.shape[0] == x.shape[1] and numerical_rank(x, tol) == x.shape[0]:
-            return x / operator_norm(x, tol)
+            return x / operator_norm(x, tol), space, model
     raise WitnessSearchError(
         "no invertible intertwiner found within the retry budget"
     )

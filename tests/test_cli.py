@@ -40,6 +40,24 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
+def count_annihilator_calls(monkeypatch) -> list:
+    """Record every ``annihilator`` call, wherever the package binds the name."""
+    import rowtuples.ideals as ideals
+
+    calls = []
+    original = ideals.annihilator
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("rowtuples") and getattr(module, "annihilator", None) is original:
+            monkeypatch.setattr(module, "annihilator", counting)
+    return calls
+
+
 TWO_CELLS = {
     "d": 1,
     "dim": 4,
@@ -128,6 +146,27 @@ class TestAnnAndModel:
         assert sorted(r["omega_e"]) == [[0, 1], [1, 0]]
         assert len(r["basis"]) == 3
 
+    def test_ann_builds_no_polynomial(self, capsys, tmp_path, monkeypatch):
+        import rowtuples.polynomials as polynomials
+        from rowtuples.fixtures import rectangle
+        from rowtuples.sweeps import random_similarity
+
+        t = random_similarity(np.random.default_rng(3), rectangle(3, 3))
+        path = write_json(tmp_path, "t.json", tuple_to_json(t))
+        built = []
+        original = polynomials.Polynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(polynomials.Polynomial, "__init__", counting)
+        code, rep, _ = run_json(capsys, "ann", "--input", path)
+        assert code == 0
+        r = rep["results"]
+        assert r["delta"] == 9 and len(r["basis"]) == len(set(r["basis"])) > 0
+        assert built == []
+
     def test_model_jordan(self, capsys):
         code, rep, _ = run_json(capsys, "model", "--fixture", "jordan(2)")
         assert code == 0
@@ -199,6 +238,20 @@ class TestTransform:
         r = rep["results"]
         assert r["residual"] < 1e-10
         assert r["rank"] == 3
+
+    def test_annihilator_computed_once(self, capsys, monkeypatch):
+        calls = count_annihilator_calls(monkeypatch)
+        code, rep, _ = run_json(capsys, "transform", "--fixture", "rectangle(3,3)")
+        assert code == 0
+        assert rep["results"]["model_dim"] == 9
+        assert len(calls) == 1
+
+    def test_sweep_computes_annihilator_once_per_instance(self, capsys, monkeypatch):
+        calls = count_annihilator_calls(monkeypatch)
+        code, rep, _ = run_json(capsys, "sweep", "--suite", "transform", "--count", "3")
+        assert code == 0
+        assert rep["results"]["suites"][0]["passed"] == 3
+        assert len(calls) == 3
 
     def test_noncyclic_is_inapplicable(self, capsys):
         code, _, err = run(capsys, "transform", "--fixture", "maxcount")

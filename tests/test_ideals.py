@@ -249,6 +249,23 @@ class TestQuotientAlgebra:
             right = np.einsum("jkm,iml->ijkl", tbl, tbl)
             assert np.abs(left - right).max() < 1e-10
 
+    def test_mult_table_is_the_reduced_product(self):
+        # at d = 41 and degree bound 2 the exponent codes outgrow int64
+        wide = [(2,) + (0,) * 40] + [tuple(int(i == k) for i in range(41)) for k in range(1, 41)]
+        for ann in (
+            annihilator(maxcount()),
+            annihilator(random_similarity(np.random.default_rng(5), rectangle(3, 2))),
+            annihilator(fromgriff(3)),
+            monomial_annihilator(41, wide),
+        ):
+            q = quotient_algebra(ann)
+            for i, alpha in enumerate(q.monomial_basis):
+                for j, beta in enumerate(q.monomial_basis):
+                    gamma = tuple(a + b for a, b in zip(alpha, beta))
+                    expected = q.reduce(Polynomial.monomial(ann.d, gamma))
+                    assert np.array_equal(q.mult_table[i, j], expected)
+        assert q.monomial_basis == ((0,) * 41, (1,) + (0,) * 40)
+
     def test_unit_element(self):
         q = quotient_algebra(annihilator(rectangle(2, 2)))
         iu = q.monomial_basis.index((0, 0))

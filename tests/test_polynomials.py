@@ -1,4 +1,5 @@
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,6 +7,7 @@ from rowtuples.errors import PolynomialParseError, ShapeError
 from rowtuples.polynomials import (
     Polynomial,
     abelianize,
+    format_columns,
     format_polynomial,
     graded_indices,
     graded_words,
@@ -165,3 +167,51 @@ class TestParseFormat:
     def test_round_trip(self, coeffs):
         p = Polynomial(2, coeffs)
         assert parse_polynomial(format_polynomial(p), d=2) == p
+
+
+# Real and imaginary parts that exercise every branch of the coefficient
+# format: signed zeros, units, integers on both sides of 1e15, subnormals.
+parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e15, -1e15, 5e-324, -2.5e-310]),
+    st.integers(-(10**16), 10**16).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+coefficients = st.one_of(
+    st.builds(complex, parts, parts),
+    st.builds(complex, st.just(0.0), parts),  # pure imaginary, +-i among them
+    st.builds(complex, parts, st.sampled_from([0.0, -0.0])),
+    st.just(0j),
+)
+
+
+@st.composite
+def coefficient_matrices(draw):
+    d = draw(st.integers(1, 3))
+    monomials = graded_indices(d, draw(st.integers(0, 3)))
+    cols = draw(st.integers(1, 4))
+    mat = np.array(
+        [[draw(coefficients) for _ in range(cols)] for _ in monomials], dtype=np.complex128
+    )
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        mat[:, j] = 0  # all-zero columns render as "0"
+    return d, monomials, mat
+
+
+class TestFormatColumns:
+    @given(coefficient_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_format_polynomial(self, case):
+        d, monomials, mat = case
+        expected = [
+            str(Polynomial.from_coefficient_vector(d, monomials, col)) for col in mat.T
+        ]
+        assert format_columns(monomials, mat) == expected
+
+    def test_examples(self):
+        monomials = graded_indices(2, 1)
+        mat = np.array([[2, 0, -0.0], [-1j, 0, 1 + 1j], [1, 0, -1]])
+        assert format_columns(monomials, mat) == ["2 - i*x1 + x2", "0", "(1+i)*x1 - x2"]
+
+    def test_rows_must_match_monomials(self):
+        with pytest.raises(ShapeError):
+            format_columns(graded_indices(2, 1), np.zeros((2, 1)))
