@@ -43,6 +43,7 @@ from .ideals import (
     monomial_annihilator,
     omega_e,
     quotient_algebra,
+    staircase_model,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, norm_at_most, operator_norm
 from .polynomials import Polynomial, graded_indices, parse_polynomial

@@ -24,17 +24,24 @@ Fixture names accepted by :func:`build`:
     The model tuple of an arbitrary nilpotent monomial ideal; each ``gi``
     is a monomial such as ``x1^2*x2`` and the ideal must contain a pure
     power of every variable.
+
+The monomial fixtures (``rectangle``, ``jordan`` and ``model``) are built in
+closed form from their staircases (:func:`~rowtuples.ideals.staircase_model`):
+each matrix holds the Drury-Arveson weights on the staircase and exact
+zeros elsewhere.  :func:`model` builds the model of an arbitrary
+annihilator slice numerically, through its model space.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
 import numpy as np
 
 from .errors import DomainError
-from .ideals import AnnihilatorBasis, model_space, model_tuple, monomial_annihilator
+from .ideals import AnnihilatorBasis, _staircase, model_space, model_tuple, staircase_model
 from .polynomials import parse_polynomial
 from .tuples import RowTuple
 
@@ -80,13 +87,7 @@ def rectangle(*sides: int) -> RowTuple:
         raise DomainError("rectangle needs at least one side length")
     if any(s < 1 for s in sides):
         raise DomainError(f"side lengths must be positive, got {sides}")
-    d = len(sides)
-    gens = []
-    for i, s in enumerate(sides):
-        g = [0] * d
-        g[i] = s
-        gens.append(tuple(g))
-    return model(monomial_annihilator(d, gens))
+    return staircase_model(len(sides), itertools.product(*(range(s) for s in sides)))
 
 
 def jordan(size: int) -> RowTuple:
@@ -153,7 +154,7 @@ def build(name: str) -> RowTuple:
             if len(terms) != 1 or terms[0][1] != 1:
                 raise DomainError(f"model generators must be plain monomials, got {text!r}")
             gens.append(terms[0][0])
-        return model(monomial_annihilator(d, gens))
+        return staircase_model(d, _staircase(d, gens))
     raise DomainError(f"unknown fixture {kind!r}; known: {', '.join(_FIXTURE_SPECS)}")
 
 

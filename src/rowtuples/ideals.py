@@ -14,6 +14,9 @@ the quotient as a compressed multiplication tuple on the subspace
 
 of the truncated Drury-Arveson space; since every monomial of degree
 ``m`` lies in the slice, ``H_J`` is supported on degrees below ``m``.
+For a monomial ideal ``H_J`` is the coordinate span of the staircase of
+standard monomials, and :func:`staircase_model` writes the model down in
+closed form.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "annihilator",
     "annihilators_equal",
     "monomial_annihilator",
+    "staircase_model",
     "quotient_algebra",
     "omega_e",
     "model_space",
@@ -207,13 +211,12 @@ def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorB
     return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel)
 
 
-def monomial_annihilator(d: int, generators) -> AnnihilatorBasis:
-    """Annihilator slice of the monomial ideal with the given exponents.
+def _staircase(d: int, generators) -> list[tuple[int, ...]]:
+    """Standard monomials of the monomial ideal with the given exponents.
 
     The ideal must be nilpotent, i.e. contain a pure power of every
-    variable; then the standard monomials (those outside the ideal) form
-    a finite staircase and the slice at ``m = 1 + max staircase degree``
-    is spanned exactly by the ideal monomials of degree at most ``m``.
+    variable; then the monomials outside it form a finite staircase,
+    returned in graded order.
     """
     gens = [tuple(int(a) for a in g) for g in generators]
     if not gens:
@@ -233,13 +236,63 @@ def monomial_annihilator(d: int, generators) -> AnnihilatorBasis:
     pure_cap = sum(g[i] - 1 for i, g in enumerate(
         [next(g for g in gens if g[i] > 0 and sum(g) == g[i]) for i in range(d)]
     ))
-    staircase = [a for a in graded_indices(d, pure_cap) if not in_ideal(a)]
-    m = 1 + max((sum(a) for a in staircase), default=-1)
+    return [a for a in graded_indices(d, pure_cap) if not in_ideal(a)]
+
+
+def monomial_annihilator(d: int, generators) -> AnnihilatorBasis:
+    """Annihilator slice of the monomial ideal with the given exponents.
+
+    The ideal must be nilpotent (see :func:`_staircase`); the slice at
+    ``m = 1 + max staircase degree`` is spanned exactly by the ideal
+    monomials of degree at most ``m``, i.e. those outside the staircase.
+    """
+    staircase = _staircase(d, generators)
+    m = 1 + sum(staircase[-1])
     monomials = graded_indices(d, m)
-    rows = [i for i, alpha in enumerate(monomials) if in_ideal(alpha)]
+    standard = set(staircase)
+    rows = [i for i, alpha in enumerate(monomials) if alpha not in standard]
     return AnnihilatorBasis(
         d=d, degree_bound=m, coefficients=np.eye(len(monomials))[:, rows]
     )
+
+
+def staircase_model(d: int, staircase) -> RowTuple:
+    """Model tuple of the monomial ideal whose standard monomials are ``staircase``.
+
+    For a monomial ideal ``H_J`` is the coordinate span of the staircase,
+    so the model has a closed form: in the graded staircase basis,
+    ``M_k e_alpha = (||x^(alpha+e_k)|| / ||x^alpha||) e_(alpha+e_k)`` when
+    ``alpha + e_k`` lies in the staircase, and ``M_k e_alpha = 0`` otherwise
+    (Drury-Arveson norms, see :func:`~rowtuples.fock.da_monomial_norm`).
+    Each entry is the one :func:`~rowtuples.fock.multiplication_matrix`
+    holds, and every other entry is an exact zero.  This equals
+    ``model_tuple(model_space(monomial_annihilator(d, gens)))`` for the
+    ideal's generators, up to roundoff, without any SVD.
+
+    ``staircase`` must be a finite order ideal of ``N^d``: it contains the
+    origin and, with every point, each point one step below it.
+    """
+    points = {tuple(int(a) for a in alpha) for alpha in staircase}
+    for alpha in points:
+        if len(alpha) != d or any(a < 0 for a in alpha):
+            raise ShapeError(f"bad staircase exponent {alpha} for d={d}")
+    if (0,) * d not in points:
+        raise DomainError("a staircase must contain the origin")
+    for alpha in points:
+        for k in range(d):
+            if alpha[k] and alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :] not in points:
+                raise DomainError(f"staircase is not an order ideal below {alpha}")
+    # the graded order of graded_indices: degree, then x1-major descending
+    basis = sorted(points, key=lambda a: (sum(a), tuple(-x for x in a)))
+    positions = {alpha: i for i, alpha in enumerate(basis)}
+    mats = np.zeros((d, len(basis), len(basis)), dtype=np.complex128)
+    for j, alpha in enumerate(basis):
+        for k in range(d):
+            beta = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :]
+            i = positions.get(beta)
+            if i is not None:
+                mats[k, i, j] = da_monomial_norm(beta) / da_monomial_norm(alpha)
+    return RowTuple(mats)
 
 
 def annihilators_equal(

@@ -171,18 +171,12 @@ def generated_invariant(
     return SubspaceBasis(t.dim, frame)
 
 
-def restrict(
-    t: RowTuple,
-    m: SubspaceBasis,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    check: bool = True,
-) -> RowTuple:
+def restrict(t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL) -> RowTuple:
     """Restriction ``T|_M`` in the coordinates of the frame.
 
     Requires an invariant subspace; the compression formula is exact there.
     """
-    if check and not is_invariant(t, m, tol):
+    if not is_invariant(t, m, tol):
         raise DomainError("restrict requires an invariant subspace")
     return compress(t, m)
 

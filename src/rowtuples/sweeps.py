@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
+from .fixtures import rectangle
 from .fock import TruncatedDA, TruncatedFock, creation_matrix
 from .ideals import (
     AnnihilatorBasis,
     annihilator,
-    model_space,
-    model_tuple,
     monomial_annihilator,
     quotient_algebra,
+    staircase_model,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
 from .polynomials import Polynomial
@@ -137,31 +137,23 @@ def random_similarity(
     return RowTuple(mats)
 
 
-def _model(ann: AnnihilatorBasis) -> RowTuple:
-    """The model tuple of a nilpotent ideal."""
-    return model_tuple(model_space(ann))
-
-
 def _direct_sum(a: RowTuple, b: RowTuple) -> RowTuple:
     """The block-diagonal tuple ``A ⊕ B``."""
     return RowTuple([block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats)])
 
 
-def _random_box(rng, d: int, max_side: int) -> tuple[list[int], AnnihilatorBasis]:
-    """Random box sides (not all 1) and the ideal ``(x1^s1, .., xd^sd)``."""
+def _random_box(rng, d: int, max_side: int) -> tuple[list[int], RowTuple]:
+    """Random box sides (not all 1) and the model of ``(x1^s1, .., xd^sd)``."""
     sides = [int(rng.integers(1, max_side + 1)) for _ in range(d)]
     if all(s == 1 for s in sides):
         sides[int(rng.integers(d))] = 2
-    gens = [
-        tuple(sides[k] if j == k else 0 for j in range(d)) for k in range(d)
-    ]
-    return sides, monomial_annihilator(d, gens)
+    return sides, rectangle(*sides)
 
 
 def cyclic_instance(rng, d: int = 2, max_delta: int = 8) -> RowTuple:
     """Random cyclic nilpotent row contraction (a conjugated model tuple)."""
-    ann = random_monomial_ideal(rng, d, max_delta)
-    return random_similarity(rng, _model(ann))
+    model = staircase_model(d, random_staircase(rng, d, max_delta))
+    return random_similarity(rng, model)
 
 
 def adjoint_cyclic_instance(rng, d: int = 2, max_side: int = 3) -> RowTuple:
@@ -170,8 +162,8 @@ def adjoint_cyclic_instance(rng, d: int = 2, max_side: int = 3) -> RowTuple:
     Box staircases have a unique maximal element, so the model's socle is
     simple and the adjoint tuple is cyclic; similarity preserves this.
     """
-    _, ann = _random_box(rng, d, max_side)
-    return random_similarity(rng, _model(ann))
+    _, model = _random_box(rng, d, max_side)
+    return random_similarity(rng, model)
 
 
 def proper_invariant(rng, t: RowTuple) -> SubspaceBasis:
@@ -193,10 +185,8 @@ def splitting_instance(rng, d: int = 2, max_side: int = 3):
     ``B`` is a box model (adjoint cyclic) and ``Ann(A) ⊇ Ann(B)``, so the
     restriction to ``M`` has the full annihilator.
     """
-    sides, box = _random_box(rng, d, max_side)
-    b = _model(box)
-    lam_a = _grow_staircase(rng, d, math.prod(sides), sides)
-    a = _model(monomial_annihilator(d, staircase_generators(d, lam_a)))
+    sides, b = _random_box(rng, d, max_side)
+    a = staircase_model(d, _grow_staircase(rng, d, math.prod(sides), sides))
     frame = np.zeros((a.dim + b.dim, b.dim), dtype=np.complex128)
     frame[a.dim :, :] = np.eye(b.dim)
     return _direct_sum(a, b), SubspaceBasis(a.dim + b.dim, frame)
@@ -344,9 +334,9 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
 
     def case(i, rng):
         if rng.random() < 0.3:
-            ann1 = random_monomial_ideal(rng, 2, 6)
-            ann2 = random_monomial_ideal(rng, 2, 6)
-            t = random_similarity(rng, _direct_sum(_model(ann1), _model(ann2)))
+            a = staircase_model(2, random_staircase(rng, 2, 6))
+            b = staircase_model(2, random_staircase(rng, 2, 6))
+            t = random_similarity(rng, _direct_sum(a, b))
         else:
             t = cyclic_instance(rng, d=2, max_delta=12)
         q = quotient_algebra(annihilator(t))

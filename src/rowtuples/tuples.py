@@ -201,14 +201,16 @@ def nilpotency_index(
 
     The cap defaults to ``dim + 1``, which suffices for every commuting
     nilpotent tuple.  Returns ``None`` when no degree below the cap
-    vanishes.  Zero-dimensional tuples report index 0.
+    vanishes.  Only zero-dimensional tuples report index 0: on a nonzero
+    space ``T^0 = I`` never vanishes, whatever the scale of the cutoff, so
+    the search starts at degree 1.
     """
     if not _commuting(t, tol):
         raise NotCommutingError("nilpotency index is defined for commuting tuples")
     if cap is None:
         cap = t.dim + 1
     cutoff = tol.rank_rel_tol * t.scale
-    for m in range(cap + 1):
+    for m in range(1 if t.dim else 0, cap + 1):
         if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):
             return m
     return None

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -135,6 +136,17 @@ class TestCheck:
         assert code == 1
         assert "tol" in err
 
+    @pytest.mark.parametrize("matrix", [[[1e10, 0], [0, 0]], [[2e9, 0], [1, 0]]])
+    def test_large_scale_is_not_nilpotent(self, capsys, tmp_path, matrix):
+        # T^0 = I never vanishes on a nonzero space, whatever the cutoff's scale
+        path = write_json(tmp_path, "t.json", {"d": 1, "dim": 2, "matrices": [matrix]})
+        code, rep, _ = run_json(capsys, "check", "--input", path)
+        assert code == 0
+        assert rep["results"]["nilpotent"] is None
+        code, _, err = run(capsys, "ann", "--input", path)
+        assert code == 2
+        assert err.startswith("inapplicable")
+
 
 class TestAnnAndModel:
     def test_ann_maxcount(self, capsys):
@@ -166,6 +178,14 @@ class TestAnnAndModel:
         r = rep["results"]
         assert r["delta"] == 9 and len(r["basis"]) == len(set(r["basis"])) > 0
         assert built == []
+
+    def test_ann_fixture_prints_plain_monomials(self, capsys):
+        # the monomial fixtures are exact, so no roundoff terms survive
+        code, rep, _ = run_json(capsys, "ann", "--fixture", "rectangle(2,2,2)")
+        assert code == 0
+        basis = rep["results"]["basis"]
+        assert "x1^2" in basis and len(basis) == len(set(basis)) > 0
+        assert all(re.fullmatch(r"x\d(\^\d+)?(\*x\d(\^\d+)?)*", p) for p in basis)
 
     def test_model_jordan(self, capsys):
         code, rep, _ = run_json(capsys, "model", "--fixture", "jordan(2)")

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowtuples.errors import DomainError, NotNilpotentError, ShapeError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
-from rowtuples.fock import TruncatedDA, da_monomial_norm
+from rowtuples.fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from rowtuples.ideals import (
     AnnihilatorBasis,
     annihilator,
@@ -15,9 +17,10 @@ from rowtuples.ideals import (
     monomial_annihilator,
     omega_e,
     quotient_algebra,
+    staircase_model,
 )
 from rowtuples.polynomials import Polynomial, graded_indices, parse_polynomial
-from rowtuples.sweeps import random_similarity
+from rowtuples.sweeps import random_similarity, staircase_generators
 from rowtuples.tuples import RowTuple, nilpotency_index, poly_eval, validate
 
 
@@ -382,3 +385,80 @@ class TestModelTuple:
         top = mt.monomial((1, 1)) @ const
         assert abs(np.linalg.norm(top) - da_monomial_norm((1, 1))) < 1e-12
         assert abs(np.linalg.norm(top) - 1 / math.sqrt(2)) < 1e-12
+
+
+def _up(alpha: tuple[int, ...], k: int, step: int = 1) -> tuple[int, ...]:
+    return alpha[:k] + (alpha[k] + step,) + alpha[k + 1 :]
+
+
+@st.composite
+def staircases(draw):
+    """A staircase in N^d, d = 1..3, of 1 to 12 points, grown corner by corner."""
+    d = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 12))
+    lam = {(0,) * d}
+    while len(lam) < size:
+        ups = {_up(alpha, k) for alpha in lam for k in range(d)} - lam
+        corners = sorted(
+            c for c in ups if all(c[j] == 0 or _up(c, j, -1) in lam for j in range(d))
+        )
+        lam.add(draw(st.sampled_from(corners)))
+    return d, lam
+
+
+class TestStaircaseModel:
+    @given(staircases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_numerical_model(self, case):
+        # the model-space path stays the oracle of the closed form
+        d, lam = case
+        closed = staircase_model(d, lam)
+        oracle = model_tuple(model_space(monomial_annihilator(d, staircase_generators(d, lam))))
+        assert (closed.d, closed.dim) == (oracle.d, oracle.dim) == (d, len(lam))
+        for a, b in zip(closed.mats, oracle.mats):
+            assert np.abs(a - b).max() <= 1e-12
+
+    @given(staircases())
+    @settings(max_examples=150, deadline=None)
+    def test_entries_are_the_shift_weights(self, case):
+        d, lam = case
+        t = staircase_model(d, lam)
+        basis = [a for a in graded_indices(d, max(map(sum, lam))) if a in lam]
+        for k, mat in enumerate(t.mats):
+            expected = np.zeros((len(basis), len(basis)))
+            for j, alpha in enumerate(basis):
+                if _up(alpha, k) in lam:
+                    expected[basis.index(_up(alpha, k)), j] = math.sqrt(
+                        (alpha[k] + 1) / (sum(alpha) + 1)
+                    )
+            # same support, exact zeros elsewhere, weights to a few ulps
+            assert np.array_equal(mat != 0, expected != 0)
+            assert np.all(mat.imag == 0)
+            assert np.allclose(mat.real, expected, rtol=1e-14, atol=0)
+
+    def test_equals_multiplication_matrix_entries(self):
+        # bit for bit the entries of the compressed multiplier on the box
+        t = staircase_model(2, [(a, b) for a in range(3) for b in range(2)])
+        space = TruncatedDA(2, 3)
+        rows = [space.position(a) for a in graded_indices(2, 3) if a[0] < 3 and a[1] < 2]
+        for k, mat in enumerate(t.mats, start=1):
+            full = multiplication_matrix(Polynomial.variable(2, k), space)
+            assert np.array_equal(mat, full[np.ix_(rows, rows)])
+
+    def test_single_point_is_zero(self):
+        t = staircase_model(2, [(0, 0)])
+        assert t.dim == 1 and all(np.array_equal(m, np.zeros((1, 1))) for m in t.mats)
+
+    @pytest.mark.parametrize(
+        "d, points, error",
+        [
+            (2, [], DomainError),
+            (2, [(0, 1)], DomainError),
+            (2, [(0, 0), (1, 1)], DomainError),
+            (2, [(0, 0), (1,)], ShapeError),
+            (1, [(0,), (-1,)], ShapeError),
+        ],
+    )
+    def test_rejects_what_is_no_staircase(self, d, points, error):
+        with pytest.raises(error):
+            staircase_model(d, points)

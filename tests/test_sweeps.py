@@ -1,10 +1,11 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from rowtuples import sweeps
+from rowtuples import fixtures, fock, ideals, sweeps
 
 from rowtuples.ideals import annihilator, annihilators_equal, quotient_algebra
 from rowtuples.subspaces import is_invariant, restrict
@@ -98,6 +99,40 @@ class TestGenerators:
             assert multiplicity(r.adjoint()) == 1
             assert annihilators_equal(annihilator(r), annihilator(t))
 
+    def test_instances_skip_the_numerical_model(self, monkeypatch):
+        # monomial models are built in closed form: no model space, no multiplier
+        calls = []
+        for module, name in [(fock, "_multiplication_sparse"), (ideals, "model_space")]:
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for bound in list(sys.modules.values()):
+                if getattr(bound, "__name__", "").startswith("rowtuples") and (
+                    getattr(bound, name, None) is original
+                ):
+                    monkeypatch.setattr(bound, name, counting)
+        for rng in _rngs(10, 4):
+            cyclic_instance(rng, d=2, max_delta=12)
+            adjoint_cyclic_instance(rng, d=2, max_side=3)
+            splitting_instance(rng, d=2, max_side=3)
+        sums = []
+        original_sum = sweeps._direct_sum
+
+        def counting_sum(a, b):
+            sums.append((a.dim, b.dim))
+            return original_sum(a, b)
+
+        monkeypatch.setattr(sweeps, "_direct_sum", counting_sum)
+        # the first draw of seed 9 (0.266 < 0.3) takes the direct-sum branch
+        (out,) = run_suite("greedy", seed=9, count=1)
+        assert out.ok and len(sums) == 1
+        assert calls == []
+        ideals.model_tuple(ideals.model_space(ideals.monomial_annihilator(1, [(2,)])))
+        assert calls == ["model_space", "_multiplication_sparse"]
+
     def test_small_nilpotent_instance(self):
         for rng in _rngs(9, 10):
             t = small_nilpotent_instance(rng, dim_cap=4)
@@ -134,17 +169,19 @@ class TestPinnedDraws:
     @pytest.mark.parametrize("seed, d, max_side", sorted(SPLITTING_DRAWS))
     def test_splitting_instance(self, monkeypatch, seed, d, max_side):
         drawn = []
-        original = sweeps.monomial_annihilator
+        original = sweeps.staircase_model
 
-        def recording(d, gens):
-            drawn.append(sorted(tuple(g) for g in gens))
-            return original(d, gens)
+        def recording(d, staircase):
+            drawn.append(sorted(tuple(a) for a in staircase))
+            return original(d, drawn[-1])
 
-        monkeypatch.setattr(sweeps, "monomial_annihilator", recording)
+        # the box model comes through fixtures.rectangle
+        for module in (sweeps, fixtures):
+            monkeypatch.setattr(module, "staircase_model", recording)
         t, m = splitting_instance(np.random.default_rng(seed), d=d, max_side=max_side)
         sides, staircase = SPLITTING_DRAWS[seed, d, max_side]
-        box = [tuple(s if j == k else 0 for j in range(d)) for k, s in enumerate(sides)]
-        assert drawn == [sorted(box), staircase_generators(d, staircase)]
+        box = sorted(itertools.product(*(range(s) for s in sides)))
+        assert drawn == [box, sorted(staircase)]
         assert (t.dim, m.dim) == (math.prod(sides) + len(staircase), math.prod(sides))
 
     def test_benchmark_splitting_input(self):
