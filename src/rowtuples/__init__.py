@@ -38,11 +38,13 @@ from .ideals import (
     QuotientAlgebra,
     annihilator,
     annihilators_equal,
+    model_of,
     model_space,
     model_tuple,
     monomial_annihilator,
     omega_e,
     quotient_algebra,
+    quotient_of,
     staircase_model,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, norm_at_most, operator_norm

@@ -30,10 +30,11 @@ from .fixtures import build, fixture_catalog
 from .fock import truncated_multiplier_norms
 from .ideals import (
     annihilator,
+    model_of,
     model_space,
     model_tuple,
     omega_e,
-    quotient_algebra,
+    quotient_of,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
 from .polynomials import format_columns, parse_polynomial
@@ -50,8 +51,8 @@ from .serialize import (
 from .subspaces import (
     SubspaceBasis,
     Verdict,
-    _complementary_pair,
-    _decompose,
+    decomposition_exists,
+    decomposition_find,
     rigidity_coinvariant_check,
     rigidity_invariant_check,
     splitting_construct,
@@ -59,12 +60,11 @@ from .subspaces import (
 from .sweeps import SUITES, run_suite
 from .tuples import nilpotency_index, poly_eval, validate
 from .vectors import (
-    _quasiaffine_witness,
     gram_operator,
-    is_cyclic,
     is_separating,
     krylov,
     multiplicity,
+    quasiaffine_witness,
     separating_greedy,
     separating_witness,
 )
@@ -194,7 +194,7 @@ def _cmd_check(t, payload, args, tol):
 
 def _cmd_ann(t, payload, args, tol):
     ann = annihilator(t, tol)
-    q = quotient_algebra(ann, tol)
+    q = quotient_of(t, tol)
     results = {
         "degree_bound": ann.degree_bound,
         "basis": format_columns(ann.monomials(), ann.coefficients),
@@ -231,9 +231,7 @@ def _cmd_cyclic(t, payload, args, tol):
 def _cmd_separating(t, payload, args, tol):
     vec = _payload_vector(payload)
     if vec is None:
-        chosen, trace = separating_greedy(
-            t, seed=args.seed, tol=tol, with_trace=True
-        )
+        chosen, trace = separating_greedy(t, seed=args.seed, tol=tol)
         results = {
             "size": len(chosen),
             "vectors": [vector_to_json(v) for v in chosen],
@@ -263,7 +261,8 @@ def _cmd_gram(t, payload, args, tol):
 
 
 def _cmd_transform(t, payload, args, tol):
-    x, _, mt = _quasiaffine_witness(t, args.seed, tol)
+    x = quasiaffine_witness(t, args.seed, tol)
+    _, mt = model_of(t, tol)
     residual = max(
         operator_norm(t.mats[k] @ x - x @ mt.mats[k]) for k in range(t.d)
     )
@@ -307,7 +306,7 @@ def _cmd_rigidity(t, payload, args, tol):
 
 
 def _cmd_decompose(t, payload, args, tol):
-    rep, commutant = _decompose(t, args.seed, tol)
+    rep = decomposition_exists(t, seed=args.seed, tol=tol)
     results = {
         "exists": rep.exists,
         "commutant_dim": rep.commutant_dim,
@@ -315,7 +314,7 @@ def _cmd_decompose(t, payload, args, tol):
         "idempotent": None if rep.idempotent is None else matrix_to_json(rep.idempotent),
     }
     if rep.exists:
-        found = _complementary_pair(t, rep, commutant, False, args.seed, tol)
+        found = decomposition_find(t, False, args.seed, tol)
         if found is not None:
             results["m_dim"], results["n_dim"] = found[0].dim, found[1].dim
     return results, [], EXIT_OK
@@ -418,6 +417,10 @@ def main(argv=None) -> int:
         if not args.command:
             raise UsageError("missing subcommand")
         tol = _tolerance(args)
+        for name in ("seed", "count"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                raise UsageError(f"{name}: must be nonnegative")
         if args.command == "fixtures":
             results, warnings, code = _cmd_fixtures()
             dig = digest(b"")

@@ -48,9 +48,11 @@ __all__ = [
     "monomial_annihilator",
     "staircase_model",
     "quotient_algebra",
+    "quotient_of",
     "omega_e",
     "model_space",
     "model_tuple",
+    "model_of",
 ]
 
 
@@ -84,10 +86,6 @@ class AnnihilatorBasis:
     def monomials(self) -> list[tuple[int, ...]]:
         """Graded monomial list of the ambient slice ``C[x]_{<=m}``."""
         return graded_indices(self.d, self.degree_bound)
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """Columns are basis coefficient vectors over :meth:`monomials`."""
-        return self.coefficients
 
     @property
     def basis(self) -> tuple[Polynomial, ...]:
@@ -133,7 +131,7 @@ class AnnihilatorBasis:
             return shifts[beta]
 
         columns = []
-        for q in self.coefficient_matrix().T:
+        for q in self.coefficients.T:
             support = np.flatnonzero(q)
             # graded order: q lives on the leading block ending at its last term
             length = support[-1] + 1 if support.size else 0
@@ -152,7 +150,7 @@ class QuotientAlgebra:
     """The algebra ``A = C[x]/(C[x] ∩ Ann(T))`` in a monomial basis.
 
     ``mult_table[i, j]`` holds the coordinates of the product class
-    ``[x^a_i * x^a_j]`` over ``monomial_basis``.
+    ``[x^a_i * x^a_j]`` over ``monomial_basis``; the arrays are read-only.
     """
 
     monomial_basis: tuple[tuple[int, ...], ...]
@@ -181,7 +179,7 @@ class QuotientAlgebra:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """The subspace ``H_J`` inside a Drury-Arveson truncation."""
+    """The subspace ``H_J`` inside a Drury-Arveson truncation; ``frame`` is read-only."""
 
     d: int
     degree_cap: int
@@ -196,8 +194,13 @@ def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorB
     """Kernel of the evaluation map ``p -> p(T)`` on ``C[x]_{<=m}``.
 
     ``m`` is the nilpotency index of ``T``; beyond it every monomial
-    evaluates to zero, so the slice determines the whole ideal.
+    evaluates to zero, so the slice determines the whole ideal.  The
+    tuple computes it once per tolerance.
     """
+    return t.memo(("annihilator", tol), lambda: _annihilator(t, tol))
+
+
+def _annihilator(t: RowTuple, tol: ToleranceConfig) -> AnnihilatorBasis:
     m = nilpotency_index(t, tol=tol)
     if m is None:
         raise NotNilpotentError(
@@ -323,7 +326,7 @@ def quotient_algebra(
     """
     monomials = ann.monomials()
     n = len(monomials)
-    ann_frame = orthonormalize(ann.coefficient_matrix(), tol)
+    ann_frame = orthonormalize(ann.coefficients, tol)
     frame = ann_frame
     rows: list[int] = []
     for pos in range(n):
@@ -363,6 +366,8 @@ def quotient_algebra(
     found = order[np.searchsorted(codes[order], products[inside] @ radix)]
     table = np.zeros((delta, delta, delta), dtype=np.complex128)
     table[inside] = reducer[:, found].T
+    table.setflags(write=False)
+    reducer.setflags(write=False)
     return QuotientAlgebra(
         monomial_basis=tuple(monomials[i] for i in rows),
         dim=delta,
@@ -370,6 +375,11 @@ def quotient_algebra(
         _ann=ann,
         _reducer=reducer,
     )
+
+
+def quotient_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> QuotientAlgebra:
+    """``quotient_algebra(annihilator(t, tol), tol)``, computed once per tolerance."""
+    return t.memo(("quotient", tol), lambda: quotient_algebra(annihilator(t, tol), tol))
 
 
 def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, ...]]:
@@ -408,7 +418,7 @@ def model_space(
         raise DomainError(f"degree cap {degree_cap} below the annihilator bound {m}")
     monomials = ann.monomials()
     positions = {alpha: i for i, alpha in enumerate(monomials)}
-    ann_frame = orthonormalize(ann.coefficient_matrix(), tol)
+    ann_frame = orthonormalize(ann.coefficients, tol)
     for alpha in monomials:
         if sum(alpha) != m:
             continue
@@ -421,14 +431,16 @@ def model_space(
             )
 
     space = TruncatedDA(ann.d, degree_cap)
-    if ann.coefficient_matrix().shape[1] == 0:
+    if ann.coefficients.shape[1] == 0:
         frame = np.eye(space.dim, dtype=np.complex128)
-        return ModelSpace(d=ann.d, degree_cap=degree_cap, frame=frame)
-    weights = np.array([da_monomial_norm(alpha) for alpha in space.basis()])
-    slice_cols = ann.ideal_slice(degree_cap) * weights[:, None]
-    slice_frame = orthonormalize(slice_cols, tol)
-    _, kernel = rank_and_kernel(slice_frame.conj().T, tol)
-    return ModelSpace(d=ann.d, degree_cap=degree_cap, frame=_canonical_frame(kernel))
+    else:
+        weights = np.array([da_monomial_norm(alpha) for alpha in space.basis()])
+        slice_cols = ann.ideal_slice(degree_cap) * weights[:, None]
+        slice_frame = orthonormalize(slice_cols, tol)
+        _, kernel = rank_and_kernel(slice_frame.conj().T, tol)
+        frame = _canonical_frame(kernel)
+    frame.setflags(write=False)
+    return ModelSpace(d=ann.d, degree_cap=degree_cap, frame=frame)
 
 
 def _canonical_frame(kernel: np.ndarray) -> np.ndarray:
@@ -474,3 +486,9 @@ def model_tuple(space: ModelSpace) -> RowTuple:
         for k in range(1, space.d + 1)
     ]
     return RowTuple(mats)
+
+
+def model_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[ModelSpace, RowTuple]:
+    """Default-cap model space of ``Ann(T)`` and its model tuple, computed once per tolerance."""
+    space = t.memo(("model_space", tol), lambda: model_space(annihilator(t, tol), tol=tol))
+    return space, t.memo(("model_tuple", tol), lambda: model_tuple(space))

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-8
+_SPLITTING_TRIES = 24  # random candidates for a cyclic vector of the restricted adjoint
 
 
 @dataclass(frozen=True)
@@ -406,6 +407,11 @@ def _spectral_idempotent(
     return e
 
 
+def _commutant(t: RowTuple, tol: ToleranceConfig) -> tuple:
+    """Basis of the commutant ``{X : X T_k = T_k X}``, computed once per tolerance."""
+    return t.memo(("commutant", tol), lambda: intertwiner_space(t, t, tol).basis)
+
+
 def decomposition_exists(
     t: RowTuple, *, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DecompositionReport:
@@ -416,19 +422,17 @@ def decomposition_exists(
     contains an idempotent other than 0 and I, equivalently when the
     semisimple quotient (commutant modulo its radical) has dimension > 1.
     The radical is the kernel of the trace form of the left regular
-    representation, valid in characteristic zero.
+    representation, valid in characteristic zero.  The tuple keeps the
+    report per ``(seed, tol)`` and the commutant per ``tol``.
     """
-    return _decompose(t, seed, tol)[0]
+    return t.memo(("decomposition", seed, tol), lambda: _decomposition_report(t, seed, tol))
 
 
-def _decompose(
-    t: RowTuple, seed: int, tol: ToleranceConfig
-) -> tuple[DecompositionReport, tuple]:
-    """:func:`decomposition_exists` together with the commutant basis it used."""
-    basis = intertwiner_space(t, t, tol).basis
+def _decomposition_report(t: RowTuple, seed: int, tol: ToleranceConfig) -> DecompositionReport:
+    basis = _commutant(t, tol)
     r = len(basis)
     if r == 0:
-        return DecompositionReport(False, 0, 0, None), basis
+        return DecompositionReport(False, 0, 0, None)
     flat = np.column_stack([b.ravel() for b in basis])
     left = []
     for b in basis:
@@ -441,7 +445,7 @@ def _decompose(
     semisimple = numerical_rank(k, tol)
     exists = semisimple > 1
     if not exists:
-        return DecompositionReport(False, r, semisimple, None), basis
+        return DecompositionReport(False, r, semisimple, None)
 
     idem = None
     rng = np.random.default_rng(seed)
@@ -460,7 +464,7 @@ def _decompose(
             "was found within the retry budget"
         )
     idem.setflags(write=False)
-    return DecompositionReport(True, r, semisimple, idem), basis
+    return DecompositionReport(True, r, semisimple, idem)
 
 
 def decomposition_find(
@@ -473,25 +477,15 @@ def decomposition_find(
 
     Returns ``(M, N)`` with trivial intersection and full span, or None
     when no decomposition exists (or no candidate passes the cyclicity
-    filter when ``want_cyclic``).
+    filter when ``want_cyclic``).  The first candidate is the certificate
+    of :func:`decomposition_exists` for the same seed.
     """
-    report, basis = _decompose(t, seed, tol)
-    return _complementary_pair(t, report, basis, want_cyclic, seed, tol)
-
-
-def _complementary_pair(
-    t: RowTuple,
-    report: DecompositionReport,
-    basis,
-    want_cyclic: bool,
-    seed: int,
-    tol: ToleranceConfig,
-):
-    """:func:`decomposition_find` from an existence report and its commutant basis."""
     from .vectors import multiplicity
 
+    report = decomposition_exists(t, seed=seed, tol=tol)
     if not report.exists:
         return None
+    basis = _commutant(t, tol)
     rng = np.random.default_rng(seed + 1)
 
     def candidates():
@@ -524,7 +518,6 @@ def splitting_construct(
     *,
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
-    max_tries: int = 24,
 ) -> SubspaceBasis:
     """Complement an invariant subspace with adjoint-cyclic restriction.
 
@@ -555,7 +548,7 @@ def splitting_construct(
 
     rng = np.random.default_rng(seed)
     xi_m = None
-    for _ in range(max_tries):
+    for _ in range(_SPLITTING_TRIES):
         cand = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
         if is_cyclic(radj, cand, tol=tol):
             xi_m = cand

@@ -21,9 +21,9 @@ from .fixtures import rectangle
 from .fock import TruncatedDA, TruncatedFock, creation_matrix
 from .ideals import (
     AnnihilatorBasis,
-    annihilator,
+    model_of,
     monomial_annihilator,
-    quotient_algebra,
+    quotient_of,
     staircase_model,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
@@ -31,8 +31,8 @@ from .polynomials import Polynomial
 from .subspaces import (
     SubspaceBasis,
     Verdict,
-    _complementary_pair,
-    _decompose,
+    decomposition_exists,
+    decomposition_find,
     generated_invariant,
     is_invariant,
     rigidity_coinvariant_check,
@@ -40,7 +40,7 @@ from .subspaces import (
     splitting_construct,
 )
 from .tuples import RowTuple, nilpotency_index
-from .vectors import _quasiaffine_witness, fock_intertwiner, gram_operator, separating_greedy
+from .vectors import fock_intertwiner, gram_operator, quasiaffine_witness, separating_greedy
 
 __all__ = [
     "SweepOutcome",
@@ -339,11 +339,11 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
             t = random_similarity(rng, _direct_sum(a, b))
         else:
             t = cyclic_instance(rng, d=2, max_delta=12)
-        q = quotient_algebra(annihilator(t))
+        q = quotient_of(t)
         delta = q.dim
         inner = int(rng.integers(2**31))
         try:
-            chosen, trace = separating_greedy(t, seed=inner, with_trace=True)
+            chosen, trace = separating_greedy(t, seed=inner)
         except Exception as exc:  # noqa: BLE001
             return False, f"instance {i}: {exc}", False
         strict = all(a > b for a, b in zip(trace, trace[1:]))
@@ -368,9 +368,10 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
         t = cyclic_instance(rng, d=2, max_delta=8)
         inner = int(rng.integers(2**31))
         try:
-            x, space, model = _quasiaffine_witness(t, inner, DEFAULT_TOL)
+            x = quasiaffine_witness(t, inner)
         except Exception as exc:  # noqa: BLE001
             return False, f"instance {i}: {exc}", False
+        space, model = model_of(t)
         residual = max(
             operator_norm(x @ mk - tk @ x) for mk, tk in zip(model.mats, t.mats)
         )
@@ -412,8 +413,8 @@ def sweep_decompose(seed: int = 0, count: int = 200) -> SweepOutcome:
     def case(i, rng):
         t = small_nilpotent_instance(rng, dim_cap=4)
         inner = int(rng.integers(2**31))
-        rep, commutant = _decompose(t, inner, DEFAULT_TOL)
-        pair = _complementary_pair(t, rep, commutant, False, inner, DEFAULT_TOL)
+        rep = decomposition_exists(t, seed=inner)
+        pair = decomposition_find(t, seed=inner)
         if not rep.exists:
             ok = rep.idempotent is None and pair is None
             return ok, "" if ok else f"instance {i}: inconsistent absence", False

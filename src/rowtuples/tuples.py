@@ -30,7 +30,7 @@ from .linalg import (
 from .polynomials import Polynomial, indices_of_degree
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
-           "poly_eval"]
+           "require_commuting", "poly_eval"]
 
 
 class RowTuple:
@@ -40,20 +40,19 @@ class RowTuple:
     remain representable; such degenerate tuples evaluate every polynomial
     to the (empty) zero operator.
 
-    Since the tuple never changes, it memoizes what it derives from its
-    matrices:
+    The matrices are copied on construction and frozen, so the tuple never
+    changes and may memoize what it derives from them:
 
     * ``_monomials`` maps ``alpha`` to ``T^alpha`` (see :meth:`monomial`);
-    * ``_norms`` holds ``(||T_1||, .., ||T_d||)``, computed on first use of
-      :attr:`norms` or :attr:`scale` at the default tolerance;
-    * ``_vanishing`` maps ``(alpha, cutoff)`` to the verdict
-      ``||T^alpha|| <= cutoff`` (see :meth:`monomial_vanishes`).
+    * ``_memo`` maps a key to a derived value (see :meth:`memo`): the
+      norms, the monomial zero tests, and the analyses of other modules.
     """
 
-    __slots__ = ("d", "dim", "mats", "_monomials", "_norms", "_vanishing")
+    __slots__ = ("d", "dim", "mats", "_monomials", "_memo")
 
     def __init__(self, mats):
-        mats = tuple(as_matrix(m, square=True) for m in mats)
+        # copies: the caller's arrays stay writable, and writes to them miss the memo
+        mats = tuple(as_matrix(np.array(m, dtype=np.complex128), square=True) for m in mats)
         if not mats:
             raise ShapeError("a tuple needs at least one matrix")
         dim = mats[0].shape[0]
@@ -65,15 +64,26 @@ class RowTuple:
         self.dim = dim
         self.mats = mats
         self._monomials: dict[tuple[int, ...], np.ndarray] = {}
-        self._norms: tuple[float, ...] | None = None
-        self._vanishing: dict[tuple[tuple[int, ...], float], bool] = {}
+        self._memo: dict = {}
 
     def __repr__(self):
         return f"RowTuple(d={self.d}, dim={self.dim})"
 
+    def memo(self, key, compute):
+        """The value stored under ``key``, from ``compute()`` on first request.
+
+        A key names the value and carries everything it depends on besides
+        the matrices, such as the :class:`ToleranceConfig`.  Stored values
+        must be read-only and must not reference this tuple, which would
+        make it a reference cycle.  A ``compute`` that raises stores nothing.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def adjoint(self) -> "RowTuple":
-        """The tuple of Hermitian adjoints."""
-        return RowTuple([m.conj().T for m in self.mats])
+        """The tuple of Hermitian adjoints, built once."""
+        return self.memo("adjoint", lambda: RowTuple([m.conj().T for m in self.mats]))
 
     def row(self) -> np.ndarray:
         """The row operator ``[T_1 .. T_d]`` as a ``dim x (d*dim)`` matrix."""
@@ -106,9 +116,7 @@ class RowTuple:
     @property
     def norms(self) -> tuple[float, ...]:
         """Operator norms ``(||T_1||, .., ||T_d||)``, computed once."""
-        if self._norms is None:
-            self._norms = tuple(operator_norm(m) for m in self.mats)
-        return self._norms
+        return self.memo("norms", lambda: tuple(operator_norm(m) for m in self.mats))
 
     @property
     def scale(self) -> float:
@@ -117,11 +125,11 @@ class RowTuple:
 
     def monomial_vanishes(self, alpha, cutoff: float) -> bool:
         """Whether ``||T^alpha|| <= cutoff``, decided once per ``(alpha, cutoff)``."""
-        key = (tuple(int(a) for a in alpha), float(cutoff))
-        verdict = self._vanishing.get(key)
-        if verdict is None:
-            verdict = self._vanishing[key] = norm_at_most(self.monomial(key[0]), cutoff)
-        return verdict
+        alpha = tuple(int(a) for a in alpha)
+        return self.memo(
+            ("vanishes", alpha, float(cutoff)),
+            lambda: norm_at_most(self.monomial(alpha), cutoff),
+        )
 
 
 @dataclass(frozen=True)
@@ -142,12 +150,21 @@ class TupleReport:
 
 
 def _commuting(t: RowTuple, tol: ToleranceConfig) -> bool:
-    cutoff = tol.rank_rel_tol * t.scale ** 2
-    for j in range(t.d):
-        for k in range(j + 1, t.d):
-            if not norm_at_most(t.mats[j] @ t.mats[k] - t.mats[k] @ t.mats[j], cutoff):
-                return False
-    return True
+    def compute() -> bool:
+        cutoff = tol.rank_rel_tol * t.scale ** 2
+        return all(
+            norm_at_most(t.mats[j] @ t.mats[k] - t.mats[k] @ t.mats[j], cutoff)
+            for j in range(t.d)
+            for k in range(j + 1, t.d)
+        )
+
+    return t.memo(("commuting", tol), compute)
+
+
+def require_commuting(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise :class:`NotCommutingError` unless the tuple's matrices commute."""
+    if not _commuting(t, tol):
+        raise NotCommutingError("tuple matrices do not commute")
 
 
 def validate(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> TupleReport:
@@ -205,10 +222,13 @@ def nilpotency_index(
     space ``T^0 = I`` never vanishes, whatever the scale of the cutoff, so
     the search starts at degree 1.
     """
-    if not _commuting(t, tol):
-        raise NotCommutingError("nilpotency index is defined for commuting tuples")
-    if cap is None:
-        cap = t.dim + 1
+    require_commuting(t, tol)
+    if cap is not None:
+        return _vanishing_degree(t, cap, tol)
+    return t.memo(("nilpotency_index", tol), lambda: _vanishing_degree(t, t.dim + 1, tol))
+
+
+def _vanishing_degree(t: RowTuple, cap: int, tol: ToleranceConfig) -> int | None:
     cutoff = tol.rank_rel_tol * t.scale
     for m in range(1 if t.dim else 0, cap + 1):
         if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):

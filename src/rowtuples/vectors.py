@@ -14,21 +14,13 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    NotCommutingError,
     NotCyclicError,
     NotNilpotentError,
     ShapeError,
     WitnessSearchError,
 )
 from .fock import TruncatedFock
-from .ideals import (
-    ModelSpace,
-    QuotientAlgebra,
-    annihilator,
-    model_space,
-    model_tuple,
-    quotient_algebra,
-)
+from .ideals import QuotientAlgebra, model_of, quotient_of
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -39,7 +31,7 @@ from .linalg import (
 )
 from .polynomials import Polynomial
 from .subspaces import SubspaceBasis, generated_invariant, intertwiner_space
-from .tuples import RowTuple, _commuting, nilpotency_index
+from .tuples import RowTuple, nilpotency_index, require_commuting
 
 __all__ = [
     "GramReport",
@@ -54,6 +46,9 @@ __all__ = [
     "quasiaffine_witness",
 ]
 
+_GREEDY_TRIES = 64  # gaussian candidates per greedy round before giving up
+_WITNESS_TRIES = 32  # random intertwiners tried for an invertible one
+
 
 def _check_vector(t: RowTuple, xi) -> np.ndarray:
     v = as_vector(xi)
@@ -62,14 +57,9 @@ def _check_vector(t: RowTuple, xi) -> np.ndarray:
     return v
 
 
-def _require_commuting(t: RowTuple, tol: ToleranceConfig) -> None:
-    if not _commuting(t, tol):
-        raise NotCommutingError("tuple matrices do not commute")
-
-
 def krylov(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of ``span{T^α ξ}`` (the orbit of ξ)."""
-    _require_commuting(t, tol)
+    require_commuting(t, tol)
     return generated_invariant(t, [_check_vector(t, xi)], tol)
 
 
@@ -91,42 +81,24 @@ def multiplicity(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return t.dim - numerical_rank(np.hstack(t.mats), tol)
 
 
-def _quotient(
-    t: RowTuple, quotient: QuotientAlgebra | None, tol: ToleranceConfig
-) -> QuotientAlgebra:
-    if quotient is None:
-        return quotient_algebra(annihilator(t, tol), tol)
-    return quotient
-
-
 def _orbit_columns(t: RowTuple, xi: np.ndarray, q: QuotientAlgebra) -> np.ndarray:
     """Columns ``T^α ξ`` over the quotient monomial basis."""
     return np.column_stack([t.monomial(alpha) @ xi for alpha in q.monomial_basis])
 
 
-def is_separating(
-    t: RowTuple,
-    xi,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    quotient: QuotientAlgebra | None = None,
-) -> bool:
+def is_separating(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether ``p(T)ξ = 0`` forces ``p(T) = 0``.
 
     Equivalent to the orbit of ξ having the dimension of the quotient
     algebra, i.e. injectivity of ``[p] ↦ p(T)ξ``.
     """
     v = _check_vector(t, xi)
-    q = _quotient(t, quotient, tol)
+    q = quotient_of(t, tol)
     return numerical_rank(_orbit_columns(t, v, q), tol) == q.dim
 
 
 def separating_witness(
-    t: RowTuple,
-    xi,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    quotient: QuotientAlgebra | None = None,
+    t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Polynomial | None:
     """A polynomial with ``p(T)ξ = 0`` but ``p(T) ≠ 0``, if one exists.
 
@@ -136,7 +108,7 @@ def separating_witness(
     evaluation map on basis classes.
     """
     v = _check_vector(t, xi)
-    q = _quotient(t, quotient, tol)
+    q = quotient_of(t, tol)
     ker = kernel_basis(_orbit_columns(t, v, q), tol)
     if ker.shape[1] == 0:
         return None
@@ -152,28 +124,26 @@ def separating_greedy(
     *,
     sampler: str = "gaussian",
     tol: ToleranceConfig = DEFAULT_TOL,
-    max_tries: int = 64,
-    with_trace: bool = False,
-):
+) -> tuple[list[np.ndarray], list[int]]:
     """Greedy construction of a separating set of at most δ vectors.
 
     Maintains the joint kernel ``K = {[p] : p(T)ξ_j = 0 ∀j}`` in quotient
     coordinates, starting from the full algebra, and repeatedly samples a
     vector that strictly shrinks it.  The ``gaussian`` sampler draws
     seeded complex normals; the deterministic ``basis`` sampler walks the
-    standard basis in index order.  Returns the chosen vectors (and the
-    kernel-dimension trace when ``with_trace``).
+    standard basis in index order.  Returns the chosen vectors and the
+    trace of kernel dimensions, from δ down to 0.
     """
     if sampler not in ("gaussian", "basis"):
         raise ShapeError(f"unknown sampler {sampler!r}; use 'gaussian' or 'basis'")
-    q = _quotient(t, None, tol)
+    q = quotient_of(t, tol)
     rng = np.random.default_rng(seed)
     kframe = np.eye(q.dim, dtype=np.complex128)
     chosen: list[np.ndarray] = []
     trace = [q.dim]
     while kframe.shape[1] > 0:
         accepted = False
-        for attempt in range(max_tries if sampler == "gaussian" else t.dim):
+        for attempt in range(_GREEDY_TRIES if sampler == "gaussian" else t.dim):
             if sampler == "gaussian":
                 cand = rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
             else:
@@ -192,9 +162,7 @@ def separating_greedy(
             raise WitnessSearchError(
                 "greedy separating search could not shrink the joint kernel"
             )
-    if with_trace:
-        return chosen, trace
-    return chosen
+    return chosen, trace
 
 
 @dataclass(frozen=True)
@@ -217,7 +185,7 @@ def gram_operator(
     for nilpotent tuples and truncated at convergence for pure ones.
     """
     v = _check_vector(t, xi)
-    _require_commuting(t, tol)
+    require_commuting(t, tol)
     term = np.outer(v, v.conj())
     gram = np.zeros_like(term)
     for _ in range(tol.max_iter):
@@ -251,11 +219,7 @@ def fock_intertwiner(
 
 
 def quasiaffine_witness(
-    t: RowTuple,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    max_tries: int = 32,
+    t: RowTuple, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Invertible ``X`` with ``X (M_J)_k = T_k X`` for ``J = Ann(T)``.
 
@@ -264,18 +228,9 @@ def quasiaffine_witness(
     solution space is searched for an invertible element by seeded random
     combination; the result is normalized to unit operator norm.
     """
-    return _quasiaffine_witness(t, seed, tol, max_tries)[0]
-
-
-def _quasiaffine_witness(
-    t: RowTuple, seed: int, tol: ToleranceConfig, max_tries: int = 32
-) -> tuple[np.ndarray, ModelSpace, RowTuple]:
-    """:func:`quasiaffine_witness` with the model space and model tuple it used."""
-    ann = annihilator(t, tol)
+    _, model = model_of(t, tol)
     if multiplicity(t, tol=tol) != 1:
         raise NotCyclicError("quasi-affine witness requires a cyclic tuple")
-    space = model_space(ann, tol=tol)
-    model = model_tuple(space)
     if model.dim != t.dim:
         raise WitnessSearchError(
             f"model dimension {model.dim} does not match tuple dimension {t.dim}"
@@ -284,11 +239,11 @@ def _quasiaffine_witness(
     if not basis:
         raise WitnessSearchError("intertwiner space is trivial")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_WITNESS_TRIES):
         w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         x = sum(c * b for c, b in zip(w, basis))
         if x.shape[0] == x.shape[1] and numerical_rank(x, tol) == x.shape[0]:
-            return x / operator_norm(x, tol), space, model
+            return x / operator_norm(x, tol)
     raise WitnessSearchError(
         "no invertible intertwiner found within the retry budget"
     )

@@ -65,6 +65,15 @@ TWO_CELLS = {
     "matrices": [[[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]],
 }
 
+NON_COMMUTING = {"d": 2, "dim": 2, "matrices": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+def force_equal_annihilators(monkeypatch):
+    """Make every annihilator comparison report a match."""
+    import rowtuples.subspaces as subspaces
+
+    monkeypatch.setattr(subspaces, "annihilators_equal", lambda *args, **kwargs: True)
+
 
 class TestSerialization:
     def test_tuple_round_trip(self):
@@ -278,6 +287,14 @@ class TestTransform:
         assert code == 2
         assert "inapplicable" in err
 
+    @pytest.mark.parametrize("command", ["transform", "separating"])
+    def test_noncommuting_is_inapplicable(self, capsys, tmp_path, command):
+        path = write_json(tmp_path, "t.json", NON_COMMUTING)
+        code, out, err = run(capsys, command, "--input", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inapplicable:") and "commut" in err
+
 
 class TestRigidityAndSplit:
     def test_consistent_pair(self, capsys, tmp_path):
@@ -296,6 +313,19 @@ class TestRigidityAndSplit:
         assert code == 0
         assert rep["results"]["verdict"] == "CONSISTENT"
         assert rep["results"]["route"] == "adjoint-cyclic"
+
+    def test_theorem_violation_exits_3(self, capsys, tmp_path, monkeypatch):
+        # M = span(e1, e2) and N = C^3 differ, so matching annihilators contradict rigidity
+        force_equal_annihilators(monkeypatch)
+        path = write_json(
+            tmp_path,
+            "r.json",
+            {"m": [[1, 0], [0, 1], [0, 0]], "n": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        )
+        code, rep, _ = run_json(capsys, "rigidity", "--fixture", "maxcount", "--input", path)
+        assert code == 3
+        assert rep["results"]["verdict"] == "THEOREM_VIOLATION"
+        assert rep["results"]["annihilators_match"] is True
 
     def test_inapplicable_pair_exits_2(self, capsys, tmp_path):
         path = write_json(
@@ -464,11 +494,53 @@ class TestSweepCommand:
         assert code == 1
         assert "suite" in err
 
+    def test_violations_exit_3(self, capsys, monkeypatch):
+        force_equal_annihilators(monkeypatch)
+        code, rep, _ = run_json(
+            capsys, "sweep", "--suite", "rigidity-full", "--count", "3", "--seed", "4"
+        )
+        assert code == 3
+        assert rep["results"]["ok"] is False
+        assert rep["results"]["suites"][0]["violations"] > 0
+
+    def test_greedy_analyses_each_instance_once(self, capsys, monkeypatch):
+        # the sweep and separating_greedy share one annihilator and one quotient
+        import rowtuples.ideals as ideals
+
+        calls = []
+        for name in ("rank_and_kernel", "quotient_algebra"):
+
+            def recording(*args, _real=getattr(ideals, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(ideals, name, recording)
+        code, rep, _ = run_json(capsys, "sweep", "--suite", "greedy", "--count", "3")
+        assert code == 0
+        assert rep["results"]["suites"][0]["passed"] == 3
+        assert sorted(calls) == ["quotient_algebra"] * 3 + ["rank_and_kernel"] * 3
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "nonesuch")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--count", "-1"],
+            ["sweep", "--seed", "-1"],
+            ["separating", "--fixture", "maxcount", "--seed", "-1"],
+            ["transform", "--fixture", "jordan(3)", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_or_count_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "nonnegative" in err
+        assert err.count("\n") == 1
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -26,3 +28,19 @@ def test_star_import():
     namespace = {}
     exec("from rowtuples import *", namespace)
     assert "annihilator" in namespace and "RowTuple" in namespace
+
+
+@pytest.mark.parametrize("name", ["cli", "sweeps"])
+def test_front_ends_import_only_public_names(name):
+    # the benchmark tracer wraps public functions only, so a front end that
+    # imports a private one hides that layer's time
+    path = pathlib.Path(rowtuples.__file__).with_name(f"{name}.py")
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "rowtuples")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -47,7 +47,7 @@ class TestAnnihilator:
         # but the evaluation is invertible whenever a != 0 and carries b, c
         # into off-diagonal entries otherwise
         ann = annihilator(maxcount())
-        mat = ann.coefficient_matrix()
+        mat = ann.coefficients
         monos = ann.monomials()
         high = [i for i, a in enumerate(monos) if sum(a) > 1]
         # a member supported on degree <= 1 alone would be a kernel vector of
@@ -80,7 +80,7 @@ class TestAnnihilator:
 
     def test_basis_renders_the_matrix_columns(self):
         ann = annihilator(maxcount())
-        mat = ann.coefficient_matrix()
+        mat = ann.coefficients
         assert mat.shape == (len(ann.monomials()), 3)
         assert not mat.flags.writeable
         rebuilt = _columns(2, ann.degree_bound, ann.basis)
@@ -183,7 +183,7 @@ class TestAnnihilatorsEqual:
 
     def test_scaled_basis_equal(self):
         a = monomial_annihilator(1, [(2,)])
-        scaled = AnnihilatorBasis(1, 2, 3.0 * a.coefficient_matrix())
+        scaled = AnnihilatorBasis(1, 2, 3.0 * a.coefficients)
         assert annihilators_equal(a, scaled)
 
 

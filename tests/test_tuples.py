@@ -1,13 +1,16 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from rowtuples import ideals, linalg, tuples
+from rowtuples import ideals, linalg, subspaces, tuples
 from rowtuples.errors import NotCommutingError, NotRowContractionError, ShapeError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import truncated_multiplier_norm
-from rowtuples.ideals import annihilator, omega_e
+from rowtuples.ideals import annihilator, model_of, omega_e, quotient_of
+from rowtuples.linalg import ToleranceConfig
+from rowtuples.subspaces import decomposition_exists, decomposition_find
 from rowtuples.polynomials import Polynomial, parse_polynomial
 from rowtuples.sweeps import random_similarity
 from rowtuples.tuples import (
@@ -48,6 +51,22 @@ class TestRowTuple:
         t = maxcount()
         adj = t.adjoint()
         assert np.allclose(adj.mats[0], t.mats[0].conj().T)
+        assert t.adjoint() is adj
+
+    def test_input_arrays_stay_writable(self):
+        a, b = np.zeros((2, 2)), np.zeros((2, 2), dtype=complex)
+        RowTuple([a, b])
+        assert a.flags.writeable and b.flags.writeable
+        b[0, 1] = 1.0
+
+    def test_writes_to_the_input_do_not_reach_the_tuple(self):
+        base = np.array([np.eye(2, k=-1)], dtype=complex)
+        t = RowTuple(list(base))
+        assert nilpotency_index(t) == 2
+        base[0] = np.eye(2)
+        assert np.array_equal(t.mats[0], np.eye(2, k=-1))
+        assert nilpotency_index(t) == 2
+        assert nilpotency_index(RowTuple(list(base))) is None
 
     def test_monomial_cache_consistency(self):
         t = rectangle(2, 3)
@@ -164,6 +183,88 @@ class TestMemoizedVerdicts:
         assert nilpotency_index(t) == 5
         assert calls == []
         assert t._monomials.keys() == monomials.keys()
+
+    def test_explicit_cap_is_not_memoized(self):
+        t = jordan(5)
+        assert nilpotency_index(t, cap=3) is None
+        assert nilpotency_index(t) == 5
+        assert nilpotency_index(t, cap=4) is None
+
+    def test_second_analysis_computes_nothing(self, monkeypatch):
+        t = random_similarity(np.random.default_rng(3), rectangle(2, 2))
+        u = RowTuple([np.block([[m, np.zeros((4, 4))], [np.zeros((4, 4)), m]]) for m in t.mats])
+
+        def analyse():
+            return (
+                tuples._commuting(u, linalg.DEFAULT_TOL),
+                nilpotency_index(u),
+                annihilator(u),
+                quotient_of(u),
+                *model_of(u),
+                decomposition_exists(u, seed=2),
+                decomposition_find(u, seed=2) is not None,
+                u.adjoint(),
+            )
+
+        first = analyse()
+        calls = []
+        for module, name in [
+            (tuples, "norm_at_most"),
+            (ideals, "rank_and_kernel"),
+            (ideals, "quotient_algebra"),
+            (ideals, "model_space"),
+            (ideals, "model_tuple"),
+            (subspaces, "intertwiner_space"),
+        ]:
+
+            def recording(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        second = analyse()
+        assert calls == []
+        assert first[7] is True
+        assert all(a is b for a, b in zip(first, second) if not isinstance(a, bool))
+
+    def test_memo_is_kept_per_tolerance(self):
+        t = rectangle(2, 2)
+        loose = ToleranceConfig(rank_rel_tol=1e-6)
+        assert annihilator(t, loose) is not annihilator(t)
+        assert annihilator(t, loose) is annihilator(t, ToleranceConfig(rank_rel_tol=1e-6))
+        assert quotient_of(t, loose).dim == quotient_of(t).dim == 4
+
+    def test_memoized_values_are_read_only(self):
+        u = RowTuple([np.zeros((3, 3)), np.diag([0.5, 0.0], k=-1)])  # 0, J_2 ⊕ 0
+        space, model = model_of(rectangle(2, 2))
+        report = decomposition_exists(u)
+        arrays = [
+            annihilator(u).coefficients,
+            quotient_of(u).mult_table,
+            space.frame,
+            *model.mats,
+            *u.adjoint().mats,
+            report.idempotent,
+            *subspaces._commutant(u, linalg.DEFAULT_TOL),
+        ]
+        assert report.exists
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_analysed_tuple_is_freed_without_the_cycle_collector(self):
+        # a memoized value that referenced its own tuple would leave a cycle
+        gc.collect()
+        gc.disable()
+        try:
+            t = random_similarity(np.random.default_rng(5), rectangle(2, 3))
+            nilpotency_index(t.adjoint())
+            quotient_of(t)
+            model_of(t)
+            decomposition_find(t)
+            gc.collect()
+            del t
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_norms_and_scale(self):
         t = RowTuple([np.diag([0.5, 0.25]), np.diag([3.0, 0.0])])

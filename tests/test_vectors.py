@@ -149,7 +149,7 @@ class TestSeparating:
     def test_witness_has_unit_coefficient_norm(self):
         t = maxcount()
         q = quotient_algebra(annihilator(t))
-        w = separating_witness(t, E2, quotient=q)
+        w = separating_witness(t, E2)
         coeffs = np.array([w.coeffs.get(a, 0.0) for a in q.monomial_basis])
         assert abs(np.linalg.norm(coeffs) - 1.0) < 1e-12
 
@@ -166,7 +166,7 @@ class TestSeparating:
 class TestSeparatingGreedy:
     def test_basis_walk_reproduces_known_pair(self):
         t = maxcount()
-        chosen, trace = separating_greedy(t, sampler="basis", with_trace=True)
+        chosen, trace = separating_greedy(t, sampler="basis")
         assert trace == [3, 1, 0]
         assert len(chosen) == 2
         assert np.allclose(chosen[0], E1)
@@ -175,13 +175,13 @@ class TestSeparatingGreedy:
     def test_gaussian_needs_at_most_delta_vectors(self):
         t = maxcount()
         q = quotient_algebra(annihilator(t))
-        chosen = separating_greedy(t, seed=3)
+        chosen, _ = separating_greedy(t, seed=3)
         assert 1 <= len(chosen) <= q.dim
 
     def test_chosen_set_is_jointly_separating(self):
         t = fromgriff(3)
         q = quotient_algebra(annihilator(t))
-        chosen = separating_greedy(t, seed=1)
+        chosen, _ = separating_greedy(t, seed=1)
         cols = np.hstack(
             [
                 np.column_stack([t.monomial(a) @ v for a in q.monomial_basis]).T
@@ -191,7 +191,7 @@ class TestSeparatingGreedy:
         assert np.linalg.matrix_rank(cols.T) == q.dim
 
     def test_single_generic_vector_suffices_when_separating(self):
-        chosen = separating_greedy(jordan(3), seed=0)
+        chosen, _ = separating_greedy(jordan(3), seed=0)
         assert len(chosen) == 1
 
     def test_unknown_sampler_rejected(self):
