@@ -44,7 +44,6 @@ from .serialize import (
     matrix_from_json,
     matrix_to_json,
     tuple_from_json,
-    tuple_to_json,
     vector_from_json,
     vector_to_json,
 )
@@ -58,7 +57,7 @@ from .subspaces import (
     splitting_construct,
 )
 from .sweeps import SUITES, run_suite
-from .tuples import nilpotency_index, poly_eval, validate
+from .tuples import poly_eval, validate
 from .vectors import (
     gram_operator,
     is_separating,

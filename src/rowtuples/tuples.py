@@ -223,17 +223,16 @@ def nilpotency_index(
     the search starts at degree 1.
     """
     require_commuting(t, tol)
-    if cap is not None:
-        return _vanishing_degree(t, cap, tol)
-    return t.memo(("nilpotency_index", tol), lambda: _vanishing_degree(t, t.dim + 1, tol))
+    cap = t.dim + 1 if cap is None else cap
 
+    def search() -> int | None:
+        cutoff = tol.rank_rel_tol * t.scale
+        for m in range(1 if t.dim else 0, cap + 1):
+            if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):
+                return m
+        return None
 
-def _vanishing_degree(t: RowTuple, cap: int, tol: ToleranceConfig) -> int | None:
-    cutoff = tol.rank_rel_tol * t.scale
-    for m in range(1 if t.dim else 0, cap + 1):
-        if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):
-            return m
-    return None
+    return t.memo(("nilpotency_index", cap, tol), search)
 
 
 def poly_eval(p: Polynomial, t: RowTuple) -> np.ndarray:

@@ -228,9 +228,9 @@ def quasiaffine_witness(
     solution space is searched for an invertible element by seeded random
     combination; the result is normalized to unit operator norm.
     """
-    _, model = model_of(t, tol)
     if multiplicity(t, tol=tol) != 1:
         raise NotCyclicError("quasi-affine witness requires a cyclic tuple")
+    _, model = model_of(t, tol)
     if model.dim != t.dim:
         raise WitnessSearchError(
             f"model dimension {model.dim} does not match tuple dimension {t.dim}"

@@ -184,7 +184,7 @@ class TestMemoizedVerdicts:
         assert calls == []
         assert t._monomials.keys() == monomials.keys()
 
-    def test_explicit_cap_is_not_memoized(self):
+    def test_explicit_cap_is_keyed_separately(self):
         t = jordan(5)
         assert nilpotency_index(t, cap=3) is None
         assert nilpotency_index(t) == 5

@@ -297,3 +297,13 @@ class TestQuasiaffineWitness:
     def test_noncyclic_tuple_rejected(self):
         with pytest.raises(NotCyclicError):
             quasiaffine_witness(maxcount())
+
+    def test_noncyclic_tuple_rejected_before_the_model(self, monkeypatch):
+        import rowtuples.ideals as ideals
+
+        def fail(*args, **kwargs):
+            raise AssertionError("model built for a non-cyclic tuple")
+
+        monkeypatch.setattr(ideals, "model_space", fail)
+        with pytest.raises(NotCyclicError):
+            quasiaffine_witness(maxcount())
