@@ -36,7 +36,7 @@ from .ideals import (
     omega_e,
     quotient_of,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, operator_norm
+from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
 from .polynomials import format_columns, parse_polynomial
 from .serialize import (
     digest,
@@ -169,6 +169,13 @@ def _payload_vector(payload, field="vector"):
     return vector_from_json(payload, field)
 
 
+def _payload_subspace(payload, key, t, tol) -> SubspaceBasis:
+    cols = matrix_from_json(payload[key], key)
+    if cols.shape[0] != t.dim:
+        raise UsageError(f"{key}: {cols.shape[0]} rows do not match tuple dim {t.dim}")
+    return SubspaceBasis.from_span(cols, tol)
+
+
 def _float(x) -> float:
     return float(np.real_if_close(x))
 
@@ -260,7 +267,7 @@ def _cmd_gram(t, payload, args, tol):
 
 
 def _cmd_transform(t, payload, args, tol):
-    x = quasiaffine_witness(t, args.seed, tol)
+    x = quasiaffine_witness(t, tol)
     _, mt = model_of(t, tol)
     residual = max(
         operator_norm(t.mats[k] @ x - x @ mt.mats[k]) for k in range(t.d)
@@ -268,7 +275,7 @@ def _cmd_transform(t, payload, args, tol):
     results = {
         "witness": matrix_to_json(x),
         "residual": _float(residual),
-        "rank": int(np.linalg.matrix_rank(x)),
+        "rank": numerical_rank(x, tol),
         "model_dim": mt.dim,
     }
     return results, [], EXIT_OK
@@ -280,8 +287,7 @@ def _cmd_rigidity(t, payload, args, tol):
     for key in ("m", "n"):
         if key not in payload:
             raise UsageError(f"{key}: missing subspace columns")
-    m = SubspaceBasis.from_span(matrix_from_json(payload["m"], "m"), tol)
-    n = SubspaceBasis.from_span(matrix_from_json(payload["n"], "n"), tol)
+    m, n = (_payload_subspace(payload, key, t, tol) for key in ("m", "n"))
     variant = payload.get("variant", "invariant")
     if variant == "invariant":
         rep = rigidity_invariant_check(t, m, n, tol)
@@ -322,7 +328,7 @@ def _cmd_decompose(t, payload, args, tol):
 def _cmd_split(t, payload, args, tol):
     if not isinstance(payload, dict) or "m" not in payload:
         raise UsageError("m: split needs an input document with subspace columns")
-    m = SubspaceBasis.from_span(matrix_from_json(payload["m"], "m"), tol)
+    m = _payload_subspace(payload, "m", t, tol)
     n = splitting_construct(t, m, seed=args.seed, tol=tol)
     results = {
         "m_dim": m.dim,

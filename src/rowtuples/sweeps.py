@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .fixtures import rectangle
-from .fock import TruncatedDA, TruncatedFock, creation_matrix
+from .fock import TruncatedFock, creation_matrix
 from .ideals import (
     AnnihilatorBasis,
     model_of,
@@ -27,7 +27,6 @@ from .ideals import (
     staircase_model,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
-from .polynomials import Polynomial
 from .subspaces import (
     SubspaceBasis,
     Verdict,
@@ -366,9 +365,8 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
 
     def case(i, rng):
         t = cyclic_instance(rng, d=2, max_delta=8)
-        inner = int(rng.integers(2**31))
         try:
-            x = quasiaffine_witness(t, inner)
+            x = quasiaffine_witness(t)
         except Exception as exc:  # noqa: BLE001
             return False, f"instance {i}: {exc}", False
         space, model = model_of(t)
@@ -376,11 +374,7 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
             operator_norm(x @ mk - tk @ x) for mk, tk in zip(model.mats, t.mats)
         )
         full_rank = numerical_rank(x) == t.dim
-        const = space.frame.conj().T @ TruncatedDA(t.d, space.degree_cap).coordinates(
-            Polynomial.constant(t.d, 1.0)
-        )
-        const = const / np.linalg.norm(const)
-        xi = x @ const
+        xi = x @ space.frame[0].conj()  # the image of the model's constant function
         gram = gram_operator(t, xi)
         idx = nilpotency_index(t)
         y = fock_intertwiner(t, xi, idx)

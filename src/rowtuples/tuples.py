@@ -211,28 +211,25 @@ def purity(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> bool | None:
     return True if norm < tol.iter_tol else None
 
 
-def nilpotency_index(
-    t: RowTuple, cap: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
-) -> int | None:
-    """Least ``m`` with ``T^alpha = 0`` for every ``|alpha| = m``, if ``m <= cap``.
+def nilpotency_index(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
+    """Least ``m`` with ``T^alpha = 0`` for every ``|alpha| = m``, if ``m <= dim + 1``.
 
-    The cap defaults to ``dim + 1``, which suffices for every commuting
-    nilpotent tuple.  Returns ``None`` when no degree below the cap
+    The search stops at degree ``dim + 1``, which suffices for every
+    commuting nilpotent tuple; ``None`` means no degree up to it
     vanishes.  Only zero-dimensional tuples report index 0: on a nonzero
     space ``T^0 = I`` never vanishes, whatever the scale of the cutoff, so
     the search starts at degree 1.
     """
     require_commuting(t, tol)
-    cap = t.dim + 1 if cap is None else cap
 
     def search() -> int | None:
         cutoff = tol.rank_rel_tol * t.scale
-        for m in range(1 if t.dim else 0, cap + 1):
+        for m in range(1 if t.dim else 0, t.dim + 2):
             if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):
                 return m
         return None
 
-    return t.memo(("nilpotency_index", cap, tol), search)
+    return t.memo(("nilpotency_index", tol), search)
 
 
 def poly_eval(p: Polynomial, t: RowTuple) -> np.ndarray:

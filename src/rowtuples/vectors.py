@@ -30,7 +30,7 @@ from .linalg import (
     operator_norm,
 )
 from .polynomials import Polynomial
-from .subspaces import SubspaceBasis, generated_invariant, intertwiner_space
+from .subspaces import SubspaceBasis, generated_invariant
 from .tuples import RowTuple, nilpotency_index, require_commuting
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _GREEDY_TRIES = 64  # gaussian candidates per greedy round before giving up
-_WITNESS_TRIES = 32  # random intertwiners tried for an invertible one
 
 
 def _check_vector(t: RowTuple, xi) -> np.ndarray:
@@ -68,17 +67,20 @@ def is_cyclic(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return krylov(t, xi, tol).dim == t.dim
 
 
+def _generators(t: RowTuple, tol: ToleranceConfig) -> np.ndarray:
+    """Orthonormal basis of ``(Σ_k T_k H)^⊥``, a minimal generating set by graded Nakayama."""
+    if nilpotency_index(t, tol=tol) is None:
+        raise NotNilpotentError("multiplicity requires a nilpotent tuple")
+    return kernel_basis(t.row().conj().T, tol)
+
+
 def multiplicity(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Least cardinality of a cyclic set for a commuting nilpotent tuple.
 
     Computed as ``dim(H / Σ_k T_k H)``: by graded Nakayama, the minimal
     number of module generators.
     """
-    if nilpotency_index(t, tol=tol) is None:
-        raise NotNilpotentError("multiplicity requires a nilpotent tuple")
-    if t.dim == 0:
-        return 0
-    return t.dim - numerical_rank(np.hstack(t.mats), tol)
+    return _generators(t, tol).shape[1]
 
 
 def _orbit_columns(t: RowTuple, xi: np.ndarray, q: QuotientAlgebra) -> np.ndarray:
@@ -218,32 +220,29 @@ def fock_intertwiner(
     return np.column_stack(cols)
 
 
-def quasiaffine_witness(
-    t: RowTuple, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Invertible ``X`` with ``X (M_J)_k = T_k X`` for ``J = Ann(T)``.
 
-    Requires a cyclic nilpotent tuple, for which the model tuple of the
-    annihilator acts on a space of matching dimension.  The intertwiner
-    solution space is searched for an invertible element by seeded random
-    combination; the result is normalized to unit operator norm.
+    Requires a cyclic nilpotent tuple.  With ξ spanning ``(Σ_k T_k H)^⊥``,
+    its largest entry made real positive, and ``1`` the model's constant,
+    ``X = [T^α ξ] [M^α 1]⁻¹`` over the quotient monomial basis, scaled to
+    unit norm: deterministic, ``X 1 ∥ ξ``, and the identity on a model tuple.
     """
-    if multiplicity(t, tol=tol) != 1:
+    gens = _generators(t, tol)
+    if gens.shape[1] != 1:
         raise NotCyclicError("quasi-affine witness requires a cyclic tuple")
-    _, model = model_of(t, tol)
+    space, model = model_of(t, tol)
     if model.dim != t.dim:
         raise WitnessSearchError(
             f"model dimension {model.dim} does not match tuple dimension {t.dim}"
         )
-    basis = intertwiner_space(model, t, tol).basis
-    if not basis:
-        raise WitnessSearchError("intertwiner space is trivial")
-    rng = np.random.default_rng(seed)
-    for _ in range(_WITNESS_TRIES):
-        w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        x = sum(c * b for c, b in zip(w, basis))
-        if x.shape[0] == x.shape[1] and numerical_rank(x, tol) == x.shape[0]:
-            return x / operator_norm(x, tol)
-    raise WitnessSearchError(
-        "no invertible intertwiner found within the retry budget"
-    )
+    xi = gens[:, 0]
+    lead = xi[int(np.argmax(np.abs(xi)))]
+    xi = xi * (np.conj(lead) / np.abs(lead))
+    q = quotient_of(t, tol)
+    orbit = _orbit_columns(t, xi, q)
+    model_orbit = _orbit_columns(model, space.frame[0].conj(), q)
+    x = np.linalg.solve(model_orbit.T, orbit.T).T
+    if numerical_rank(x, tol) != t.dim:
+        raise WitnessSearchError("the orbit map of the generator is not invertible")
+    return x / operator_norm(x, tol)

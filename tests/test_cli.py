@@ -42,20 +42,17 @@ def write_json(tmp_path, name, obj):
 
 
 def count_annihilator_calls(monkeypatch) -> list:
-    """Record every ``annihilator`` call, wherever the package binds the name."""
+    """Record every annihilator computation; memo hits compute nothing and are not counted."""
     import rowtuples.ideals as ideals
 
     calls = []
-    original = ideals.annihilator
+    original = ideals._annihilator
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in list(sys.modules.values()):
-        name = getattr(module, "__name__", "")
-        if name.startswith("rowtuples") and getattr(module, "annihilator", None) is original:
-            monkeypatch.setattr(module, "annihilator", counting)
+    monkeypatch.setattr(ideals, "_annihilator", counting)
     return calls
 
 
@@ -379,6 +376,33 @@ class TestRigidityAndSplit:
         )
         assert code == 2
         assert "invariant_subspace" in err
+
+
+class TestPayloadErrors:
+    IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("rigidity", {"m": 5, "n": IDENTITY}, "m"),
+            ("rigidity", {"m": [[1], [0]], "n": IDENTITY}, "m"),
+            ("rigidity", {"variant": "sideways", "m": [[1], [0], [0]], "n": IDENTITY}, "variant"),
+            ("split", {"m": [[1], [0]]}, "m"),
+            ("cyclic", [1, 0], "vector"),
+            ("cyclic", ["a", "b", "c"], "vector"),
+            ("gram", "[1e400, 0, 0]", "vector"),
+            ("separating", {"vector": {"x": 1}}, "vector"),
+        ],
+    )
+    def test_malformed_field_exits_1(self, capsys, tmp_path, command, doc, field):
+        path = tmp_path / "doc.json"
+        # 1e400 is valid JSON that json.dumps cannot write, so it comes as text
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(capsys, command, "--fixture", "maxcount", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and re.match(rf"error: {field}\b", lines[0]), err
 
 
 class TestDecompose:

@@ -44,3 +44,15 @@ def test_front_ends_import_only_public_names(name):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"])
+def test_rank_decisions_go_through_linalg(name):
+    # np.linalg.matrix_rank ignores ToleranceConfig; linalg.numerical_rank honours it
+    path = pathlib.Path(rowtuples.__file__).with_name(f"{name}.py")
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix_rank"
+    ]
+    assert calls == []

@@ -134,6 +134,7 @@ class TestPurity:
 class TestNilpotencyIndex:
     def test_worked_example(self):
         assert nilpotency_index(maxcount()) == 2
+        assert nilpotency_index(jordan(5)) == 5
 
     def test_zero_tuple(self):
         assert nilpotency_index(zero_tuple(3, 2)) == 1
@@ -144,10 +145,6 @@ class TestNilpotencyIndex:
 
     def test_identity_not_nilpotent(self):
         assert nilpotency_index(RowTuple([np.eye(2) * 0.5])) is None
-
-    def test_cap_respected(self):
-        assert nilpotency_index(jordan(5), cap=3) is None
-        assert nilpotency_index(jordan(5), cap=5) == 5
 
     def test_requires_commuting(self):
         t = RowTuple([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
@@ -183,12 +180,6 @@ class TestMemoizedVerdicts:
         assert nilpotency_index(t) == 5
         assert calls == []
         assert t._monomials.keys() == monomials.keys()
-
-    def test_explicit_cap_is_keyed_separately(self):
-        t = jordan(5)
-        assert nilpotency_index(t, cap=3) is None
-        assert nilpotency_index(t) == 5
-        assert nilpotency_index(t, cap=4) is None
 
     def test_second_analysis_computes_nothing(self, monkeypatch):
         t = random_similarity(np.random.default_rng(3), rectangle(2, 2))

@@ -1,15 +1,31 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowtuples.errors import NotCyclicError, NotNilpotentError, ShapeError
-from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
+from rowtuples.fixtures import build, fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import TruncatedFock, creation_matrix
-from rowtuples.ideals import annihilator, model_space, model_tuple, quotient_algebra
-from rowtuples.linalg import operator_norm
-from rowtuples.subspaces import generated_invariant
-from rowtuples.sweeps import random_similarity
+from rowtuples.ideals import (
+    annihilator,
+    model_of,
+    model_space,
+    model_tuple,
+    monomial_annihilator,
+    quotient_algebra,
+    staircase_model,
+)
+from rowtuples.linalg import numerical_rank, operator_norm, orthonormalize
+from rowtuples.subspaces import generated_invariant, intertwiner_space
+from rowtuples.sweeps import (
+    cyclic_instance,
+    random_similarity,
+    random_staircase,
+    staircase_generators,
+)
 from rowtuples.tuples import RowTuple, poly_eval
 from rowtuples.vectors import (
     GramReport,
@@ -228,7 +244,7 @@ class TestGramOperator:
         rng = np.random.default_rng(21)
         for t0 in (jordan(3), rectangle(2, 2)):
             t = random_similarity(rng, t0)
-            X = quasiaffine_witness(t, seed=2)
+            X = quasiaffine_witness(t)
             frame = model_space(annihilator(t)).frame
             const = frame.conj().T @ np.eye(frame.shape[0], 1, dtype=complex)[:, 0]
             xi = X @ (const / np.linalg.norm(const))
@@ -273,7 +289,7 @@ class TestFockIntertwiner:
 class TestQuasiaffineWitness:
     def test_jordan_model_intertwiner(self):
         t = jordan(3)
-        X = quasiaffine_witness(t, seed=0)
+        X = quasiaffine_witness(t)
         m = model_tuple(model_space(annihilator(t)))
         assert X.shape == (3, 3)
         assert abs(operator_norm(X) - 1.0) < 1e-12
@@ -286,7 +302,7 @@ class TestQuasiaffineWitness:
     def test_conjugated_model_recovers_intertwiner(self):
         rng = np.random.default_rng(9)
         t = random_similarity(rng, rectangle(2, 2))
-        X = quasiaffine_witness(t, seed=4)
+        X = quasiaffine_witness(t)
         m = model_tuple(model_space(annihilator(t)))
         resid = max(
             operator_norm(t.mats[k] @ X - X @ m.mats[k]) for k in range(t.d)
@@ -307,3 +323,66 @@ class TestQuasiaffineWitness:
         monkeypatch.setattr(ideals, "model_space", fail)
         with pytest.raises(NotCyclicError):
             quasiaffine_witness(maxcount())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lies_in_the_kronecker_intertwiner_space(self, seed):
+        # the Kronecker solve of X M_k = T_k X stays the oracle for n <= 16
+        t = cyclic_instance(np.random.default_rng(seed), d=2, max_delta=16)
+        _, model = model_of(t)
+        x = quasiaffine_witness(t)
+        basis = intertwiner_space(model, t).basis
+        span = orthonormalize(np.column_stack([b.reshape(-1) for b in basis]))
+        vec = x.reshape(-1)
+        assert np.linalg.norm(vec - span @ (span.conj().T @ vec)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "name",
+        ["jordan(1)", "jordan(4)", "rectangle(2,3)", "rectangle(3,3)", "rectangle(4,3)",
+         "rectangle(2,2,2)", "model(x1^2;x1*x2;x2^3)", "model(x1^3;x2^2;x3)"],
+    )
+    def test_identity_on_monomial_fixtures(self, name):
+        t = build(name)
+        assert np.abs(quasiaffine_witness(t) - np.eye(t.dim)).max() <= 1e-12
+
+    @pytest.mark.parametrize("sides", [(2, 3), (4, 3), (2, 2, 2)])
+    def test_stable_under_roundoff(self, sides):
+        # roundoff in the input may move X by roundoff only
+        t = rectangle(*sides)
+        gens = staircase_generators(t.d, list(np.ndindex(*sides)))
+        numeric = model_tuple(model_space(monomial_annihilator(t.d, gens)))
+        rng = np.random.default_rng(sum(sides))
+        noise = [np.exp(2j * np.pi * rng.random(m.shape)) for m in t.mats]
+        jittered = RowTuple([m + 2e-16 * e for m, e in zip(t.mats, noise)])
+        x = quasiaffine_witness(t)
+        for u in (numeric, jittered):
+            assert max(np.abs(a - b).max() for a, b in zip(u.mats, t.mats)) <= 4e-16
+            assert np.abs(quasiaffine_witness(u) - x).max() <= 1e-12
+
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_similar_staircase_models(self, d, size, seed):
+        rng = np.random.default_rng(seed)
+        t = random_similarity(rng, staircase_model(d, random_staircase(rng, d, size)))
+        space, model = model_of(t)
+        x = quasiaffine_witness(t)
+        residual = max(operator_norm(tk @ x - x @ mk) for tk, mk in zip(t.mats, model.mats))
+        assert residual < 1e-8
+        assert numerical_rank(x) == t.dim
+        assert abs(operator_norm(x) - 1.0) < 1e-12
+        # X maps the constant into (Σ_k T_k H)^⊥, the generator's line
+        image = x @ space.frame[0].conj()
+        assert np.linalg.norm(t.row().conj().T @ image) <= 1e-8 * np.linalg.norm(image)
+
+    def test_needs_no_kronecker_solve(self, monkeypatch):
+        import rowtuples.subspaces as subspaces
+
+        original = subspaces.intertwiner_space
+
+        def fail(*args, **kwargs):
+            raise AssertionError("quasi-affine witness solved the Kronecker system")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "intertwiner_space", None) is original:
+                monkeypatch.setattr(module, "intertwiner_space", fail)
+        t = random_similarity(np.random.default_rng(4), rectangle(3, 2))
+        assert quasiaffine_witness(t).shape == (6, 6)
