@@ -37,12 +37,15 @@ from .ideals import (
     ModelSpace,
     QuotientAlgebra,
     annihilator,
+    annihilator_normal_form,
     annihilators_equal,
     model_of,
     model_space,
     model_tuple,
     monomial_annihilator,
+    nakayama_generators,
     omega_e,
+    orbit_matrix,
     quotient_algebra,
     quotient_of,
     staircase_model,

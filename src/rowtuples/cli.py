@@ -30,6 +30,7 @@ from .fixtures import build, fixture_catalog
 from .fock import truncated_multiplier_norms
 from .ideals import (
     annihilator,
+    annihilator_normal_form,
     model_of,
     model_space,
     model_tuple,
@@ -199,7 +200,7 @@ def _cmd_check(t, payload, args, tol):
 
 
 def _cmd_ann(t, payload, args, tol):
-    ann = annihilator(t, tol)
+    ann = annihilator_normal_form(t, tol)
     q = quotient_of(t, tol)
     results = {
         "degree_bound": ann.degree_bound,

@@ -6,9 +6,17 @@ the annihilator ideal is captured exactly by the finite-dimensional slice
 ``Ann(T) ∩ C[x]_{<=m}``.  This module computes that slice as the kernel
 of the evaluation map and keeps it in that form: a matrix whose columns
 are coefficient vectors over the graded monomials of degree at most
-``m``.  From it follow the quotient algebra ``A = C[x]/Ann(T)`` with its
-monomial basis and structure constants, and a concrete realization of
-the quotient as a compressed multiplication tuple on the subspace
+``m``.  The map is evaluated on the Nakayama generators ``G``, an
+orthonormal basis of ``(Σ_k T_k H)^⊥``: by graded Nakayama they generate
+``H`` as a ``C[x]``-module, so for commuting ``T`` a polynomial kills ``T``
+exactly when it kills ``G``, and the evaluation map needs ``n·μ`` rows
+(``μ`` generators), not ``n²``.  This is the orbit and normal-form linear
+algebra of the Buchberger-Möller algorithm (Möller & Buchberger, EUROCAM
+1982; Stetter, *Numerical Polynomial Algebra*, SIAM 2004).  From the
+slice follow the quotient algebra ``A = C[x]/Ann(T)`` with its monomial
+basis and structure constants, the normal-form basis of the slice over
+that monomial basis, and a concrete realization of the quotient as a
+compressed multiplication tuple on the subspace
 
     H_J = ( Ann(T) ∩ C[x]_{<=m} )^⊥
 
@@ -32,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    cokernel_basis,
     orthonormalize,
     rank_and_kernel,
     subspaces_equal,
@@ -43,7 +52,10 @@ __all__ = [
     "AnnihilatorBasis",
     "QuotientAlgebra",
     "ModelSpace",
+    "nakayama_generators",
+    "orbit_matrix",
     "annihilator",
+    "annihilator_normal_form",
     "annihilators_equal",
     "monomial_annihilator",
     "staircase_model",
@@ -65,9 +77,9 @@ class AnnihilatorBasis:
     This is deliberately not a Gröbner basis: every construction in the
     package needs only membership tests and quotient dimensions, which
     are rank computations on this matrix.  The ``ann`` report renders the
-    columns as text straight from the matrix
-    (:func:`~rowtuples.polynomials.format_columns`); :attr:`basis` turns
-    them into :class:`Polynomial` objects for callers that need them.
+    columns of :func:`annihilator_normal_form` as text straight from the
+    matrix (:func:`~rowtuples.polynomials.format_columns`); :attr:`basis`
+    turns them into :class:`Polynomial` objects for callers that need them.
     """
 
     d: int
@@ -190,12 +202,62 @@ class ModelSpace:
         return self.frame.shape[1]
 
 
+def nakayama_generators(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of ``(Σ_k T_k H)^⊥``, computed once per tolerance.
+
+    By graded Nakayama these vectors are a minimal generating set of ``H``
+    as a ``C[x]``-module when ``T`` is nilpotent; their number is the
+    multiplicity.  They are the trailing left singular vectors of the row
+    operator ``[T_1 .. T_d]``; the matrix is read-only.
+    """
+
+    def compute() -> np.ndarray:
+        if nilpotency_index(t, tol=tol) is None:
+            raise NotNilpotentError("multiplicity requires a nilpotent tuple")
+        gens = cokernel_basis(t.row(), tol)
+        gens.setflags(write=False)
+        return gens
+
+    return t.memo(("generators", tol), compute)
+
+
+def orbit_matrix(t: RowTuple, vectors, monomials) -> np.ndarray:
+    """One column ``T^alpha V`` per exponent ``alpha`` of ``monomials``.
+
+    ``vectors`` is one vector or an ``n x k`` matrix ``V``; each column of
+    the result is ``T^alpha V`` flattened row-major, so it has ``n * k``
+    rows.  The powers come from the tuple's monomial cache and are applied
+    in one stacked product.
+    """
+    v = np.asarray(vectors, dtype=np.complex128)
+    if not monomials:
+        return np.zeros((v.size, 0), dtype=np.complex128)
+    powers = np.stack([t.monomial(alpha) for alpha in monomials])
+    stacked = powers.reshape(len(monomials) * t.dim, t.dim) @ v
+    return stacked.reshape(len(monomials), v.size).T
+
+
+def _generator_orbits(t: RowTuple, tol: ToleranceConfig) -> np.ndarray:
+    """``E = [T^alpha G]`` over the graded monomials of degree at most ``m``, read-only."""
+
+    def compute() -> np.ndarray:
+        m = nilpotency_index(t, tol=tol)
+        orbits = orbit_matrix(t, nakayama_generators(t, tol), graded_indices(t.d, m))
+        orbits.setflags(write=False)
+        return orbits
+
+    return t.memo(("generator_orbits", tol), compute)
+
+
 def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorBasis:
     """Kernel of the evaluation map ``p -> p(T)`` on ``C[x]_{<=m}``.
 
     ``m`` is the nilpotency index of ``T``; beyond it every monomial
-    evaluates to zero, so the slice determines the whole ideal.  The
-    tuple computes it once per tolerance.
+    evaluates to zero, so the slice determines the whole ideal.  Since
+    ``T`` commutes and the Nakayama generators ``G`` generate ``H``,
+    ``p(T) = 0`` exactly when ``p(T) G = 0``, so the kernel is taken of the
+    ``n·μ``-row orbit matrix ``[T^alpha G]``.  The tuple computes it once
+    per tolerance.
     """
     return t.memo(("annihilator", tol), lambda: _annihilator(t, tol))
 
@@ -206,12 +268,36 @@ def _annihilator(t: RowTuple, tol: ToleranceConfig) -> AnnihilatorBasis:
         raise NotNilpotentError(
             f"no vanishing degree at or below dim+1 = {t.dim + 1}"
         )
-    monomials = graded_indices(t.d, m)
-    eval_map = np.zeros((t.dim * t.dim, len(monomials)), dtype=np.complex128)
-    for j, alpha in enumerate(monomials):
-        eval_map[:, j] = t.monomial(alpha).reshape(-1)
-    _, kernel = rank_and_kernel(eval_map, tol)
+    _, kernel = rank_and_kernel(_generator_orbits(t, tol), tol)
     return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel)
+
+
+def annihilator_normal_form(
+    t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL
+) -> AnnihilatorBasis:
+    """The annihilator slice in normal form over the quotient's monomial basis ``S``.
+
+    One column per monomial ``x^beta`` of the slice outside ``S``, in graded
+    order: ``x^beta - Σ_{alpha ∈ S} c_(alpha,beta) x^alpha``, the unique
+    element of the ideal with that leading part, where ``c`` solves
+    ``[T^alpha G]_(alpha ∈ S) c = [T^beta G]_beta`` in the least-squares
+    sense.  The basis depends only on the ideal and ``S``, not on the
+    kernel's SVD, and a coefficient is exactly zero wherever the orbit of
+    ``x^beta`` is: a monomial ideal gets plain monomials.
+    """
+    ann = annihilator(t, tol)
+    standard = set(quotient_of(t, tol).monomial_basis)
+    monomials = ann.monomials()
+    inside = [i for i, alpha in enumerate(monomials) if alpha in standard]
+    outside = [i for i, alpha in enumerate(monomials) if alpha not in standard]
+    coefficients = np.zeros((len(monomials), len(outside)), dtype=np.complex128)
+    coefficients[outside, np.arange(len(outside))] = 1.0
+    if inside:
+        orbits = _generator_orbits(t, tol)
+        coefficients[inside] = -np.linalg.lstsq(
+            orbits[:, inside], orbits[:, outside], rcond=None
+        )[0]
+    return AnnihilatorBasis(d=t.d, degree_bound=ann.degree_bound, coefficients=coefficients)
 
 
 def _staircase(d: int, generators) -> list[tuple[int, ...]]:
@@ -449,31 +535,33 @@ def _canonical_frame(kernel: np.ndarray) -> np.ndarray:
     Columns are rebuilt by Gram-Schmidt over the coordinate projections in
     graded monomial order, so for monomial ideals the frame reduces to the
     surviving coordinate vectors; each column is scaled to make its largest
-    entry real positive.
+    entry real positive.  The projection of coordinate ``j`` is
+    ``K (K*)[:, j]`` and ``K`` is an isometry, so the Gram-Schmidt runs on
+    the short columns of ``K*`` (classical, with one reorthogonalization
+    pass) and the frame is ``K`` times the result.
     """
     rank = kernel.shape[1]
     if rank == 0:
         return kernel
-    proj = kernel @ kernel.conj().T
-    cols: list[np.ndarray] = []
-    conj_cols: list[np.ndarray] = []  # each accepted column conjugated once
-    for j in range(proj.shape[0]):
-        if len(cols) == rank:
+    coords = kernel.conj().T
+    basis = np.zeros((rank, rank), dtype=np.complex128)
+    found = 0
+    for j in range(coords.shape[1]):
+        if found == rank:
             break
-        v = proj[:, j].copy()
-        for u, u_conj in zip(cols, conj_cols):
-            v -= u * (u_conj @ v)
+        v = coords[:, j]
+        for _ in range(2):
+            done = basis[:, :found]
+            v = v - done @ (done.conj().T @ v)
         norm = np.linalg.norm(v)
         if norm > 1e-8:
-            cols.append(v / norm)
-            conj_cols.append(cols[-1].conj())
-    if len(cols) != rank:  # near-degenerate projector; keep the SVD frame
+            basis[:, found] = v / norm
+            found += 1
+    if found != rank:  # near-degenerate projector; keep the SVD frame
         return kernel
-    out = []
-    for v in cols:
-        lead = v[int(np.argmax(np.abs(v)))]
-        out.append(v * (np.conj(lead) / np.abs(lead)))
-    return np.column_stack(out)
+    frame = kernel @ basis
+    lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(rank)]
+    return frame * (np.conj(lead) / np.abs(lead))
 
 
 def model_tuple(space: ModelSpace) -> RowTuple:

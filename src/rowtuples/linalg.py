@@ -12,6 +12,8 @@ vectors too, but never the left ones: a tall matrix is first reduced to
 the square triangular factor ``R`` of its QR decomposition, which has the
 same singular values and right singular vectors (the R-SVD of T. F. Chan,
 ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
+``cokernel_basis`` needs the left singular vectors instead, and takes them
+from one SVD of the matrix itself, not of its adjoint.
 
 A decision that only compares a norm with a cutoff goes through
 ``norm_at_most``, never through ``operator_norm``.  The Frobenius norm
@@ -43,6 +45,7 @@ __all__ = [
     "rank_and_kernel",
     "numerical_rank",
     "kernel_basis",
+    "cokernel_basis",
     "psd_below_identity",
     "orthonormalize",
     "projector",
@@ -221,6 +224,22 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
 
 def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rank_and_kernel(a, tol)[1]
+
+
+def cokernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the range of ``a``.
+
+    The trailing left singular vectors of one SVD of ``a``, past the rank
+    that ``rank_and_kernel`` would report: the subspace of
+    ``kernel_basis(a*)``, without reducing the adjoint first.  A wide ``a``
+    needs only its thin left factor, which is already square.
+    """
+    m = as_matrix(a)
+    nrows, ncols = m.shape
+    if m.size == 0:
+        return np.eye(nrows, dtype=np.complex128)
+    u, s, _ = np.linalg.svd(m, full_matrices=nrows > ncols)
+    return u[:, _rank_from_singular_values(s, tol):]
 
 
 def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:

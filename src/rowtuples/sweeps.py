@@ -23,6 +23,7 @@ from .ideals import (
     AnnihilatorBasis,
     model_of,
     monomial_annihilator,
+    orbit_matrix,
     quotient_of,
     staircase_model,
 )
@@ -317,10 +318,13 @@ def sweep_splitting(seed: int = 0, count: int = 100) -> SweepOutcome:
         stacked = np.hstack([m.frame, n.frame])
         svals = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.array([])
         checks = [
-            is_invariant(t, n),
-            m.dim + n.dim == t.dim,
-            svals.size == 0 or svals[-1] > 1e-8,
-            numerical_rank(stacked) == t.dim,
+            bool(check)  # numpy booleans would print as np.True_
+            for check in (
+                is_invariant(t, n),
+                m.dim + n.dim == t.dim,
+                svals.size == 0 or svals[-1] > 1e-8,
+                numerical_rank(stacked) == t.dim,
+            )
         ]
         ok = all(checks)
         return ok, f"instance {i}: checks={checks}" if not ok else "", False
@@ -346,12 +350,7 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
         except Exception as exc:  # noqa: BLE001
             return False, f"instance {i}: {exc}", False
         strict = all(a > b for a, b in zip(trace, trace[1:]))
-        joint = np.vstack(
-            [
-                np.column_stack([t.monomial(alpha) @ xi for alpha in q.monomial_basis])
-                for xi in chosen
-            ]
-        )
+        joint = orbit_matrix(t, np.column_stack(chosen), q.monomial_basis)
         separating = numerical_rank(joint) == delta
         ok = len(chosen) <= delta and strict and separating and trace[-1] == 0
         msg = f"instance {i}: size={len(chosen)} delta={delta} trace={trace}"

@@ -15,12 +15,11 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     NotCyclicError,
-    NotNilpotentError,
     ShapeError,
     WitnessSearchError,
 )
 from .fock import TruncatedFock
-from .ideals import QuotientAlgebra, model_of, quotient_of
+from .ideals import model_of, nakayama_generators, orbit_matrix, quotient_of
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -31,7 +30,7 @@ from .linalg import (
 )
 from .polynomials import Polynomial
 from .subspaces import SubspaceBasis, generated_invariant
-from .tuples import RowTuple, nilpotency_index, require_commuting
+from .tuples import RowTuple, require_commuting
 
 __all__ = [
     "GramReport",
@@ -67,25 +66,13 @@ def is_cyclic(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return krylov(t, xi, tol).dim == t.dim
 
 
-def _generators(t: RowTuple, tol: ToleranceConfig) -> np.ndarray:
-    """Orthonormal basis of ``(Σ_k T_k H)^⊥``, a minimal generating set by graded Nakayama."""
-    if nilpotency_index(t, tol=tol) is None:
-        raise NotNilpotentError("multiplicity requires a nilpotent tuple")
-    return kernel_basis(t.row().conj().T, tol)
-
-
 def multiplicity(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Least cardinality of a cyclic set for a commuting nilpotent tuple.
 
     Computed as ``dim(H / Σ_k T_k H)``: by graded Nakayama, the minimal
-    number of module generators.
+    number of module generators (:func:`~rowtuples.ideals.nakayama_generators`).
     """
-    return _generators(t, tol).shape[1]
-
-
-def _orbit_columns(t: RowTuple, xi: np.ndarray, q: QuotientAlgebra) -> np.ndarray:
-    """Columns ``T^α ξ`` over the quotient monomial basis."""
-    return np.column_stack([t.monomial(alpha) @ xi for alpha in q.monomial_basis])
+    return nakayama_generators(t, tol).shape[1]
 
 
 def is_separating(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -96,7 +83,7 @@ def is_separating(t: RowTuple, xi, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """
     v = _check_vector(t, xi)
     q = quotient_of(t, tol)
-    return numerical_rank(_orbit_columns(t, v, q), tol) == q.dim
+    return numerical_rank(orbit_matrix(t, v, q.monomial_basis), tol) == q.dim
 
 
 def separating_witness(
@@ -111,7 +98,7 @@ def separating_witness(
     """
     v = _check_vector(t, xi)
     q = quotient_of(t, tol)
-    ker = kernel_basis(_orbit_columns(t, v, q), tol)
+    ker = kernel_basis(orbit_matrix(t, v, q.monomial_basis), tol)
     if ker.shape[1] == 0:
         return None
     coeffs = ker[:, 0]
@@ -152,7 +139,7 @@ def separating_greedy(
                 cand = np.zeros(t.dim, dtype=np.complex128)
                 cand[attempt] = 1.0
             shrunk = kframe @ kernel_basis(
-                _orbit_columns(t, cand, q) @ kframe, tol
+                orbit_matrix(t, cand, q.monomial_basis) @ kframe, tol
             )
             if shrunk.shape[1] < kframe.shape[1]:
                 chosen.append(cand)
@@ -228,7 +215,7 @@ def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     ``X = [T^α ξ] [M^α 1]⁻¹`` over the quotient monomial basis, scaled to
     unit norm: deterministic, ``X 1 ∥ ξ``, and the identity on a model tuple.
     """
-    gens = _generators(t, tol)
+    gens = nakayama_generators(t, tol)
     if gens.shape[1] != 1:
         raise NotCyclicError("quasi-affine witness requires a cyclic tuple")
     space, model = model_of(t, tol)
@@ -240,8 +227,8 @@ def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     lead = xi[int(np.argmax(np.abs(xi)))]
     xi = xi * (np.conj(lead) / np.abs(lead))
     q = quotient_of(t, tol)
-    orbit = _orbit_columns(t, xi, q)
-    model_orbit = _orbit_columns(model, space.frame[0].conj(), q)
+    orbit = orbit_matrix(t, xi, q.monomial_basis)
+    model_orbit = orbit_matrix(model, space.frame[0].conj(), q.monomial_basis)
     x = np.linalg.solve(model_orbit.T, orbit.T).T
     if numerical_rank(x, tol) != t.dim:
         raise WitnessSearchError("the orbit map of the generator is not invertible")

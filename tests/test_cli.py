@@ -193,6 +193,22 @@ class TestAnnAndModel:
         assert "x1^2" in basis and len(basis) == len(set(basis)) > 0
         assert all(re.fullmatch(r"x\d(\^\d+)?(\*x\d(\^\d+)?)*", p) for p in basis)
 
+    def test_ann_prints_the_normal_form(self, capsys, tmp_path):
+        code, rep, _ = run_json(capsys, "ann", "--fixture", "maxcount")
+        assert code == 0
+        assert rep["results"]["basis"] == ["x1^2", "x1*x2", "x2^2"]
+        # a similarity of jordan(3) keeps the ideal (x^3): one element, led by
+        # x1^3 with a unit coefficient after the roundoff tail over 1, x1, x1^2
+        from rowtuples.fixtures import jordan
+        from rowtuples.sweeps import random_similarity
+
+        t = random_similarity(np.random.default_rng(4), jordan(3))
+        path = write_json(tmp_path, "t.json", tuple_to_json(t))
+        code, rep, _ = run_json(capsys, "ann", "--input", path)
+        assert code == 0
+        (element,) = rep["results"]["basis"]
+        assert element.endswith(" + x1^3")
+
     def test_model_jordan(self, capsys):
         code, rep, _ = run_json(capsys, "model", "--fixture", "jordan(2)")
         assert code == 0
@@ -526,6 +542,15 @@ class TestSweepCommand:
         assert code == 3
         assert rep["results"]["ok"] is False
         assert rep["results"]["suites"][0]["violations"] > 0
+
+    def test_splitting_fault_message_prints_plain_booleans(self, capsys):
+        # the pinned splitting fault: instance 3 fails two of its four checks
+        code, rep, _ = run_json(
+            capsys, "sweep", "--suite", "splitting", "--count", "4", "--seed", "800019"
+        )
+        suite = rep["results"]["suites"][0]
+        assert suite["failed"] == 1
+        assert suite["messages"] == ["instance 3: checks=[True, False, True, False]"]
 
     def test_greedy_analyses_each_instance_once(self, capsys, monkeypatch):
         # the sweep and separating_greedy share one annihilator and one quotient

@@ -10,17 +10,23 @@ from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from rowtuples.ideals import (
     AnnihilatorBasis,
+    _canonical_frame,
     annihilator,
+    annihilator_normal_form,
     annihilators_equal,
     model_space,
     model_tuple,
     monomial_annihilator,
+    nakayama_generators,
     omega_e,
+    orbit_matrix,
     quotient_algebra,
+    quotient_of,
     staircase_model,
 )
+from rowtuples.linalg import orthonormalize, rank_and_kernel, subspace_distance
 from rowtuples.polynomials import Polynomial, graded_indices, parse_polynomial
-from rowtuples.sweeps import random_similarity, staircase_generators
+from rowtuples.sweeps import random_similarity, random_staircase, staircase_generators
 from rowtuples.tuples import RowTuple, nilpotency_index, poly_eval, validate
 
 
@@ -462,3 +468,217 @@ class TestStaircaseModel:
     def test_rejects_what_is_no_staircase(self, d, points, error):
         with pytest.raises(error):
             staircase_model(d, points)
+
+
+def _full_evaluation_kernel(t: RowTuple) -> np.ndarray:
+    """Kernel of the n²-row evaluation map ``p -> vec p(T)``, the orbit kernel's oracle."""
+    monomials = graded_indices(t.d, nilpotency_index(t))
+    eval_map = np.column_stack([t.monomial(alpha).reshape(-1) for alpha in monomials])
+    return rank_and_kernel(eval_map)[1]
+
+
+def _evaluate_columns(t: RowTuple, ann: AnnihilatorBasis) -> list[np.ndarray]:
+    """``p(T)`` for every coefficient column ``p`` of ``ann``."""
+    powers = [t.monomial(alpha) for alpha in ann.monomials()]
+    return [sum(c * power for c, power in zip(col, powers)) for col in ann.coefficients.T]
+
+
+def _conjugated_sum(seed: int, *parts: RowTuple) -> RowTuple:
+    """A random similarity of the direct sum of ``parts``."""
+    from scipy.linalg import block_diag
+
+    summed = RowTuple([block_diag(*mats) for mats in zip(*(p.mats for p in parts))])
+    return random_similarity(np.random.default_rng(seed), summed)
+
+
+def _multiplicity_above_one(choice: int, seed: int) -> RowTuple:
+    rng = np.random.default_rng(seed)
+    if choice < 3:
+        base = (maxcount(), fromgriff(2), fromgriff(3))[choice]
+        return random_similarity(rng, base)
+    a = staircase_model(2, random_staircase(rng, 2, 6))
+    b = staircase_model(2, random_staircase(rng, 2, 6))
+    return _conjugated_sum(seed + 1, a, b)
+
+
+class TestOrbitAnnihilator:
+    """The annihilator from the generators' orbits against the n²-row oracle."""
+
+    @given(case=staircases(), seed=st.integers(0, 2**32 - 1), conjugate=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_evaluation_on_staircases(self, case, seed, conjugate):
+        d, lam = case
+        t = staircase_model(d, lam)
+        if conjugate:
+            t = random_similarity(np.random.default_rng(seed), t)
+        kernel = annihilator(t).coefficients
+        oracle = _full_evaluation_kernel(t)
+        assert kernel.shape == oracle.shape
+        assert subspace_distance(kernel, oracle) < 1e-10
+
+    @given(choice=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_evaluation_above_multiplicity_one(self, choice, seed):
+        t = _multiplicity_above_one(choice, seed)
+        assert nakayama_generators(t).shape[1] > 1
+        kernel = annihilator(t).coefficients
+        oracle = _full_evaluation_kernel(t)
+        assert kernel.shape == oracle.shape
+        assert subspace_distance(kernel, oracle) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dimension_zero(self, d):
+        t = zero_tuple(d, 0)
+        assert nakayama_generators(t).shape == (0, 0)
+        ann = annihilator(t)
+        assert ann.degree_bound == 0
+        assert np.array_equal(ann.coefficients, _full_evaluation_kernel(t))
+        normal = annihilator_normal_form(t)
+        assert np.array_equal(normal.coefficients, np.ones((1, 1)))
+
+    def test_evaluation_map_has_n_mu_rows(self, monkeypatch):
+        import rowtuples.ideals as ideals
+
+        shapes = []
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return rank_and_kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(ideals, "rank_and_kernel", recording)
+        t = _multiplicity_above_one(1, 4)
+        annihilator(t)
+        mu = nakayama_generators(t).shape[1]
+        assert shapes == [(t.dim * mu, math.comb(nilpotency_index(t) + t.d, t.d))]
+
+    def test_generators_computed_once(self, monkeypatch):
+        import rowtuples.ideals as ideals
+        from rowtuples.linalg import cokernel_basis
+        from rowtuples.vectors import multiplicity, quasiaffine_witness
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cokernel_basis(*args, **kwargs)
+
+        monkeypatch.setattr(ideals, "cokernel_basis", counting)
+        t = random_similarity(np.random.default_rng(8), rectangle(3, 2))
+        assert multiplicity(t) == 1
+        annihilator(t)
+        quasiaffine_witness(t)
+        assert len(calls) == 1
+        gens = nakayama_generators(t)
+        assert not gens.flags.writeable
+        assert np.abs(t.row().conj().T @ gens).max() < 1e-12
+
+    def test_orbit_matrix_columns(self):
+        t = random_similarity(np.random.default_rng(2), rectangle(2, 3))
+        monomials = graded_indices(2, 3)
+        vecs = np.random.default_rng(3).standard_normal((t.dim, 2))
+        orbit = orbit_matrix(t, vecs, monomials)
+        assert orbit.shape == (2 * t.dim, len(monomials))
+        for j, alpha in enumerate(monomials):
+            assert np.allclose(orbit[:, j], (t.monomial(alpha) @ vecs).reshape(-1), atol=1e-15)
+        single = orbit_matrix(t, vecs[:, 0], monomials)
+        assert np.allclose(single, orbit[0::2], atol=1e-15)
+        assert orbit_matrix(t, vecs[:, 0], []).shape == (t.dim, 0)
+
+
+class TestNormalForm:
+    @given(case=staircases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_annihilate(self, case, seed):
+        d, lam = case
+        t = random_similarity(np.random.default_rng(seed), staircase_model(d, lam))
+        normal = annihilator_normal_form(t)
+        ann = annihilator(t)
+        assert normal.coefficients.shape == ann.coefficients.shape
+        assert normal.degree_bound == ann.degree_bound
+        for value in _evaluate_columns(t, normal):
+            assert np.linalg.norm(value, 2) <= 1e-10
+        assert annihilators_equal(normal, ann)
+
+    @pytest.mark.parametrize("choice", range(6))
+    def test_columns_annihilate_above_multiplicity_one(self, choice):
+        t = _multiplicity_above_one(choice, 11 + choice)
+        for value in _evaluate_columns(t, annihilator_normal_form(t)):
+            assert np.linalg.norm(value, 2) <= 1e-10
+
+    def test_leading_monomial_and_standard_tail(self):
+        t = random_similarity(np.random.default_rng(6), rectangle(2, 3))
+        normal = annihilator_normal_form(t)
+        standard = set(quotient_of(t).monomial_basis)
+        outside = [i for i, a in enumerate(normal.monomials()) if a not in standard]
+        assert np.array_equal(normal.coefficients[outside], np.eye(len(outside)))
+        assert not normal.coefficients.flags.writeable
+
+    def test_monomial_fixtures_are_plain_monomials(self):
+        for t, gens in (
+            (rectangle(2, 2, 2), [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+            (maxcount(), [(2, 0), (1, 1), (0, 2)]),
+            (jordan(3), [(3,)]),
+        ):
+            normal = annihilator_normal_form(t)
+            exact = monomial_annihilator(t.d, gens)
+            assert normal.degree_bound == exact.degree_bound
+            assert np.array_equal(normal.coefficients, exact.coefficients)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_similar_tuples_share_the_normal_form(self, seed):
+        # a unitary change of variables makes the ideal non-monomial
+        rng = np.random.default_rng(seed)
+        model = staircase_model(2, random_staircase(rng, 2, 8))
+        mix = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        base = RowTuple([sum(c * m for c, m in zip(row, model.mats)) for row in mix])
+        first = random_similarity(rng, base)
+        second = random_similarity(rng, base)
+        assert quotient_of(first).monomial_basis == quotient_of(second).monomial_basis
+        a = annihilator_normal_form(first).coefficients
+        b = annihilator_normal_form(second).coefficients
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-9
+
+
+def _projector_frame(kernel: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt over the columns of the explicit projector, the frame's oracle."""
+    proj = kernel @ kernel.conj().T
+    cols: list[np.ndarray] = []
+    for j in range(proj.shape[0]):
+        if len(cols) == kernel.shape[1]:
+            break
+        v = proj[:, j].copy()
+        for u in cols:
+            v -= u * (u.conj() @ v)
+        if np.linalg.norm(v) > 1e-8:
+            cols.append(v / np.linalg.norm(v))
+    lead = [v[int(np.argmax(np.abs(v)))] for v in cols]
+    return np.column_stack([v * (np.conj(c) / abs(c)) for v, c in zip(cols, lead)])
+
+
+class TestCanonicalFrame:
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(6, 3), (12, 5), (20, 20)]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_projector_gram_schmidt(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kernel = orthonormalize(g)
+        frame = _canonical_frame(kernel)
+        assert np.abs(frame - _projector_frame(kernel)).max() < 1e-13
+        assert np.abs(frame.conj().T @ frame - np.eye(shape[1])).max() < 1e-13
+
+    def test_model_space_frames_match(self):
+        for t in (
+            random_similarity(np.random.default_rng(1), rectangle(3, 3)),
+            random_similarity(np.random.default_rng(2), rectangle(2, 2, 2)),
+            fromgriff(3),
+        ):
+            frame = model_space(annihilator(t)).frame
+            assert np.abs(frame - _projector_frame(frame)).max() < 1e-13
+
+    def test_rank_deficient_coordinates_skipped(self):
+        # the span of e2 and e4: coordinates 1 and 3 project to zero
+        kernel = np.zeros((4, 2), dtype=np.complex128)
+        kernel[1, 0] = kernel[3, 1] = 1j
+        frame = _canonical_frame(kernel)
+        assert np.array_equal(frame, np.eye(4)[:, [1, 3]])

@@ -16,6 +16,8 @@ from rowtuples.errors import (
 from rowtuples.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    cokernel_basis,
+    kernel_basis,
     norm_at_most,
     numerical_rank,
     operator_norm,
@@ -241,6 +243,40 @@ class TestRankAndKernel:
             tracemalloc.stop()
         assert (rank, kernel.shape) == (105, (105, 0))
         assert peak < 20 * 2**20
+
+
+class TestCokernelBasis:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(9, 4), (6, 6), (4, 9), (5, 15)]),
+        rank_fraction=st.floats(0.0, 1.0),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_kernel_of_the_adjoint(self, shape, rank_fraction, scale, seed):
+        rows, cols = shape
+        r = 1 + round(rank_fraction * (min(shape) - 1))
+        rng = np.random.default_rng(seed)
+        left = rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
+        right = rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+        a = scale * left @ right
+        co = cokernel_basis(a)
+        oracle = kernel_basis(a.conj().T)
+        assert co.shape == oracle.shape == (rows, rows - r)
+        assert np.linalg.norm(co.conj().T @ co - np.eye(rows - r)) < 1e-12
+        assert np.linalg.norm(projector(co) - projector(oracle)) < 1e-10
+
+    def test_empty_and_zero(self):
+        assert cokernel_basis(np.zeros((0, 0))).shape == (0, 0)
+        assert np.array_equal(cokernel_basis(np.zeros((3, 0))), np.eye(3))
+        assert cokernel_basis(np.zeros((0, 4))).shape == (0, 0)
+        assert cokernel_basis(np.zeros((2, 5))).shape == (2, 2)
+
+    def test_scale_invariance(self):
+        a = np.diag([1.0, 1e-3, 0.0])
+        for scale in (1e-8, 1.0, 1e8):
+            co = cokernel_basis(scale * a)
+            assert co.shape == (3, 1) and abs(abs(co[2, 0]) - 1.0) < 1e-14
 
 
 class TestPsdBelowIdentity:
