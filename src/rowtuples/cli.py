@@ -90,11 +90,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rowtuples", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, help_text, *, poly=False, suite=False):
+    def add(name, help_text, *, seed=False, poly=False, suite=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="JSON input file (tuple, vector, or payload)")
         p.add_argument("--fixture", help="named fixture, e.g. maxcount or jordan(3)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
         p.add_argument("--tol", type=float, help="rank/PSD decision tolerance")
         p.add_argument("--degree", type=int, help="degree cap where applicable")
         p.add_argument("--json", action="store_true", help="machine-readable report")
@@ -109,15 +110,15 @@ def _build_parser() -> _Parser:
     add("ann", "annihilator basis, quotient dimension, socle exponents")
     add("model", "model space dimension and compressed multiplier matrices")
     add("cyclic", "cyclicity of a vector (or the tuple's multiplicity)")
-    add("separating", "separating verdict for a vector, or the greedy set")
+    add("separating", "separating verdict for a vector, or the greedy set", seed=True)
     add("gram", "word-orbit gram operator and its norm bound")
     add("transform", "quasi-affine witness intertwining the model tuple")
     add("rigidity", "annihilator-rigidity verdict for a subspace pair")
     add("decompose", "invariant-decomposition certificate via the commutant")
-    add("split", "complement an invariant subspace (splitting construction)")
+    add("split", "complement an invariant subspace (splitting construction)", seed=True)
     add("fock", "truncated multiplier norms of a polynomial", poly=True)
     add("fixtures", "list the built-in fixtures")
-    add("sweep", "run the randomized property suites", suite=True)
+    add("sweep", "run the randomized property suites", seed=True, suite=True)
     return parser
 
 
@@ -312,7 +313,7 @@ def _cmd_rigidity(t, payload, args, tol):
 
 
 def _cmd_decompose(t, payload, args, tol):
-    rep = decomposition_exists(t, seed=args.seed, tol=tol)
+    rep = decomposition_exists(t, tol=tol)
     results = {
         "exists": rep.exists,
         "commutant_dim": rep.commutant_dim,
@@ -320,7 +321,7 @@ def _cmd_decompose(t, payload, args, tol):
         "idempotent": None if rep.idempotent is None else matrix_to_json(rep.idempotent),
     }
     if rep.exists:
-        found = decomposition_find(t, False, args.seed, tol)
+        found = decomposition_find(t, tol=tol)
         if found is not None:
             results["m_dim"], results["n_dim"] = found[0].dim, found[1].dim
     return results, [], EXIT_OK

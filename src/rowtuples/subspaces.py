@@ -1,9 +1,9 @@
 """Invariant and co-invariant subspace machinery for commuting tuples.
 
 Restrictions, compressions, intertwiner spaces, annihilator-rigidity
-verdicts, invariant-decomposition search through commutant idempotents,
-and the splitting construction for invariant subspaces whose restricted
-adjoint is cyclic.
+verdicts, invariant decompositions from an idempotent of the commutant
+(lifted from its semisimple quotient, with no search), and the splitting
+construction for invariant subspaces whose restricted adjoint is cyclic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester
 
 from .errors import (
     DomainError,
@@ -27,10 +26,11 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     as_vector,
+    cokernel_basis,
     kernel_basis,
     norm_at_most,
-    numerical_rank,
     orthonormalize,
+    rank_and_kernel,
     subspaces_equal,
 )
 from .tuples import RowTuple, nilpotency_index
@@ -334,77 +334,10 @@ class DecompositionReport:
     idempotent: np.ndarray | None
 
 
-def _eig_clusters(eigs: np.ndarray, rel_gap: float = 1e-6) -> list[list[int]]:
-    """Group eigenvalues into connected clusters at a relative gap."""
-    n = len(eigs)
-    thr = rel_gap * max(1.0, float(np.abs(eigs).max()))
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eigs[i] - eigs[j]) <= thr:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _spectral_idempotent(
-    a: np.ndarray, t: RowTuple, tol: ToleranceConfig
-) -> np.ndarray | None:
-    """Riesz projector onto one eigenvalue cluster of a commutant element.
-
-    Returns None when the element has a single cluster or the candidate
-    fails the idempotent/commutation certificate checks.
-    """
-    n = a.shape[0]
-    eigs = np.linalg.eigvals(a)
-    clusters = _eig_clusters(eigs)
-    if len(clusters) < 2:
-        return None
-    centers = [eigs[idx].mean() for idx in clusters]
-    pick = max(range(len(clusters)), key=lambda i: (centers[i].real, centers[i].imag))
-    inside = eigs[clusters[pick]]
-    outside = np.concatenate(
-        [eigs[idx] for i, idx in enumerate(clusters) if i != pick]
-    )
-
-    def sorter(z):
-        return np.min(np.abs(z - inside)) < np.min(np.abs(z - outside))
-
-    u, z, sdim = schur(a, output="complex", sort=sorter)
-    if sdim == 0 or sdim == n:
-        return None
-    a11 = u[:sdim, :sdim]
-    b = u[:sdim, sdim:]
-    a22 = u[sdim:, sdim:]
-    try:
-        r = solve_sylvester(a11, -a22, b)
-    except np.linalg.LinAlgError:
-        return None
-    p = np.zeros((n, n), dtype=np.complex128)
-    p[:sdim, :sdim] = np.eye(sdim)
-    p[:sdim, sdim:] = r
-    e = z @ p @ z.conj().T
-    for _ in range(3):
-        ee = e @ e
-        e = 3.0 * ee - 2.0 * (ee @ e)
-    if not norm_at_most(e @ e - e, 1e-9, tol):
-        return None
-    for mat, norm in zip(t.mats, t.norms):
-        if not norm_at_most(e @ mat - mat @ e, 1e-9 * max(1.0, norm), tol):
-            return None
-    rank = float(np.trace(e).real)
-    if abs(rank - round(rank)) > 0.1 or not 0 < round(rank) < n:
-        return None
-    return e
+# Relative distance within which eigenvalues of the generic element of the
+# semisimple quotient count as one cluster.  That element is diagonalizable,
+# so its repeated eigenvalues agree to roundoff, not to ε^{1/ν}.
+_CLUSTER_GAP = 1e-6
 
 
 def _commutant(t: RowTuple, tol: ToleranceConfig) -> tuple:
@@ -413,22 +346,28 @@ def _commutant(t: RowTuple, tol: ToleranceConfig) -> tuple:
 
 
 def decomposition_exists(
-    t: RowTuple, *, seed: int = 0, tol: ToleranceConfig = DEFAULT_TOL
+    t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DecompositionReport:
     """Decide decomposability through the commutant's semisimple quotient.
 
-    The commutant algebra is decomposable-detecting: a nontrivial pair of
-    complementary invariant subspaces exists exactly when the commutant
-    contains an idempotent other than 0 and I, equivalently when the
-    semisimple quotient (commutant modulo its radical) has dimension > 1.
-    The radical is the kernel of the trace form of the left regular
-    representation, valid in characteristic zero.  The tuple keeps the
-    report per ``(seed, tol)`` and the commutant per ``tol``.
+    A nontrivial pair of complementary invariant subspaces exists exactly
+    when the commutant ``C`` contains an idempotent other than 0 and I,
+    equivalently when ``C/R`` has dimension > 1, where the radical ``R``
+    is the kernel of the trace form of the left regular representation
+    (characteristic zero).  The certificate is built once, without a
+    search: left multiplication on ``C/R`` is a faithful representation of
+    that semisimple algebra, so a fixed generic element of it is
+    diagonalizable; the eigenprojector of one of its eigenvalue clusters
+    has a preimage in ``C`` that is idempotent modulo ``R``, and the
+    Newton iteration ``e ← 3e² − 2e³`` lifts it to an idempotent of ``C``
+    (Friedl & Rónyai, STOC 1985).  Raises :class:`WitnessSearchError` when
+    the lifted idempotent fails its certificate.  The tuple keeps the
+    report and the commutant per ``tol``.
     """
-    return t.memo(("decomposition", seed, tol), lambda: _decomposition_report(t, seed, tol))
+    return t.memo(("decomposition", tol), lambda: _decomposition_report(t, tol))
 
 
-def _decomposition_report(t: RowTuple, seed: int, tol: ToleranceConfig) -> DecompositionReport:
+def _decomposition_report(t: RowTuple, tol: ToleranceConfig) -> DecompositionReport:
     basis = _commutant(t, tol)
     r = len(basis)
     if r == 0:
@@ -442,74 +381,67 @@ def _decomposition_report(t: RowTuple, seed: int, tol: ToleranceConfig) -> Decom
     for i in range(r):
         for j in range(i, r):
             k[i, j] = k[j, i] = np.trace(left[i] @ left[j])
-    semisimple = numerical_rank(k, tol)
-    exists = semisimple > 1
-    if not exists:
+    semisimple, radical = rank_and_kernel(k, tol)
+    if semisimple <= 1:
         return DecompositionReport(False, r, semisimple, None)
 
-    idem = None
-    rng = np.random.default_rng(seed)
-    for attempt in range(len(basis) + 32):
-        if attempt < len(basis):
-            a = basis[attempt]
-        else:
-            w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            a = sum(c * b for c, b in zip(w, basis))
-        idem = _spectral_idempotent(a, t, tol)
-        if idem is not None:
-            break
-    if idem is None:
+    # R is a two-sided ideal, so compressing left multiplications to the
+    # coordinates orthogonal to R is an algebra map with kernel exactly R.
+    # (Compressing C itself to (R·H)^⊥ is not: in 0 ⊕ maxcount a radical
+    # map covers the first summand, and its idempotent dies there too.)
+    q = cokernel_basis(radical, tol)
+    images = np.column_stack([(q.conj().T @ m @ q).ravel() for m in left])
+    # A fixed element with distinct phases and moduli stands in for a random
+    # one, so the report needs no seed and is the same on every run.
+    j = np.arange(r)
+    y = (images @ (np.exp(2.4j * j) * (1.0 + j / r))).reshape(semisimple, semisimple)
+    vals, vecs = np.linalg.eig(y)
+    near = np.abs(vals - vals[np.argmax(vals.real)]) <= _CLUSTER_GAP * np.abs(vals).max()
+    p = vecs[:, near] @ np.linalg.pinv(vecs)[near]
+    coeffs = np.linalg.lstsq(images, p.ravel(), rcond=None)[0]
+    e = np.tensordot(coeffs, np.array(basis), axes=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(np.ceil(np.log2(t.dim))) + 2):
+            ee = e @ e
+            e = 3.0 * ee - 2.0 * (ee @ e)
+    if not _certifies(e, t, tol):
         raise WitnessSearchError(
-            "semisimple quotient is nontrivial but no idempotent certificate "
-            "was found within the retry budget"
+            "the idempotent lifted from the semisimple quotient fails its certificate"
         )
-    idem.setflags(write=False)
-    return DecompositionReport(True, r, semisimple, idem)
+    e.setflags(write=False)
+    return DecompositionReport(True, r, semisimple, e)
 
 
-def decomposition_find(
-    t: RowTuple,
-    want_cyclic: bool = False,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
-    """Search for a pair of complementary nontrivial invariant subspaces.
+def _certifies(e: np.ndarray, t: RowTuple, tol: ToleranceConfig) -> bool:
+    """Whether ``e`` is a nontrivial idempotent commuting with the tuple."""
+    if not np.isfinite(e).all() or not norm_at_most(e @ e - e, 1e-9, tol):
+        return False
+    if not all(
+        norm_at_most(e @ mat - mat @ e, 1e-9 * max(1.0, norm), tol)
+        for mat, norm in zip(t.mats, t.norms)
+    ):
+        return False
+    rank = float(np.trace(e).real)
+    return abs(rank - round(rank)) <= 0.1 and 0 < round(rank) < t.dim
 
-    Returns ``(M, N)`` with trivial intersection and full span, or None
-    when no decomposition exists (or no candidate passes the cyclicity
-    filter when ``want_cyclic``).  The first candidate is the certificate
-    of :func:`decomposition_exists` for the same seed.
+
+def decomposition_find(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL):
+    """A pair of complementary nontrivial invariant subspaces, or None.
+
+    Returns ``(M, N)``, the ranges of the certificate ``e`` of
+    :func:`decomposition_exists` and of ``I − e``, when both pass the
+    invariance test; None when no decomposition exists.
     """
-    from .vectors import multiplicity
-
-    report = decomposition_exists(t, seed=seed, tol=tol)
+    report = decomposition_exists(t, tol=tol)
     if not report.exists:
         return None
-    basis = _commutant(t, tol)
-    rng = np.random.default_rng(seed + 1)
-
-    def candidates():
-        yield report.idempotent
-        for _ in range(32):
-            w = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-            a = sum(c * b for c, b in zip(w, basis))
-            e = _spectral_idempotent(a, t, tol)
-            if e is not None:
-                yield e
-
-    eye = np.eye(t.dim)
-    for e in candidates():
-        for part in (e, eye - e):
-            m = SubspaceBasis.from_span(orthonormalize(part, tol), tol)
-            n = SubspaceBasis.from_span(orthonormalize(eye - part, tol), tol)
-            if m.dim == 0 or n.dim == 0 or m.dim + n.dim != t.dim:
-                continue
-            if not (is_invariant(t, m, tol, atol=1e-7) and is_invariant(t, n, tol, atol=1e-7)):
-                continue
-            if want_cyclic and multiplicity(compress(t, m), tol=tol) != 1:
-                continue
-            return m, n
-    return None
+    e = report.idempotent
+    m, n = (SubspaceBasis(t.dim, orthonormalize(part, tol)) for part in (e, np.eye(t.dim) - e))
+    if m.dim + n.dim != t.dim:
+        return None
+    if not (is_invariant(t, m, tol, atol=1e-7) and is_invariant(t, n, tol, atol=1e-7)):
+        return None
+    return m, n
 
 
 def splitting_construct(

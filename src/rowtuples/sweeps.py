@@ -405,9 +405,8 @@ def sweep_decompose(seed: int = 0, count: int = 200) -> SweepOutcome:
 
     def case(i, rng):
         t = small_nilpotent_instance(rng, dim_cap=4)
-        inner = int(rng.integers(2**31))
-        rep = decomposition_exists(t, seed=inner)
-        pair = decomposition_find(t, seed=inner)
+        rep = decomposition_exists(t)
+        pair = decomposition_find(t)
         if not rep.exists:
             ok = rep.idempotent is None and pair is None
             return ok, "" if ok else f"instance {i}: inconsistent absence", False

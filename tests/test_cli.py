@@ -438,6 +438,22 @@ class TestDecompose:
         assert r["exists"] is True
         assert r["m_dim"] + r["n_dim"] == 4
 
+    def test_generic_direct_sum_is_reported_the_same_twice(self, capsys, tmp_path):
+        from rowtuples.fixtures import rectangle
+        from rowtuples.sweeps import random_similarity
+
+        twice = rowtuples.RowTuple([np.kron(np.eye(2), m) for m in rectangle(3, 3).mats])
+        t = random_similarity(np.random.default_rng(100), twice)
+        path = write_json(tmp_path, "t.json", tuple_to_json(t))
+        (code, first, _), (_, second, _) = (
+            run_json(capsys, "decompose", "--input", path) for _ in range(2)
+        )
+        assert code == 0
+        assert first["results"] == second["results"]
+        r = first["results"]
+        assert (r["exists"], r["commutant_dim"], r["semisimple_dim"]) == (True, 36, 4)
+        assert r["m_dim"] == r["n_dim"] == 9
+
     def test_commutant_computed_once(self, capsys, tmp_path, monkeypatch):
         import rowtuples.subspaces as subspaces
         from rowtuples.fixtures import rectangle
@@ -581,7 +597,7 @@ class TestUsage:
             ["sweep", "--count", "-1"],
             ["sweep", "--seed", "-1"],
             ["separating", "--fixture", "maxcount", "--seed", "-1"],
-            ["transform", "--fixture", "jordan(3)", "--seed", "-1"],
+            ["split", "--fixture", "maxcount", "--seed", "-1"],
         ],
     )
     def test_negative_seed_or_count_is_a_usage_error(self, capsys, argv):

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from rowtuples.errors import DomainError, HypothesisError, ShapeError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
@@ -19,12 +24,42 @@ from rowtuples.subspaces import (
     rigidity_invariant_check,
     splitting_construct,
 )
+from rowtuples.sweeps import random_similarity, small_nilpotent_instance
 from rowtuples.tuples import RowTuple
-from rowtuples.vectors import multiplicity
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0, 0.0], dtype=complex)
 E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
+
+
+def direct_sum(*parts: RowTuple) -> RowTuple:
+    return RowTuple([block_diag(*mats) for mats in zip(*(p.mats for p in parts))])
+
+
+def assert_certifies(e, t: RowTuple) -> float:
+    """Check that ``e`` is a nontrivial idempotent commuting with ``t``; its trace."""
+    assert operator_norm(e @ e - e) < 1e-9
+    for mat in t.mats:
+        assert operator_norm(e @ mat - mat @ e) < 1e-9 * max(1.0, operator_norm(mat))
+    tr = np.trace(e).real
+    assert abs(tr - round(tr)) < 1e-9 and 0 < round(tr) < t.dim
+    return tr
+
+
+def assert_pair(t: RowTuple, pair) -> None:
+    """Check that ``pair`` is a complementary pair of nontrivial invariant subspaces."""
+    assert pair is not None
+    m, n = pair
+    assert 0 < m.dim < t.dim and m.dim + n.dim == t.dim
+    assert is_invariant(t, m) and is_invariant(t, n)
+    assert np.linalg.svd(np.hstack([m.frame, n.frame]), compute_uv=False)[-1] > 1e-8
+
+
+def equal_rectangles(seed: int) -> RowTuple:
+    """A generic conjugate of ``rectangle(3,3) ⊕ rectangle(3,3)``."""
+    return random_similarity(
+        np.random.default_rng(seed), direct_sum(rectangle(3, 3), rectangle(3, 3))
+    )
 
 
 def two_jordan_cells() -> RowTuple:
@@ -228,13 +263,6 @@ class TestDecomposition:
         stacked = np.hstack([m.frame, n.frame])
         assert np.linalg.matrix_rank(stacked) == 4
 
-    def test_find_cyclic_part(self):
-        t = two_jordan_cells()
-        out = decomposition_find(t, want_cyclic=True)
-        assert out is not None
-        m, _ = out
-        assert multiplicity(restrict(t, m)) == 1
-
     def test_find_none_when_indecomposable(self):
         assert decomposition_find(jordan(3)) is None
 
@@ -244,6 +272,55 @@ class TestDecomposition:
         assert rep.exists is True
         assert rep.commutant_dim == 4
         assert rep.semisimple_dim == 4
+        assert_certifies(rep.idempotent, RowTuple([np.eye(2) * 0.5]))
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_radical_covering_a_summand(self, s):
+        # in 0 ⊕ maxcount a radical map sends maxcount onto the first summand,
+        # so the compression of C to (R·H)^⊥ loses one of the two factors of
+        # C/R; the left regular representation of C/R keeps both
+        zero = RowTuple([np.zeros((1, 1))] * 2)
+        t = random_similarity(np.random.default_rng(s), direct_sum(zero, maxcount()), 0.3)
+        rep = decomposition_exists(t)
+        assert (rep.exists, rep.semisimple_dim) == (True, 2)
+        assert round(assert_certifies(rep.idempotent, t)) in (1, 3)
+
+    @pytest.mark.parametrize("s", range(10))
+    def test_conjugated_equal_rectangles(self, s):
+        # decomposable by construction; a clustering of a generic commutant
+        # element's eigenvalues used to miss the two 9-fold eigenvalues
+        t = equal_rectangles(100 + s)
+        rep = decomposition_exists(t)
+        assert (rep.exists, rep.commutant_dim, rep.semisimple_dim) == (True, 36, 4)
+        assert round(assert_certifies(rep.idempotent, t)) == 9
+        assert_pair(t, decomposition_find(t))
+
+    @pytest.mark.parametrize("s", range(300, 305))
+    def test_conjugated_three_summands(self, s):
+        parts = [rectangle(2, 3), rectangle(2, 2), rectangle(3, 1)]
+        t = random_similarity(np.random.default_rng(s), direct_sum(*parts))
+        rep = decomposition_exists(t)
+        assert (t.dim, rep.exists, rep.commutant_dim, rep.semisimple_dim) == (13, True, 29, 3)
+        sums = {sum(c) for k in (1, 2) for c in itertools.combinations((6, 4, 3), k)}
+        assert round(assert_certifies(rep.idempotent, t)) in sums
+        assert_pair(t, decomposition_find(t))
+
+    def test_report_is_deterministic(self):
+        first, again = equal_rectangles(100), equal_rectangles(100)
+        assert np.array_equal(
+            decomposition_exists(first).idempotent, decomposition_exists(again).idempotent
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_does_not_change_the_report(self, seed, scale):
+        t = small_nilpotent_instance(np.random.default_rng(seed), dim_cap=4)
+        scaled = RowTuple([scale * m for m in t.mats])
+        reports = [decomposition_exists(u) for u in (t, scaled)]
+        assert len({(r.exists, r.commutant_dim, r.semisimple_dim) for r in reports}) == 1
+        for u, r in zip((t, scaled), reports):
+            if r.exists:
+                assert_certifies(r.idempotent, u)
 
 
 class TestSplitting:

@@ -192,8 +192,8 @@ class TestMemoizedVerdicts:
                 annihilator(u),
                 quotient_of(u),
                 *model_of(u),
-                decomposition_exists(u, seed=2),
-                decomposition_find(u, seed=2) is not None,
+                decomposition_exists(u),
+                decomposition_find(u) is not None,
                 u.adjoint(),
             )
 
