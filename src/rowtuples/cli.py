@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from .errors import (
+    DomainError,
     HypothesisError,
     NotCommutingError,
     NotCyclicError,
@@ -29,11 +30,8 @@ from .errors import (
 from .fixtures import build, fixture_catalog
 from .fock import truncated_multiplier_norms
 from .ideals import (
-    annihilator,
     annihilator_normal_form,
     model_of,
-    model_space,
-    model_tuple,
     omega_e,
     quotient_of,
 )
@@ -214,12 +212,14 @@ def _cmd_ann(t, payload, args, tol):
 
 
 def _cmd_model(t, payload, args, tol):
-    ann = annihilator(t, tol)
-    space = model_space(ann, args.degree, tol)
-    mt = model_tuple(space)
+    # H_J lies below the degree bound, so the matrices do not depend on the cap
+    space, mt = model_of(t, tol)
+    cap = space.degree_cap if args.degree is None else args.degree
+    if cap < space.degree_cap:
+        raise DomainError(f"degree cap {cap} below the annihilator bound {space.degree_cap}")
     results = {
         "dim": space.dim,
-        "degree_cap": space.degree_cap,
+        "degree_cap": cap,
         "matrices": [matrix_to_json(mat) for mat in mt.mats],
     }
     return results, [], EXIT_OK

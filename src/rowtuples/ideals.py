@@ -10,29 +10,30 @@ are coefficient vectors over the graded monomials of degree at most
 orthonormal basis of ``(Σ_k T_k H)^⊥``: by graded Nakayama they generate
 ``H`` as a ``C[x]``-module, so for commuting ``T`` a polynomial kills ``T``
 exactly when it kills ``G``, and the evaluation map needs ``n·μ`` rows
-(``μ`` generators), not ``n²``.  This is the orbit and normal-form linear
-algebra of the Buchberger-Möller algorithm (Möller & Buchberger, EUROCAM
-1982; Stetter, *Numerical Polynomial Algebra*, SIAM 2004).  From the
-slice follow the quotient algebra ``A = C[x]/Ann(T)`` with its monomial
-basis and structure constants, the normal-form basis of the slice over
-that monomial basis, and a concrete realization of the quotient as a
-compressed multiplication tuple on the subspace
+(``μ`` generators), not ``n²``.  The same orbit matrix gives the quotient
+``A = C[x]/Ann(T)`` by the order-ideal and normal-form step of the
+Buchberger-Möller algorithm (Möller & Buchberger, EUROCAM 1982; Stetter,
+*Numerical Polynomial Algebra*, SIAM 2004): its monomial basis ``S``, the
+normal form of every other monomial (exactly zero where the orbit column
+is below the rank cutoff), the structure constants, and a realization of
+the quotient as a compressed multiplication tuple on the subspace
 
     H_J = ( Ann(T) ∩ C[x]_{<=m} )^⊥
 
-of the truncated Drury-Arveson space; since every monomial of degree
-``m`` lies in the slice, ``H_J`` is supported on degrees below ``m``.
-For a monomial ideal ``H_J`` is the coordinate span of the staircase of
-standard monomials, and :func:`staircase_model` writes the model down in
-closed form.
+of the truncated Drury-Arveson space, the graph of the normal form over
+the coordinates of ``S``, supported on degrees below ``m``.  For a monomial
+ideal ``H_J`` is the coordinate span of the staircase of standard
+monomials, and :func:`staircase_model` writes the model down in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError, NotNilpotentError, ShapeError
 from .fock import TruncatedDA, da_monomial_norm, multiplication_matrix
@@ -41,6 +42,8 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     cokernel_basis,
+    numerical_rank,
+    operator_norm,
     orthonormalize,
     rank_and_kernel,
     subspaces_equal,
@@ -152,9 +155,7 @@ class AnnihilatorBasis:
                 column = np.zeros(len(monomials), dtype=np.complex128)
                 column[shift_rows(beta)[:length]] = q[:length]
                 columns.append(column)
-        if not columns:
-            return np.zeros((len(monomials), 0), dtype=np.complex128)
-        return np.array(columns, dtype=np.complex128).T
+        return np.array(columns, dtype=np.complex128).reshape(-1, len(monomials)).T
 
 
 @dataclass(frozen=True)
@@ -162,14 +163,27 @@ class QuotientAlgebra:
     """The algebra ``A = C[x]/(C[x] ∩ Ann(T))`` in a monomial basis.
 
     ``mult_table[i, j]`` holds the coordinates of the product class
-    ``[x^a_i * x^a_j]`` over ``monomial_basis``; the arrays are read-only.
+    ``[x^a_i * x^a_j]`` over ``monomial_basis``, built on first use; the
+    arrays are read-only.
     """
 
     monomial_basis: tuple[tuple[int, ...], ...]
     dim: int
-    mult_table: np.ndarray
     _ann: AnnihilatorBasis
+    _standard: np.ndarray  # slice positions of monomial_basis
     _reducer: np.ndarray  # maps slice coefficients to quotient coordinates
+
+    @functools.cached_property
+    def mult_table(self) -> np.ndarray:
+        positions = {alpha: i for i, alpha in enumerate(self._ann.monomials())}
+        table = np.zeros((self.dim,) * 3, dtype=np.complex128)
+        for i, alpha in enumerate(self.monomial_basis):
+            for j, beta in enumerate(self.monomial_basis):
+                k = positions.get(tuple(a + b for a, b in zip(alpha, beta)))
+                if k is not None:  # a product beyond the slice has class zero
+                    table[i, j] = self._reducer[:, k]
+        table.setflags(write=False)
+        return table
 
     def reduce(self, p: Polynomial) -> np.ndarray:
         """Coordinates of ``[p]`` over ``monomial_basis``.
@@ -179,14 +193,9 @@ class QuotientAlgebra:
         """
         if p.d != self._ann.d:
             raise ShapeError(f"polynomial has d={p.d}, algebra has d={self._ann.d}")
-        monomials = self._ann.monomials()
-        positions = {alpha: i for i, alpha in enumerate(monomials)}
-        vec = np.zeros(len(monomials), dtype=np.complex128)
-        for alpha, c in p.coeffs.items():
-            i = positions.get(alpha)
-            if i is not None:
-                vec[i] = c
-        return self._reducer @ vec
+        m = self._ann.degree_bound
+        low = Polynomial(p.d, {a: c for a, c in p.coeffs.items() if sum(a) <= m})
+        return self._reducer @ low.coefficient_vector(self._ann.monomials())
 
 
 @dataclass(frozen=True)
@@ -279,25 +288,16 @@ def annihilator_normal_form(
 
     One column per monomial ``x^beta`` of the slice outside ``S``, in graded
     order: ``x^beta - Σ_{alpha ∈ S} c_(alpha,beta) x^alpha``, the unique
-    element of the ideal with that leading part, where ``c`` solves
-    ``[T^alpha G]_(alpha ∈ S) c = [T^beta G]_beta`` in the least-squares
-    sense.  The basis depends only on the ideal and ``S``, not on the
-    kernel's SVD, and a coefficient is exactly zero wherever the orbit of
-    ``x^beta`` is: a monomial ideal gets plain monomials.
+    element of the ideal with that leading part, with ``c`` the normal form
+    of :func:`quotient_of`.  The basis depends only on the ideal and ``S``,
+    and the column is exactly ``x^beta`` wherever the orbit of ``x^beta``
+    lies below the rank cutoff: a monomial ideal gets plain monomials.
     """
-    ann = annihilator(t, tol)
-    standard = set(quotient_of(t, tol).monomial_basis)
-    monomials = ann.monomials()
-    inside = [i for i, alpha in enumerate(monomials) if alpha in standard]
-    outside = [i for i, alpha in enumerate(monomials) if alpha not in standard]
-    coefficients = np.zeros((len(monomials), len(outside)), dtype=np.complex128)
-    coefficients[outside, np.arange(len(outside))] = 1.0
-    if inside:
-        orbits = _generator_orbits(t, tol)
-        coefficients[inside] = -np.linalg.lstsq(
-            orbits[:, inside], orbits[:, outside], rcond=None
-        )[0]
-    return AnnihilatorBasis(d=t.d, degree_bound=ann.degree_bound, coefficients=coefficients)
+    q = quotient_of(t, tol)
+    forms = np.eye(q._reducer.shape[1], dtype=np.complex128)
+    forms[q._standard] -= q._reducer  # zero on the columns of S
+    outside = np.setdiff1d(np.arange(forms.shape[1]), q._standard)
+    return AnnihilatorBasis(t.d, q._ann.degree_bound, forms[:, outside])
 
 
 def _staircase(d: int, generators) -> list[tuple[int, ...]]:
@@ -354,9 +354,9 @@ def staircase_model(d: int, staircase) -> RowTuple:
     ``alpha + e_k`` lies in the staircase, and ``M_k e_alpha = 0`` otherwise
     (Drury-Arveson norms, see :func:`~rowtuples.fock.da_monomial_norm`).
     Each entry is the one :func:`~rowtuples.fock.multiplication_matrix`
-    holds, and every other entry is an exact zero.  This equals
+    holds, and every other entry is an exact zero: the matrices of
     ``model_tuple(model_space(monomial_annihilator(d, gens)))`` for the
-    ideal's generators, up to roundoff, without any SVD.
+    ideal's generators, built without any SVD.
 
     ``staircase`` must be a finite order ideal of ``N^d``: it contains the
     origin and, with every point, each point one step below it.
@@ -405,67 +405,59 @@ def quotient_algebra(
 ) -> QuotientAlgebra:
     """Monomial basis and structure constants of ``C[x]_{<=m} / span(ann)``.
 
-    Monomials are selected greedily in graded order, keeping those whose
-    class is independent of the annihilator span and the classes already
-    chosen.  Products are reduced through the inverse of the resulting
-    change-of-basis matrix.
+    :func:`_quotient` on ``W*``, ``W`` an orthonormal basis of the complement
+    of ``span(ann)``; ``W*`` has norm 1, so the cutoff is ``rank_rel_tol``.
+    """
+    return _quotient(ann, cokernel_basis(ann.coefficients, tol).conj().T, tol)
+
+
+def quotient_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> QuotientAlgebra:
+    """:func:`_quotient` on the orbit matrix ``[T^alpha G]``, computed once per tolerance."""
+    return t.memo(
+        ("quotient", tol), lambda: _quotient(annihilator(t, tol), _generator_orbits(t, tol), tol)
+    )
+
+
+def _quotient(ann: AnnihilatorBasis, e: np.ndarray, tol: ToleranceConfig) -> QuotientAlgebra:
+    """Standard monomials ``S``, normal form and multiplication table of the quotient.
+
+    ``e`` represents the quotient map on ``C[x]_{<=m}``: one column per graded
+    monomial, kernel ``span(ann)``.  In graded order, ``x^alpha`` joins ``S``
+    when its column's residual against those of ``S`` (two Gram-Schmidt
+    passes) exceeds ``rank_rel_tol * sigma_max(e)``, the rule of
+    ``rank_and_kernel``.  A column at or below that cutoff has normal form
+    exactly zero, any other solves ``e_S c = e[:, beta]`` in least squares.
     """
     monomials = ann.monomials()
     n = len(monomials)
-    ann_frame = orthonormalize(ann.coefficients, tol)
-    frame = ann_frame
-    rows: list[int] = []
-    for pos in range(n):
-        vec = np.zeros(n, dtype=np.complex128)
-        vec[pos] = 1.0
-        # the frame's coefficients of e_pos are its conjugated row pos
-        residual = vec - frame @ frame[pos].conj()
-        norm = np.linalg.norm(residual)
-        if norm <= max(tol.rank_rel_tol, 1e-12):
-            continue
-        rows.append(pos)
-        frame = np.hstack([frame, (residual / norm)[:, None]])
+    cutoff = tol.rank_rel_tol * operator_norm(e, tol)
+    lengths = np.linalg.norm(e, axis=0)
+    frame = np.zeros((n, e.shape[0]), dtype=np.complex128)  # rows: the standard columns
+    rows, live = [], []  # S, and the other columns above the cutoff
+    for pos in np.flatnonzero(lengths > cutoff):  # no residual outgrows its column
+        residual, done = e[:, pos], frame[: len(rows)]
+        for _ in range(2):
+            residual = residual - (done.conj() @ residual) @ done
+        norm = math.sqrt(np.vdot(residual, residual).real)
+        if norm > cutoff:
+            frame[len(rows)] = residual / norm
+        (rows if norm > cutoff else live).append(int(pos))
 
     delta = len(rows)
-    if delta + ann_frame.shape[1] != n:
+    # an ann that merely spans the slice is checked against the rank of e instead
+    if delta + ann.coefficients.shape[1] != n and delta != numerical_rank(e, tol):
         raise DomainError(
             "annihilator span and monomial classes do not fill the slice; "
             "the basis is numerically degenerate"
         )
-    class_cols = np.zeros((n, delta), dtype=np.complex128)
-    class_cols[rows, np.arange(delta)] = 1.0
-    change = np.hstack([class_cols, ann_frame])
-    reducer = np.linalg.inv(change)[:delta, :]
-
-    # Row of each product x^a_i * x^a_j of degree <= m: exponents are
-    # encoded in radix m + 1, which is exact at those degrees, and looked up
-    # among the monomials' codes; a product of higher degree has class zero.
-    m = ann.degree_bound
-    exps = np.array(monomials, dtype=np.int64).reshape(n, ann.d)
-    fits = (m + 1) ** ann.d < 2**63  # else exact Python integers
-    radix = np.array([(m + 1) ** k for k in range(ann.d)], dtype=np.int64 if fits else object)
-    codes = exps @ radix
-    order = np.argsort(codes)
-    chosen = exps[rows]
-    products = chosen[:, None, :] + chosen[None, :, :]
-    inside = products.sum(axis=-1) <= m
-    found = order[np.searchsorted(codes[order], products[inside] @ radix)]
-    table = np.zeros((delta, delta, delta), dtype=np.complex128)
-    table[inside] = reducer[:, found].T
-    table.setflags(write=False)
+    standard = np.array(rows, dtype=np.intp)
+    reducer = np.zeros((delta, n), dtype=np.complex128)
+    reducer[np.arange(delta), standard] = 1.0
+    if live:
+        reducer[:, live] = np.linalg.lstsq(e[:, standard], e[:, live], rcond=None)[0]
+    standard.setflags(write=False)
     reducer.setflags(write=False)
-    return QuotientAlgebra(
-        monomial_basis=tuple(monomials[i] for i in rows),
-        dim=delta,
-        mult_table=table,
-        _ann=ann,
-        _reducer=reducer,
-    )
-
-
-def quotient_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> QuotientAlgebra:
-    """``quotient_algebra(annihilator(t, tol), tol)``, computed once per tolerance."""
-    return t.memo(("quotient", tol), lambda: quotient_algebra(annihilator(t, tol), tol))
+    return QuotientAlgebra(tuple(monomials[i] for i in rows), delta, ann, standard, reducer)
 
 
 def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, ...]]:
@@ -490,41 +482,47 @@ def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, .
 def model_space(
     ann: AnnihilatorBasis, degree_cap: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ModelSpace:
-    """Compute ``H_J`` inside the degree-``degree_cap`` truncation.
+    """``H_J`` inside the degree-``degree_cap`` truncation, as :func:`_model_graph`.
 
-    The cap defaults to the annihilator's degree bound ``m`` and must not
-    fall below it.  The annihilator must contain every monomial of degree
-    exactly ``m`` (the nilpotent regime), which makes the truncation
-    exact: ``H_J`` is supported on degrees below ``m``.
+    The graph of the normal form of :func:`quotient_algebra`.  The cap
+    defaults to the degree bound ``m`` and must not fall below it.  Every
+    monomial of degree ``m`` must lie in the annihilator (the nilpotent
+    regime), so ``H_J`` is supported on degrees below ``m``.
     """
+    return _model_graph(quotient_algebra(ann, tol), degree_cap)
+
+
+def _model_graph(q: QuotientAlgebra, degree_cap: int | None) -> ModelSpace:
+    """``H_J`` as the graph of the quotient's normal form ``c``, in the canonical frame.
+
+    ``v`` is orthogonal to the slice exactly when ``v_gamma = Σ_{alpha ∈ S}
+    conj(c_(alpha,gamma)) w_alpha v_alpha / w_gamma`` (``w = ||x^gamma||``).
+    That graph basis ``Y`` becomes ``Y R^-1``, ``R`` the Cholesky factor of
+    ``Y* Y``, twice (CholeskyQR2, Fukaya et al., ScalA 2014: one pass loses
+    orthogonality as ``eps cond(Y)^2``); a monomial ideal gets a 0/1 frame.
+    """
+    ann = q._ann
     m = ann.degree_bound
-    if degree_cap is None:
-        degree_cap = m
+    degree_cap = m if degree_cap is None else degree_cap
     if degree_cap < m:
         raise DomainError(f"degree cap {degree_cap} below the annihilator bound {m}")
     monomials = ann.monomials()
-    positions = {alpha: i for i, alpha in enumerate(monomials)}
-    ann_frame = orthonormalize(ann.coefficients, tol)
-    for alpha in monomials:
-        if sum(alpha) != m:
-            continue
-        vec = np.zeros(len(monomials), dtype=np.complex128)
-        vec[positions[alpha]] = 1.0
-        if np.linalg.norm(vec - ann_frame @ (ann_frame.conj().T @ vec)) > 1e-8:
+    for i, alpha in enumerate(monomials):
+        if sum(alpha) == m and q._reducer[:, i].any():  # standard, or a nonzero normal form
             raise DomainError(
                 f"annihilator misses the degree-{m} monomial x^{alpha}; "
                 "the ideal is not nilpotent at this bound"
             )
-
-    space = TruncatedDA(ann.d, degree_cap)
-    if ann.coefficients.shape[1] == 0:
-        frame = np.eye(space.dim, dtype=np.complex128)
-    else:
-        weights = np.array([da_monomial_norm(alpha) for alpha in space.basis()])
-        slice_cols = ann.ideal_slice(degree_cap) * weights[:, None]
-        slice_frame = orthonormalize(slice_cols, tol)
-        _, kernel = rank_and_kernel(slice_frame.conj().T, tol)
-        frame = _canonical_frame(kernel)
+    weights = np.array([da_monomial_norm(alpha) for alpha in monomials])
+    graph = np.zeros((math.comb(degree_cap + ann.d, ann.d), q.dim), dtype=np.complex128)
+    graph[: len(monomials)] = q._reducer.conj().T * weights[q._standard] / weights[:, None]
+    for _ in range(2):
+        try:
+            r = scipy.linalg.cholesky(graph.conj().T @ graph, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise DomainError("the normal form is too ill-conditioned for a model") from exc
+        graph = scipy.linalg.solve_triangular(r, graph.T, trans="T", check_finite=False).T
+    frame = _canonical_frame(graph)
     frame.setflags(write=False)
     return ModelSpace(d=ann.d, degree_cap=degree_cap, frame=frame)
 
@@ -557,7 +555,7 @@ def _canonical_frame(kernel: np.ndarray) -> np.ndarray:
         if norm > 1e-8:
             basis[:, found] = v / norm
             found += 1
-    if found != rank:  # near-degenerate projector; keep the SVD frame
+    if found != rank:  # near-degenerate projector; keep the given frame
         return kernel
     frame = kernel @ basis
     lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(rank)]
@@ -578,5 +576,5 @@ def model_tuple(space: ModelSpace) -> RowTuple:
 
 def model_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[ModelSpace, RowTuple]:
     """Default-cap model space of ``Ann(T)`` and its model tuple, computed once per tolerance."""
-    space = t.memo(("model_space", tol), lambda: model_space(annihilator(t, tol), tol=tol))
+    space = t.memo(("model_space", tol), lambda: _model_graph(quotient_of(t, tol), None))
     return space, t.memo(("model_tuple", tol), lambda: model_tuple(space))

@@ -197,8 +197,8 @@ class TestAnnAndModel:
         code, rep, _ = run_json(capsys, "ann", "--fixture", "maxcount")
         assert code == 0
         assert rep["results"]["basis"] == ["x1^2", "x1*x2", "x2^2"]
-        # a similarity of jordan(3) keeps the ideal (x^3): one element, led by
-        # x1^3 with a unit coefficient after the roundoff tail over 1, x1, x1^2
+        # a similarity of jordan(3) keeps the ideal (x^3): one element, and the
+        # orbit of x1^3 lies below the rank cutoff, so its normal form is exact
         from rowtuples.fixtures import jordan
         from rowtuples.sweeps import random_similarity
 
@@ -207,7 +207,41 @@ class TestAnnAndModel:
         code, rep, _ = run_json(capsys, "ann", "--input", path)
         assert code == 0
         (element,) = rep["results"]["basis"]
-        assert element.endswith(" + x1^3")
+        assert element == "x1^3"
+
+    @pytest.mark.parametrize("seed", [0, 3, 20, 25])
+    def test_mixed_variables_fill_the_quotient(self, capsys, tmp_path, seed):
+        # a staircase model with its variables mixed by I + 0.1 G, then
+        # conjugated; an absolute cutoff on coefficient residuals rejected these
+        from rowtuples.ideals import staircase_model
+        from rowtuples.sweeps import random_similarity, random_staircase
+        from rowtuples.tuples import RowTuple
+
+        rng = np.random.default_rng(seed)
+        lam = random_staircase(rng, 2, 8)
+        model = staircase_model(2, lam)
+        mix = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
+        base = RowTuple([sum(c * m for c, m in zip(row, model.mats)) for row in mix])
+        path = write_json(tmp_path, "t.json", tuple_to_json(random_similarity(rng, base)))
+        code, rep, _ = run_json(capsys, "ann", "--input", path)
+        assert code == 0 and rep["results"]["delta"] == len(lam)
+        code, rep, _ = run_json(capsys, "model", "--input", path)
+        assert code == 0 and rep["results"]["dim"] == len(lam)
+
+    def test_model_degree_only_checks_the_cap(self, capsys, tmp_path):
+        from rowtuples.fixtures import rectangle
+        from rowtuples.sweeps import random_similarity
+
+        t = random_similarity(np.random.default_rng(2), rectangle(3, 3))
+        path = write_json(tmp_path, "t.json", tuple_to_json(t))
+        code, rep, _ = run_json(capsys, "model", "--input", path)
+        assert code == 0
+        m = rep["results"]["degree_cap"]
+        code, wide, _ = run_json(capsys, "model", "--input", path, "--degree", str(m + 3))
+        assert code == 0 and wide["results"]["degree_cap"] == m + 3
+        assert wide["results"]["matrices"] == rep["results"]["matrices"]
+        code, _, err = run(capsys, "model", "--input", path, "--degree", str(m - 1))
+        assert code == 1 and "below the annihilator bound" in err
 
     def test_model_jordan(self, capsys):
         code, rep, _ = run_json(capsys, "model", "--fixture", "jordan(2)")
@@ -573,7 +607,7 @@ class TestSweepCommand:
         import rowtuples.ideals as ideals
 
         calls = []
-        for name in ("rank_and_kernel", "quotient_algebra"):
+        for name in ("rank_and_kernel", "_quotient"):
 
             def recording(*args, _real=getattr(ideals, name), _name=name, **kwargs):
                 calls.append(_name)
@@ -583,7 +617,7 @@ class TestSweepCommand:
         code, rep, _ = run_json(capsys, "sweep", "--suite", "greedy", "--count", "3")
         assert code == 0
         assert rep["results"]["suites"][0]["passed"] == 3
-        assert sorted(calls) == ["quotient_algebra"] * 3 + ["rank_and_kernel"] * 3
+        assert sorted(calls) == ["_quotient"] * 3 + ["rank_and_kernel"] * 3
 
 
 class TestUsage:

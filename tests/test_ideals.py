@@ -14,6 +14,7 @@ from rowtuples.ideals import (
     annihilator,
     annihilator_normal_form,
     annihilators_equal,
+    model_of,
     model_space,
     model_tuple,
     monomial_annihilator,
@@ -216,6 +217,17 @@ class TestQuotientAlgebra:
             q = quotient_algebra(ann)
             assert q.dim + len(ann.basis) == len(ann.monomials())
 
+    def test_spanning_set_of_the_slice(self):
+        # shifted products span the slice one degree up without being a basis
+        for t in (maxcount(), rectangle(2, 2)):
+            ann = annihilator(t)
+            degree = ann.degree_bound + 1
+            spanning = AnnihilatorBasis(t.d, degree, ann.ideal_slice(degree))
+            slice_dim = math.comb(degree + t.d, t.d) - quotient_of(t).dim
+            assert spanning.coefficients.shape[1] > slice_dim
+            assert quotient_algebra(spanning).monomial_basis == quotient_of(t).monomial_basis
+            assert model_space(spanning).dim == quotient_of(t).dim
+
     def test_zero_tuple(self):
         q = quotient_algebra(annihilator(zero_tuple(2, 2)))
         assert q.dim == 1
@@ -350,6 +362,20 @@ class TestModelSpace:
         with pytest.raises(DomainError):
             model_space(lone)
 
+    def test_graph_takes_no_slice_and_no_kernel(self, monkeypatch):
+        import rowtuples.ideals as ideals
+
+        t = random_similarity(np.random.default_rng(7), rectangle(3, 2))
+        ann = annihilator(t)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the model space took a slice, a frame or a kernel")
+
+        for name in ("orthonormalize", "rank_and_kernel"):
+            monkeypatch.setattr(ideals, name, fail)
+        monkeypatch.setattr(AnnihilatorBasis, "ideal_slice", fail)
+        assert model_space(ann).dim == model_of(t)[0].dim == 6
+
 
 class TestModelTuple:
     def test_jordan_cell(self):
@@ -422,7 +448,7 @@ class TestStaircaseModel:
         oracle = model_tuple(model_space(monomial_annihilator(d, staircase_generators(d, lam))))
         assert (closed.d, closed.dim) == (oracle.d, oracle.dim) == (d, len(lam))
         for a, b in zip(closed.mats, oracle.mats):
-            assert np.abs(a - b).max() <= 1e-12
+            assert np.array_equal(a, b)
 
     @given(staircases())
     @settings(max_examples=150, deadline=None)
@@ -638,6 +664,30 @@ class TestNormalForm:
         b = annihilator_normal_form(second).coefficients
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-9
+
+
+class TestExactQuotient:
+    """A monomial ideal under a similarity: orbits below the cutoff give exact zeros."""
+
+    @given(case=staircases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_normal_form_is_the_monomial_annihilator(self, case, seed):
+        d, lam = case
+        t = random_similarity(np.random.default_rng(seed), staircase_model(d, lam))
+        normal = annihilator_normal_form(t)
+        exact = monomial_annihilator(d, staircase_generators(d, lam))
+        assert normal.degree_bound == exact.degree_bound
+        assert np.array_equal(normal.coefficients, exact.coefficients)
+
+    @given(case=staircases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_model_is_the_staircase_model(self, case, seed):
+        d, lam = case
+        t = random_similarity(np.random.default_rng(seed), staircase_model(d, lam))
+        _, model = model_of(t)
+        for got, want in zip(model.mats, staircase_model(d, lam).mats, strict=True):
+            assert np.array_equal(got != 0, want != 0)
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _projector_frame(kernel: np.ndarray) -> np.ndarray:

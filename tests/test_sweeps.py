@@ -102,7 +102,11 @@ class TestGenerators:
     def test_instances_skip_the_numerical_model(self, monkeypatch):
         # monomial models are built in closed form: no model space, no multiplier
         calls = []
-        for module, name in [(fock, "_multiplication_sparse"), (ideals, "model_space")]:
+        for module, name in [
+            (fock, "_multiplication_sparse"),
+            (ideals, "model_space"),
+            (ideals, "_model_graph"),
+        ]:
             original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -131,7 +135,7 @@ class TestGenerators:
         assert out.ok and len(sums) == 1
         assert calls == []
         ideals.model_tuple(ideals.model_space(ideals.monomial_annihilator(1, [(2,)])))
-        assert calls == ["model_space", "_multiplication_sparse"]
+        assert calls == ["model_space", "_model_graph", "_multiplication_sparse"]
 
     def test_small_nilpotent_instance(self):
         for rng in _rngs(9, 10):

@@ -320,7 +320,7 @@ class TestQuasiaffineWitness:
         def fail(*args, **kwargs):
             raise AssertionError("model built for a non-cyclic tuple")
 
-        monkeypatch.setattr(ideals, "model_space", fail)
+        monkeypatch.setattr(ideals, "_model_graph", fail)
         with pytest.raises(NotCyclicError):
             quasiaffine_witness(maxcount())
 
