@@ -10,7 +10,12 @@ are coefficient vectors over the graded monomials of degree at most
 orthonormal basis of ``(Σ_k T_k H)^⊥``: by graded Nakayama they generate
 ``H`` as a ``C[x]``-module, so for commuting ``T`` a polynomial kills ``T``
 exactly when it kills ``G``, and the evaluation map needs ``n·μ`` rows
-(``μ`` generators), not ``n²``.  The same orbit matrix gives the quotient
+(``μ`` generators), not ``n²``.  ``G``, the orbit blocks ``T^alpha G`` and
+their zero verdicts come from the one pass that decides the nilpotency
+index (:func:`~rowtuples.tuples.nilpotency_index`), built by the degree
+step ``T^alpha G = T_k (T^(alpha - e_k) G)``: no power ``T^alpha`` is
+formed, and :func:`omega_e` reads the stored verdicts.  The same orbit
+matrix gives the quotient
 ``A = C[x]/Ann(T)`` by the order-ideal and normal-form step of the
 Buchberger-Möller algorithm (Möller & Buchberger, EUROCAM 1982; Stetter,
 *Numerical Polynomial Algebra*, SIAM 2004): its monomial basis ``S``, the
@@ -43,13 +48,12 @@ from .linalg import (
     as_matrix,
     cokernel_basis,
     numerical_rank,
-    operator_norm,
     orthonormalize,
     rank_and_kernel,
     subspaces_equal,
 )
 from .polynomials import Polynomial, graded_indices
-from .tuples import RowTuple, nilpotency_index
+from .tuples import RowTuple, _nakayama_pass, _orbits, nilpotency_index
 
 __all__ = [
     "AnnihilatorBasis",
@@ -212,22 +216,20 @@ class ModelSpace:
 
 
 def nakayama_generators(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ``(Σ_k T_k H)^⊥``, computed once per tolerance.
+    """Orthonormal basis of ``(Σ_k T_k H)^⊥`` of a nilpotent tuple, read-only.
 
     By graded Nakayama these vectors are a minimal generating set of ``H``
     as a ``C[x]``-module when ``T`` is nilpotent; their number is the
     multiplicity.  They are the trailing left singular vectors of the row
-    operator ``[T_1 .. T_d]``; the matrix is read-only.
+    operator ``[T_1 .. T_d]``, past the singular values above the relative
+    rank cutoff and the zero-test cutoff ``rank_rel_tol * t.scale``; the
+    pass of :func:`~rowtuples.tuples.nilpotency_index` computes them once
+    per tolerance.
     """
-
-    def compute() -> np.ndarray:
-        if nilpotency_index(t, tol=tol) is None:
-            raise NotNilpotentError("multiplicity requires a nilpotent tuple")
-        gens = cokernel_basis(t.row(), tol)
-        gens.setflags(write=False)
-        return gens
-
-    return t.memo(("generators", tol), compute)
+    found = _nakayama_pass(t, tol)
+    if found.index is None:
+        raise NotNilpotentError("multiplicity requires a nilpotent tuple")
+    return found.generators
 
 
 def orbit_matrix(t: RowTuple, vectors, monomials) -> np.ndarray:
@@ -235,23 +237,28 @@ def orbit_matrix(t: RowTuple, vectors, monomials) -> np.ndarray:
 
     ``vectors`` is one vector or an ``n x k`` matrix ``V``; each column of
     the result is ``T^alpha V`` flattened row-major, so it has ``n * k``
-    rows.  The powers come from the tuple's monomial cache and are applied
-    in one stacked product.
+    rows.  The blocks come from the degree step of the nilpotency pass,
+    ``T^alpha V = T_k (T^(alpha - e_k) V)``, with any missing predecessors
+    of ``monomials`` computed on the way; no power ``T^alpha`` is formed.
     """
     v = np.asarray(vectors, dtype=np.complex128)
-    if not monomials:
-        return np.zeros((v.size, 0), dtype=np.complex128)
-    powers = np.stack([t.monomial(alpha) for alpha in monomials])
-    stacked = powers.reshape(len(monomials) * t.dim, t.dim) @ v
-    return stacked.reshape(len(monomials), v.size).T
+    return _columns(_orbits(t, v[:, None] if v.ndim == 1 else v, monomials))
+
+
+def _columns(blocks: np.ndarray) -> np.ndarray:
+    """Blocks stacked as ``(n, N, k)`` as the ``n·k x N`` matrix of flattened blocks."""
+    n, count, k = blocks.shape
+    return blocks.transpose(1, 0, 2).reshape(count, n * k).T
 
 
 def _generator_orbits(t: RowTuple, tol: ToleranceConfig) -> np.ndarray:
     """``E = [T^alpha G]`` over the graded monomials of degree at most ``m``, read-only."""
 
     def compute() -> np.ndarray:
-        m = nilpotency_index(t, tol=tol)
-        orbits = orbit_matrix(t, nakayama_generators(t, tol), graded_indices(t.d, m))
+        found = _nakayama_pass(t, tol)
+        if found.index is None:
+            raise NotNilpotentError("the generator orbits need a nilpotent tuple")
+        orbits = _columns(found.blocks)
         orbits.setflags(write=False)
         return orbits
 
@@ -268,17 +275,22 @@ def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorB
     ``n·μ``-row orbit matrix ``[T^alpha G]``.  The tuple computes it once
     per tolerance.
     """
+    return _orbit_kernel(t, tol)[0]
+
+
+def _orbit_kernel(t: RowTuple, tol: ToleranceConfig) -> tuple[AnnihilatorBasis, float]:
+    """The annihilator and ``sigma_max`` of the orbit matrix, memoized together."""
     return t.memo(("annihilator", tol), lambda: _annihilator(t, tol))
 
 
-def _annihilator(t: RowTuple, tol: ToleranceConfig) -> AnnihilatorBasis:
+def _annihilator(t: RowTuple, tol: ToleranceConfig) -> tuple[AnnihilatorBasis, float]:
     m = nilpotency_index(t, tol=tol)
     if m is None:
         raise NotNilpotentError(
             f"no vanishing degree at or below dim+1 = {t.dim + 1}"
         )
-    _, kernel = rank_and_kernel(_generator_orbits(t, tol), tol)
-    return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel)
+    _, kernel, norm = rank_and_kernel(_generator_orbits(t, tol), tol, with_norm=True)
+    return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel), norm
 
 
 def annihilator_normal_form(
@@ -408,17 +420,25 @@ def quotient_algebra(
     :func:`_quotient` on ``W*``, ``W`` an orthonormal basis of the complement
     of ``span(ann)``; ``W*`` has norm 1, so the cutoff is ``rank_rel_tol``.
     """
-    return _quotient(ann, cokernel_basis(ann.coefficients, tol).conj().T, tol)
+    return _quotient(ann, cokernel_basis(ann.coefficients, tol).conj().T, 1.0, tol)
 
 
 def quotient_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> QuotientAlgebra:
-    """:func:`_quotient` on the orbit matrix ``[T^alpha G]``, computed once per tolerance."""
-    return t.memo(
-        ("quotient", tol), lambda: _quotient(annihilator(t, tol), _generator_orbits(t, tol), tol)
-    )
+    """:func:`_quotient` on the orbit matrix ``[T^alpha G]``, computed once per tolerance.
+
+    Its ``sigma_max`` comes from the SVD that found the annihilator.
+    """
+
+    def compute() -> QuotientAlgebra:
+        ann = annihilator(t, tol)
+        return _quotient(ann, _generator_orbits(t, tol), _orbit_kernel(t, tol)[1], tol)
+
+    return t.memo(("quotient", tol), compute)
 
 
-def _quotient(ann: AnnihilatorBasis, e: np.ndarray, tol: ToleranceConfig) -> QuotientAlgebra:
+def _quotient(
+    ann: AnnihilatorBasis, e: np.ndarray, norm: float, tol: ToleranceConfig
+) -> QuotientAlgebra:
     """Standard monomials ``S``, normal form and multiplication table of the quotient.
 
     ``e`` represents the quotient map on ``C[x]_{<=m}``: one column per graded
@@ -430,7 +450,7 @@ def _quotient(ann: AnnihilatorBasis, e: np.ndarray, tol: ToleranceConfig) -> Quo
     """
     monomials = ann.monomials()
     n = len(monomials)
-    cutoff = tol.rank_rel_tol * operator_norm(e, tol)
+    cutoff = tol.rank_rel_tol * norm
     lengths = np.linalg.norm(e, axis=0)
     frame = np.zeros((n, e.shape[0]), dtype=np.complex128)  # rows: the standard columns
     rows, live = [], []  # S, and the other columns above the cutoff
@@ -461,20 +481,21 @@ def _quotient(ann: AnnihilatorBasis, e: np.ndarray, tol: ToleranceConfig) -> Quo
 
 
 def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, ...]]:
-    """Extremal exponents: ``T^alpha != 0`` but ``T^alpha T_k = 0`` for all k."""
-    m = nilpotency_index(t, tol=tol)
-    if m is None:
+    """Extremal exponents: ``T^alpha != 0`` but ``T^alpha T_k = 0`` for all k.
+
+    Read off the zero verdicts of the generator orbits: ``T^alpha = 0``
+    exactly when ``T^alpha G = 0``, since ``G`` generates ``H``.
+    """
+    found = _nakayama_pass(t, tol)
+    if found.index is None:
         raise NotNilpotentError("omega_e is defined for nilpotent tuples")
-    cutoff = tol.rank_rel_tol * t.scale
+    zero = dict(zip(graded_indices(t.d, found.index), found.zero.tolist()))
     out = set()
-    for alpha in graded_indices(t.d, max(m - 1, 0)):
-        if t.monomial_vanishes(alpha, cutoff):
+    for alpha in graded_indices(t.d, max(found.index - 1, 0)):
+        if zero[alpha]:
             continue
-        successors = (
-            tuple(a + (1 if i == k else 0) for i, a in enumerate(alpha))
-            for k in range(t.d)
-        )
-        if all(t.monomial_vanishes(s, cutoff) for s in successors):
+        successors = (alpha[:k] + (alpha[k] + 1,) + alpha[k + 1 :] for k in range(t.d))
+        if all(zero[s] for s in successors):
             out.add(alpha)
     return out
 

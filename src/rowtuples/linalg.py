@@ -2,9 +2,12 @@
 
 All matrices are dense ``numpy.ndarray`` objects with dtype ``complex128``;
 ``operator_norm`` alone also takes a ``scipy.sparse`` matrix.  Rank
-decisions are always made relative to the largest singular value
-``sigma_max`` of the matrix at hand, never against an absolute cutoff, so
-that uniformly scaled inputs produce identical decisions.
+decisions are made relative to the largest singular value ``sigma_max`` of
+the matrix at hand, so that uniformly scaled inputs produce identical
+decisions.  The exception is the ``floor`` that ``numerical_rank`` and
+``cokernel_basis`` also take, for callers whose zero test is absolute: a
+singular value at or below the floor counts as zero however large
+``sigma_max`` is.
 
 Each decision computes only the factors it returns.  ``numerical_rank``
 needs singular values alone.  ``rank_and_kernel`` needs the right singular
@@ -16,7 +19,8 @@ ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
 from one SVD of the matrix itself, not of its adjoint.
 
 A decision that only compares a norm with a cutoff goes through
-``norm_at_most``, never through ``operator_norm``.  The Frobenius norm
+``norm_at_most`` (or ``norms_at_most`` for a stack), never through
+``operator_norm``.  The Frobenius norm
 brackets the spectral norm, ``||A||_F / sqrt(min(m, n)) <= ||A||_2 <=
 ||A||_F`` (Golub & Van Loan, *Matrix Computations*, section 2.3), so the
 verdict is settled without an SVD unless the cutoff falls inside that
@@ -42,6 +46,7 @@ __all__ = [
     "as_vector",
     "operator_norm",
     "norm_at_most",
+    "norms_at_most",
     "rank_and_kernel",
     "numerical_rank",
     "kernel_basis",
@@ -179,6 +184,36 @@ def norm_at_most(a, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return operator_norm(m, tol) <= bound
 
 
+def norms_at_most(stack, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """:func:`norm_at_most` of every matrix ``stack[i]`` of a 3-d stack, as a bool array.
+
+    The same bracket, with the Frobenius norms from one batched reduction;
+    only the matrices that it leaves open get an SVD each.  For a stack of
+    column vectors (``k = 1``) the bracket is exact and no SVD runs outside
+    the rounding margin.  A single matrix goes through :func:`norm_at_most`,
+    whose scalar path costs a third of this one's array operations.
+    """
+    s = np.asarray(stack, dtype=np.complex128)
+    if s.ndim != 3:
+        raise ShapeError(f"expected a 3-d stack of matrices, got ndim={s.ndim}")
+    count, rows, cols = s.shape
+    if rows * cols == 0:
+        return np.full(count, 0.0 <= bound)
+    with np.errstate(over="ignore", under="ignore"):
+        fro = np.sqrt((s.real**2 + s.imag**2).sum(axis=(1, 2)))
+    # python floats: an overflowing product is inf, without a warning
+    low = float(bound) * (1.0 - _BRACKET_MARGIN)
+    high = float(bound) * (min(rows, cols) ** 0.5) * (1.0 + _BRACKET_MARGIN)
+    verdict = fro <= low
+    settled = (verdict | (fro > high)) & (fro > _FROBENIUS_FLOOR) & (fro < np.inf)
+    if not settled.all():
+        zero = ~s.any(axis=(1, 2))
+        verdict[zero] = 0.0 <= bound
+        for i in np.flatnonzero(~(settled | zero)):
+            verdict[i] = operator_norm(s[i], tol) <= bound
+    return verdict
+
+
 def _as_operand(a):
     """``as_matrix`` for dense input; a finite complex CSR matrix for sparse."""
     if not scipy.sparse.issparse(a):
@@ -191,7 +226,7 @@ def _as_operand(a):
     return m
 
 
-def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, np.ndarray]:
+def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL, *, with_norm: bool = False):
     """Numerical rank of ``a`` and an orthonormal basis of its kernel.
 
     Rank counts singular values exceeding ``rank_rel_tol * sigma_max``;
@@ -201,50 +236,58 @@ def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, np.ndar
     decomposition: ``a* a = R* R``, so ``R`` has the singular values and
     right singular vectors of ``a``, and the left factor of ``a`` is never
     formed.  A wide ``a`` gets a full SVD directly, since its kernel needs
-    all of ``vh`` and its left factor is only ``nrows x nrows``.
+    all of ``vh`` and its left factor is only ``nrows x nrows``.  With
+    ``with_norm`` the result is ``(rank, kernel, sigma_max)``, the norm read
+    off the same SVD.
     """
     m = as_matrix(a)
     nrows, ncols = m.shape
     if m.size == 0:
-        return 0, np.eye(ncols, dtype=np.complex128)
+        kernel = np.eye(ncols, dtype=np.complex128)
+        return (0, kernel, 0.0) if with_norm else (0, kernel)
     if nrows > ncols:
         m = scipy.linalg.qr(m, mode="r", check_finite=False)[0][:ncols]
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = _rank_from_singular_values(s, tol)
-    return rank, vh[rank:].conj().T
+    kernel = vh[rank:].conj().T
+    return (rank, kernel, float(s[0])) if with_norm else (rank, kernel)
 
 
-def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Count of singular values of ``a`` above ``rank_rel_tol * sigma_max``."""
+def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL, *, floor: float = 0.0) -> int:
+    """Count of singular values of ``a`` above ``rank_rel_tol * sigma_max`` and ``floor``."""
     m = as_matrix(a)
     if m.size == 0:
         return 0
-    return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol)
+    return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol, floor)
 
 
 def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rank_and_kernel(a, tol)[1]
 
 
-def cokernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def cokernel_basis(
+    a, tol: ToleranceConfig = DEFAULT_TOL, *, floor: float = 0.0
+) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the range of ``a``.
 
     The trailing left singular vectors of one SVD of ``a``, past the rank
     that ``rank_and_kernel`` would report: the subspace of
     ``kernel_basis(a*)``, without reducing the adjoint first.  A wide ``a``
-    needs only its thin left factor, which is already square.
+    needs only its thin left factor, which is already square.  A singular
+    value counts toward the range only if it also exceeds the absolute
+    ``floor``.
     """
     m = as_matrix(a)
     nrows, ncols = m.shape
     if m.size == 0:
         return np.eye(nrows, dtype=np.complex128)
     u, s, _ = np.linalg.svd(m, full_matrices=nrows > ncols)
-    return u[:, _rank_from_singular_values(s, tol):]
+    return u[:, _rank_from_singular_values(s, tol, floor):]
 
 
-def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """Count of the descending singular values ``s`` above the relative cutoff."""
-    cutoff = tol.rank_rel_tol * (s[0] if s.size else 0.0)
+def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig, floor: float = 0.0) -> int:
+    """Count of the descending singular values ``s`` above the relative cutoff and ``floor``."""
+    cutoff = max(tol.rank_rel_tol * (s[0] if s.size else 0.0), floor)
     return int(np.count_nonzero(s > cutoff))
 
 

@@ -5,10 +5,25 @@ square matrices acting on the same finite-dimensional space, thought of as
 the row operator ``[T_1 .. T_d]``.  This module provides validation
 (commutativity, contractivity, purity, nilpotency, defect) and the
 polynomial functional calculus ``p -> p(T)``.
+
+Nilpotency is read off the orbits of the Nakayama generators ``G``, an
+orthonormal basis of ``(Σ_k T_k H)^⊥``, with no ``n x n`` power formed.
+One pass, memoized per tolerance, builds ``G`` and the blocks ``T^alpha G``
+degree by degree, ``T^alpha G = T_k (T^(alpha - e_k) G)`` with ``k`` the
+first nonzero exponent, one stacked product per variable and degree.  The
+index ``m`` is the first degree whose blocks all lie within the zero-test
+cutoff.  It counts only if the blocks of lower degree span ``H`` by a margin
+that proves every ``||T^alpha|| <= c`` at degree ``m``.  By graded Nakayama
+they span for every commuting nilpotent tuple, and they do not when ``T``
+has an invertible part that the orbits of ``G`` reach faintly or not at
+all.  The annihilator, its quotient and ``omega_e`` read the same pass
+(:mod:`rowtuples.ideals`).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +37,14 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
+    cokernel_basis,
     norm_at_most,
+    norms_at_most,
     numerical_rank,
     operator_norm,
     psd_below_identity,
 )
-from .polynomials import Polynomial, indices_of_degree
+from .polynomials import Polynomial
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
            "require_commuting", "poly_eval"]
@@ -45,7 +62,8 @@ class RowTuple:
 
     * ``_monomials`` maps ``alpha`` to ``T^alpha`` (see :meth:`monomial`);
     * ``_memo`` maps a key to a derived value (see :meth:`memo`): the
-      norms, the monomial zero tests, and the analyses of other modules.
+      norms, the generator orbits with their zero tests, and the analyses
+      of other modules.
     """
 
     __slots__ = ("d", "dim", "mats", "_monomials", "_memo")
@@ -95,7 +113,11 @@ class RowTuple:
         return (g + g.conj().T) / 2.0
 
     def monomial(self, alpha) -> np.ndarray:
-        """``T^alpha`` with memoization; ``T^0`` is the identity."""
+        """``T^alpha`` with memoization; ``T^0`` is the identity.
+
+        For :func:`poly_eval`; the analyses apply ``T^alpha`` to vectors
+        through the orbit step instead and never form a power.
+        """
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.d or any(a < 0 for a in alpha):
             raise ShapeError(f"bad exponent tuple {alpha} for d={self.d}")
@@ -105,10 +127,8 @@ class RowTuple:
         if sum(alpha) == 0:
             out = np.eye(self.dim, dtype=np.complex128)
         else:
-            k = next(i for i, a in enumerate(alpha) if a > 0)
-            prev = list(alpha)
-            prev[k] -= 1
-            out = self.mats[k] @ self.monomial(tuple(prev))
+            k, prev = _predecessor(alpha)
+            out = self.mats[k] @ self.monomial(prev)
         out.setflags(write=False)
         self._monomials[alpha] = out
         return out
@@ -123,13 +143,163 @@ class RowTuple:
         """``max(1, max_k ||T_k||)``, the scale of absolute zero tests."""
         return max(1.0, *self.norms)
 
-    def monomial_vanishes(self, alpha, cutoff: float) -> bool:
-        """Whether ``||T^alpha|| <= cutoff``, decided once per ``(alpha, cutoff)``."""
-        alpha = tuple(int(a) for a in alpha)
-        return self.memo(
-            ("vanishes", alpha, float(cutoff)),
-            lambda: norm_at_most(self.monomial(alpha), cutoff),
-        )
+
+def _predecessor(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``(k, alpha - e_k)`` for the first nonzero exponent ``k`` of ``alpha``."""
+    k = next(i for i, a in enumerate(alpha) if a > 0)
+    return k, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
+
+
+def _orbit_step(t: RowTuple, prev: np.ndarray, plan, count: int) -> np.ndarray:
+    """The ``count`` blocks ``T^alpha V`` of one degree, from the blocks ``prev`` of the last one.
+
+    Blocks are stacked along the middle axis, ``n x k`` each.  ``T^alpha V =
+    T_j (T^(alpha - e_j) V)`` for the first nonzero exponent ``j``, so each
+    entry ``(j, slots, sources)`` of ``plan`` puts ``T_j`` times the blocks
+    ``prev[:, sources]`` at ``slots``: one product per variable.
+    """
+    out = np.empty((prev.shape[0], count, prev.shape[2]), dtype=np.complex128)
+    for var, slots, sources in plan:
+        block = prev[:, sources]
+        out[:, slots] = (t.mats[var] @ block.reshape(block.shape[0], -1)).reshape(block.shape)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_step(d: int, degree: int) -> tuple[tuple[int, slice, slice], ...]:
+    """The plan of :func:`_orbit_step` from degree ``degree - 1`` to ``degree``, graded order.
+
+    In the order of :func:`~rowtuples.polynomials.indices_of_degree` the
+    exponents whose first nonzero entry is ``j`` form one run, and their
+    predecessors ``alpha - e_j``, the exponents with no entry before ``j``,
+    are the tail of the previous degree in the same order.
+    """
+    before = math.comb(degree - 1 + d - 1, d - 1)
+    plan, start = [], 0
+    for j in range(d):
+        run = math.comb(degree - 1 + d - 1 - j, d - 1 - j)
+        plan.append((j, slice(start, start + run), slice(before - run, before)))
+        start += run
+    return tuple(plan)
+
+
+def _orbits(t: RowTuple, v: np.ndarray, monomials) -> np.ndarray:
+    """``T^alpha V`` for each exponent of ``monomials``, stacked as ``(n, len, k)``.
+
+    ``V`` is ``n x k``.  The predecessors that ``monomials`` lacks are added,
+    and the blocks are built degree by degree by :func:`_orbit_step`.
+    """
+    wanted = [tuple(int(a) for a in alpha) for alpha in monomials]
+    for alpha in wanted:
+        if len(alpha) != t.d or any(a < 0 for a in alpha):
+            raise ShapeError(f"bad exponent tuple {alpha} for d={t.d}")
+    if not wanted:
+        return np.zeros((t.dim, 0, v.shape[1]), dtype=np.complex128)
+    # levels[j] maps each exponent of degree j to its position among them
+    levels: list[dict] = [{} for _ in range(1 + max(map(sum, wanted)))]
+    for alpha in wanted:
+        while alpha not in levels[sum(alpha)]:
+            levels[sum(alpha)][alpha] = len(levels[sum(alpha)])
+            if not any(alpha):
+                break
+            alpha = _predecessor(alpha)[1]
+    blocks = [v[:, None, :]]
+    for prev, level in zip(levels, levels[1:]):
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for i, alpha in enumerate(level):
+            var, beta = _predecessor(alpha)
+            slots, sources = groups.setdefault(var, ([], []))
+            slots.append(i)
+            sources.append(prev[beta])
+        plan = [(var, slots, sources) for var, (slots, sources) in groups.items()]
+        blocks.append(_orbit_step(t, blocks[-1], plan, len(level)))
+    offsets = np.cumsum([0] + [len(level) for level in levels])
+    picks = [offsets[sum(alpha)] + levels[sum(alpha)][alpha] for alpha in wanted]
+    return np.concatenate(blocks, axis=1)[:, picks]
+
+
+def _vanishing(level: np.ndarray, cutoff: float, tol: ToleranceConfig) -> np.ndarray:
+    """Whether each block ``level[:, i]`` has spectral norm at most ``cutoff``.
+
+    A single column's norm is its spectral norm; wider blocks take the
+    Frobenius bracket of :func:`~rowtuples.linalg.norms_at_most`.
+    """
+    if level.shape[2] != 1:
+        return norms_at_most(level.transpose(1, 0, 2), cutoff, tol)
+    with np.errstate(over="ignore"):
+        return np.sqrt((level.real**2 + level.imag**2).sum(axis=(0, 2))) <= cutoff
+
+
+@dataclass(frozen=True)
+class _NakayamaPass:
+    """Outcome of :func:`_nakayama_pass`; the arrays are read-only.
+
+    ``blocks[:, i]`` is ``T^alpha G`` for the ``i``-th exponent of
+    ``graded_indices(d, index)`` and ``zero[i]`` its zero verdict; both are
+    empty when ``index`` is ``None``.
+    """
+
+    generators: np.ndarray
+    index: int | None
+    blocks: np.ndarray
+    zero: np.ndarray
+
+
+def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
+    """The Nakayama generators, their orbits and the nilpotency index, once per tolerance.
+
+    ``G`` is the trailing left singular vectors of the row operator, past
+    the singular values above both ``rank_rel_tol * sigma_max`` and the
+    zero-test cutoff ``c = rank_rel_tol * t.scale``.  A block ``T^alpha G``
+    is zero when its norm is at most ``c``.  The index is the first degree,
+    from 1 on a nonzero space, whose blocks are all zero, at most
+    ``dim + 1``.  It stands only if the ``n x K`` matrix ``B`` of the blocks
+    of lower degree, each ``T^beta G`` divided by ``scale^|beta|``, has
+    numerical rank ``dim`` with every singular value above
+    ``sqrt(K) * top / c``, ``top`` the largest norm of a column of a
+    degree-``m`` block.  Writing ``h = B z`` then bounds
+    ``||T^alpha h|| <= top * ||z||_1 <= c ||h||`` for ``|alpha| = m``, since
+    ``||T^beta|| <= scale^|beta|``, so every ``||T^alpha|| <= c``: the index
+    is the one a search over the powers would find, and an invertible part
+    that the orbits reach only faintly is not certified.
+    """
+    require_commuting(t, tol)
+
+    def compute() -> _NakayamaPass:
+        cutoff = tol.rank_rel_tol * t.scale
+        gens = cokernel_basis(t.row(), tol, floor=cutoff)
+        levels = [gens[:, None, :]]
+        zeros = [_vanishing(levels[0], cutoff, tol)]
+        index = None if t.dim else 0
+        for degree in range(1, t.dim + 2 if t.dim else 1):
+            count = math.comb(degree + t.d - 1, t.d - 1)
+            levels.append(_orbit_step(t, levels[-1], _graded_step(t.d, degree), count))
+            zeros.append(_vanishing(levels[-1], cutoff, tol))
+            if zeros[-1].all():
+                index = degree
+                break
+        if index:
+            # h = below @ z gives ||T^alpha h|| <= top ||z||_1 for |alpha| = m, since
+            # ||T^beta|| <= scale^|beta|, so sigma_min(below) above floor proves
+            # ||T^alpha|| <= cutoff
+            below = levels[:index]
+            if t.scale != 1.0:
+                with np.errstate(over="ignore"):
+                    below = [level / np.float64(t.scale) ** j for j, level in enumerate(below)]
+            below = np.concatenate(below, axis=1).reshape(t.dim, -1)
+            top = levels[index] / cutoff  # columns of norm at most 1: no square overflows
+            top = (top.real**2 + top.imag**2).sum(axis=0).max(initial=0.0)
+            floor = math.sqrt(top * below.shape[1])
+            if numerical_rank(below, tol, floor=floor) != t.dim:
+                index = None
+        if index is None:
+            levels, zeros = [levels[0][:, :0]], [zeros[0][:0]]
+        out = _NakayamaPass(gens, index, np.concatenate(levels, axis=1), np.concatenate(zeros))
+        for a in (out.generators, out.blocks, out.zero):
+            a.setflags(write=False)
+        return out
+
+    return t.memo(("nakayama", tol), compute)
 
 
 @dataclass(frozen=True)
@@ -214,22 +384,18 @@ def purity(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> bool | None:
 def nilpotency_index(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
     """Least ``m`` with ``T^alpha = 0`` for every ``|alpha| = m``, if ``m <= dim + 1``.
 
-    The search stops at degree ``dim + 1``, which suffices for every
-    commuting nilpotent tuple; ``None`` means no degree up to it
-    vanishes.  Only zero-dimensional tuples report index 0: on a nonzero
-    space ``T^0 = I`` never vanishes, whatever the scale of the cutoff, so
-    the search starts at degree 1.
+    Decided on the orbits of the Nakayama generators ``G`` (see
+    :func:`_nakayama_pass`): ``m`` is the first degree at which every
+    ``T^alpha G`` lies within the zero-test cutoff, and it counts only if
+    the orbits of lower degree span the space by a margin that proves
+    ``||T^alpha|| <= c`` for ``|alpha| = m``.  Graded Nakayama guarantees
+    the span for a commuting nilpotent tuple.  ``None`` means that no
+    degree up to ``dim + 1`` vanishes or that the certificate fails, as it
+    does for a tuple with an invertible part.  Only zero-dimensional tuples
+    report index 0: on a nonzero space ``T^0 G`` spans ``G``, so the search
+    starts at degree 1.
     """
-    require_commuting(t, tol)
-
-    def search() -> int | None:
-        cutoff = tol.rank_rel_tol * t.scale
-        for m in range(1 if t.dim else 0, t.dim + 2):
-            if all(t.monomial_vanishes(alpha, cutoff) for alpha in indices_of_degree(t.d, m)):
-                return m
-        return None
-
-    return t.memo(("nilpotency_index", tol), search)
+    return _nakayama_pass(t, tol).index
 
 
 def poly_eval(p: Polynomial, t: RowTuple) -> np.ndarray:

@@ -228,6 +228,23 @@ class TestAnnAndModel:
         code, rep, _ = run_json(capsys, "model", "--input", path)
         assert code == 0 and rep["results"]["dim"] == len(lam)
 
+    def test_roundoff_size_tuple_is_the_zero_tuple(self, capsys, tmp_path):
+        # every entry is below the zero-test cutoff, so T^0 ≠ 0 = T_k and ann
+        # must not contain 1; each vector is its own Nakayama generator
+        from rowtuples.tuples import RowTuple
+
+        rng = np.random.default_rng(0)
+        noise = RowTuple([1e-17 * rng.standard_normal((3, 3)) for _ in range(2)])
+        path = write_json(tmp_path, "t.json", tuple_to_json(noise))
+        zero = write_json(tmp_path, "z.json", tuple_to_json(RowTuple([np.zeros((3, 3))] * 2)))
+        code, rep, _ = run_json(capsys, "ann", "--input", path)
+        assert code == 0
+        assert "1" not in rep["results"]["basis"]
+        assert rep["results"]["basis"] == ["x1", "x2"] and rep["results"]["delta"] == 1
+        for source in (path, zero):
+            code, rep, _ = run_json(capsys, "cyclic", "--input", source)
+            assert code == 0 and rep["results"]["multiplicity"] == 3
+
     def test_model_degree_only_checks_the_cap(self, capsys, tmp_path):
         from rowtuples.fixtures import rectangle
         from rowtuples.sweeps import random_similarity

@@ -25,8 +25,14 @@ from rowtuples.ideals import (
     quotient_of,
     staircase_model,
 )
-from rowtuples.linalg import orthonormalize, rank_and_kernel, subspace_distance
-from rowtuples.polynomials import Polynomial, graded_indices, parse_polynomial
+from rowtuples.linalg import (
+    DEFAULT_TOL,
+    numerical_rank,
+    orthonormalize,
+    rank_and_kernel,
+    subspace_distance,
+)
+from rowtuples.polynomials import Polynomial, graded_indices, indices_of_degree, parse_polynomial
 from rowtuples.sweeps import random_similarity, random_staircase, staircase_generators
 from rowtuples.tuples import RowTuple, nilpotency_index, poly_eval, validate
 
@@ -578,7 +584,7 @@ class TestOrbitAnnihilator:
         assert shapes == [(t.dim * mu, math.comb(nilpotency_index(t) + t.d, t.d))]
 
     def test_generators_computed_once(self, monkeypatch):
-        import rowtuples.ideals as ideals
+        import rowtuples.tuples as tuples
         from rowtuples.linalg import cokernel_basis
         from rowtuples.vectors import multiplicity, quasiaffine_witness
 
@@ -588,7 +594,7 @@ class TestOrbitAnnihilator:
             calls.append(args)
             return cokernel_basis(*args, **kwargs)
 
-        monkeypatch.setattr(ideals, "cokernel_basis", counting)
+        monkeypatch.setattr(tuples, "cokernel_basis", counting)
         t = random_similarity(np.random.default_rng(8), rectangle(3, 2))
         assert multiplicity(t) == 1
         annihilator(t)
@@ -609,6 +615,117 @@ class TestOrbitAnnihilator:
         single = orbit_matrix(t, vecs[:, 0], monomials)
         assert np.allclose(single, orbit[0::2], atol=1e-15)
         assert orbit_matrix(t, vecs[:, 0], []).shape == (t.dim, 0)
+
+
+def _power_oracle(t: RowTuple):
+    """Index, multiplicity, ``omega_e`` and ``E`` from the ``n x n`` powers: the pass's oracle."""
+    cutoff = DEFAULT_TOL.rank_rel_tol * t.scale
+
+    def zero(alpha):
+        return np.linalg.norm(t.monomial(alpha), 2) <= cutoff
+
+    index = next(
+        m for m in range(1, t.dim + 2) if all(zero(a) for a in indices_of_degree(t.d, m))
+    )
+    mu = t.dim - numerical_rank(t.row())
+    omega = {
+        alpha
+        for alpha in graded_indices(t.d, index - 1)
+        if not zero(alpha) and all(zero(_up(alpha, k)) for k in range(t.d))
+    }
+    gens = nakayama_generators(t)
+    orbits = [(t.monomial(alpha) @ gens).reshape(-1) for alpha in graded_indices(t.d, index)]
+    return index, mu, omega, np.column_stack(orbits)
+
+
+class TestOrbitPass:
+    """Index, generators, orbits and ``omega_e`` from one recursion on ``T^alpha G``."""
+
+    @given(case=staircases(), seed=st.integers(0, 2**32 - 1), second=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_powers(self, case, seed, second):
+        import rowtuples.ideals as ideals
+
+        d, lam = case
+        t = staircase_model(d, lam)
+        if second:
+            other = staircase_model(d, random_staircase(np.random.default_rng(seed), d, 6))
+            t = _conjugated_sum(seed, t, other)
+        else:
+            t = random_similarity(np.random.default_rng(seed), t)
+        index, mu, omega, orbits = _power_oracle(t)
+        assert nilpotency_index(t) == index
+        assert nakayama_generators(t).shape[1] == mu == (2 if second else 1)
+        assert omega_e(t) == omega
+        assert np.abs(ideals._generator_orbits(t, DEFAULT_TOL) - orbits).max() <= 1e-12
+
+    @given(
+        case=staircases(),
+        c=st.floats(0.05, 0.5),
+        size=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_an_invertible_part_is_not_nilpotent(self, case, c, size, seed):
+        # the generators' orbits die in N, but they do not span N ⊕ c·I
+        from scipy.linalg import block_diag
+
+        d, lam = case
+        rng = np.random.default_rng(seed)
+        n = len(lam) + size
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        mats = [block_diag(m, c * np.eye(size)) for m in staircase_model(d, lam).mats]
+        t = RowTuple([u @ m @ u.conj().T for m in mats])
+        assert nilpotency_index(t) is None
+        for analysis in (annihilator, nakayama_generators, omega_e):
+            with pytest.raises(NotNilpotentError):
+                analysis(t)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_faint_invertible_part_is_not_certified(self, seed):
+        # under an oblique similarity G reaches the 0.05·I part faintly: its
+        # orbits fall below the cutoff at degree 6 and still span H, but
+        # ||T^alpha|| >= 0.05^6 is not below it
+        from scipy.linalg import block_diag
+
+        base = RowTuple([block_diag(m, [[0.05]]) for m in rectangle(2, 2).mats])
+        t = random_similarity(np.random.default_rng(seed), base)
+        assert nilpotency_index(t) is None
+
+    @pytest.mark.parametrize("factor", [2.0, 10.0])
+    def test_a_scaled_up_tuple_keeps_its_index(self, factor):
+        # no longer a row contraction: the certificate divides the degree-j
+        # orbits by scale^j, so the growth of ||T^beta|| does not void it
+        t = random_similarity(np.random.default_rng(1), rectangle(3, 3))
+        scaled = RowTuple([factor * m for m in t.mats])
+        assert nilpotency_index(scaled) == nilpotency_index(t) == 5
+        assert omega_e(scaled) == {(2, 2)}
+
+    def test_no_power_is_formed(self, monkeypatch):
+        from rowtuples.vectors import multiplicity, quasiaffine_witness
+
+        def refuse(self, alpha):
+            raise AssertionError(f"T^{alpha} formed")
+
+        monkeypatch.setattr(RowTuple, "monomial", refuse)
+        t = random_similarity(np.random.default_rng(9), rectangle(3, 3))
+        assert nilpotency_index(t) == 5
+        assert annihilator(t).degree_bound == 5
+        assert quotient_of(t).dim == 9
+        assert omega_e(t) == {(2, 2)}
+        assert model_of(t)[1].dim == 9
+        assert multiplicity(t) == 1
+        assert quasiaffine_witness(t).shape == (9, 9)
+
+    def test_orbit_matrix_adds_missing_predecessors(self):
+        t = random_similarity(np.random.default_rng(4), rectangle(3, 2))
+        v = np.random.default_rng(5).standard_normal(t.dim)
+        monomials = [(2, 1), (0, 1), (1, 0), (2, 1)]  # no origin, no (1, 1) or (2, 0)
+        orbit = orbit_matrix(t, v, monomials)
+        for j, alpha in enumerate(monomials):
+            assert np.allclose(orbit[:, j], t.monomial(alpha) @ v, atol=1e-15)
+        with pytest.raises(ShapeError):
+            orbit_matrix(t, v, [(1, -1)])
 
 
 class TestNormalForm:
