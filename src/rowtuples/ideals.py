@@ -13,8 +13,9 @@ exactly when it kills ``G``, and the evaluation map needs ``n·μ`` rows
 (``μ`` generators), not ``n²``.  ``G``, the orbit blocks ``T^alpha G`` and
 their zero verdicts come from the one pass that decides the nilpotency
 index (:func:`~rowtuples.tuples.nilpotency_index`), built by the degree
-step ``T^alpha G = T_k (T^(alpha - e_k) G)``: no power ``T^alpha`` is
-formed, and :func:`omega_e` reads the stored verdicts.  The same orbit
+step ``T^alpha G = T_k (T^(alpha - e_k) G)``: the annihilator path forms
+no power ``T^alpha`` unless the orbits leave the index to the powers, which
+is rare, and :func:`omega_e` reads the stored verdicts.  The same orbit
 matrix gives the quotient
 ``A = C[x]/Ann(T)`` by the order-ideal and normal-form step of the
 Buchberger-Möller algorithm (Möller & Buchberger, EUROCAM 1982; Stetter,
@@ -48,8 +49,8 @@ from .linalg import (
     as_matrix,
     cokernel_basis,
     numerical_rank,
+    _rank_kernel_norm,
     orthonormalize,
-    rank_and_kernel,
     subspaces_equal,
 )
 from .polynomials import Polynomial, graded_indices
@@ -238,8 +239,8 @@ def orbit_matrix(t: RowTuple, vectors, monomials) -> np.ndarray:
     ``vectors`` is one vector or an ``n x k`` matrix ``V``; each column of
     the result is ``T^alpha V`` flattened row-major, so it has ``n * k``
     rows.  The blocks come from the degree step of the nilpotency pass,
-    ``T^alpha V = T_k (T^(alpha - e_k) V)``, with any missing predecessors
-    of ``monomials`` computed on the way; no power ``T^alpha`` is formed.
+    ``T^alpha V = T_k (T^(alpha - e_k) V)``, run up to the largest degree
+    in ``monomials``; no power ``T^alpha`` is formed.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     return _columns(_orbits(t, v[:, None] if v.ndim == 1 else v, monomials))
@@ -289,7 +290,7 @@ def _annihilator(t: RowTuple, tol: ToleranceConfig) -> tuple[AnnihilatorBasis, f
         raise NotNilpotentError(
             f"no vanishing degree at or below dim+1 = {t.dim + 1}"
         )
-    _, kernel, norm = rank_and_kernel(_generator_orbits(t, tol), tol, with_norm=True)
+    _, kernel, norm = _rank_kernel_norm(_generator_orbits(t, tol), tol)
     return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel), norm
 
 
@@ -483,8 +484,10 @@ def _quotient(
 def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, ...]]:
     """Extremal exponents: ``T^alpha != 0`` but ``T^alpha T_k = 0`` for all k.
 
-    Read off the zero verdicts of the generator orbits: ``T^alpha = 0``
-    exactly when ``T^alpha G = 0``, since ``G`` generates ``H``.
+    Read off the zero verdicts of the nilpotency pass: those of the
+    generator orbits, since ``T^alpha = 0`` exactly when ``T^alpha G = 0``
+    for ``G`` generating ``H``, or those of the powers where the powers
+    decided the index.
     """
     found = _nakayama_pass(t, tol)
     if found.index is None:

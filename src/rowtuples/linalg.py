@@ -19,8 +19,7 @@ ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
 from one SVD of the matrix itself, not of its adjoint.
 
 A decision that only compares a norm with a cutoff goes through
-``norm_at_most`` (or ``norms_at_most`` for a stack), never through
-``operator_norm``.  The Frobenius norm
+``norm_at_most``, never through ``operator_norm``.  The Frobenius norm
 brackets the spectral norm, ``||A||_F / sqrt(min(m, n)) <= ||A||_2 <=
 ||A||_F`` (Golub & Van Loan, *Matrix Computations*, section 2.3), so the
 verdict is settled without an SVD unless the cutoff falls inside that
@@ -46,7 +45,6 @@ __all__ = [
     "as_vector",
     "operator_norm",
     "norm_at_most",
-    "norms_at_most",
     "rank_and_kernel",
     "numerical_rank",
     "kernel_basis",
@@ -184,36 +182,6 @@ def norm_at_most(a, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return operator_norm(m, tol) <= bound
 
 
-def norms_at_most(stack, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """:func:`norm_at_most` of every matrix ``stack[i]`` of a 3-d stack, as a bool array.
-
-    The same bracket, with the Frobenius norms from one batched reduction;
-    only the matrices that it leaves open get an SVD each.  For a stack of
-    column vectors (``k = 1``) the bracket is exact and no SVD runs outside
-    the rounding margin.  A single matrix goes through :func:`norm_at_most`,
-    whose scalar path costs a third of this one's array operations.
-    """
-    s = np.asarray(stack, dtype=np.complex128)
-    if s.ndim != 3:
-        raise ShapeError(f"expected a 3-d stack of matrices, got ndim={s.ndim}")
-    count, rows, cols = s.shape
-    if rows * cols == 0:
-        return np.full(count, 0.0 <= bound)
-    with np.errstate(over="ignore", under="ignore"):
-        fro = np.sqrt((s.real**2 + s.imag**2).sum(axis=(1, 2)))
-    # python floats: an overflowing product is inf, without a warning
-    low = float(bound) * (1.0 - _BRACKET_MARGIN)
-    high = float(bound) * (min(rows, cols) ** 0.5) * (1.0 + _BRACKET_MARGIN)
-    verdict = fro <= low
-    settled = (verdict | (fro > high)) & (fro > _FROBENIUS_FLOOR) & (fro < np.inf)
-    if not settled.all():
-        zero = ~s.any(axis=(1, 2))
-        verdict[zero] = 0.0 <= bound
-        for i in np.flatnonzero(~(settled | zero)):
-            verdict[i] = operator_norm(s[i], tol) <= bound
-    return verdict
-
-
 def _as_operand(a):
     """``as_matrix`` for dense input; a finite complex CSR matrix for sparse."""
     if not scipy.sparse.issparse(a):
@@ -226,7 +194,7 @@ def _as_operand(a):
     return m
 
 
-def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL, *, with_norm: bool = False):
+def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Numerical rank of ``a`` and an orthonormal basis of its kernel.
 
     Rank counts singular values exceeding ``rank_rel_tol * sigma_max``;
@@ -236,21 +204,23 @@ def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL, *, with_norm: bool = 
     decomposition: ``a* a = R* R``, so ``R`` has the singular values and
     right singular vectors of ``a``, and the left factor of ``a`` is never
     formed.  A wide ``a`` gets a full SVD directly, since its kernel needs
-    all of ``vh`` and its left factor is only ``nrows x nrows``.  With
-    ``with_norm`` the result is ``(rank, kernel, sigma_max)``, the norm read
-    off the same SVD.
+    all of ``vh`` and its left factor is only ``nrows x nrows``.
     """
+    rank, kernel, _ = _rank_kernel_norm(a, tol)
+    return rank, kernel
+
+
+def _rank_kernel_norm(a, tol: ToleranceConfig) -> tuple[int, np.ndarray, float]:
+    """:func:`rank_and_kernel` and ``sigma_max``, read off the same SVD."""
     m = as_matrix(a)
     nrows, ncols = m.shape
     if m.size == 0:
-        kernel = np.eye(ncols, dtype=np.complex128)
-        return (0, kernel, 0.0) if with_norm else (0, kernel)
+        return 0, np.eye(ncols, dtype=np.complex128), 0.0
     if nrows > ncols:
         m = scipy.linalg.qr(m, mode="r", check_finite=False)[0][:ncols]
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = _rank_from_singular_values(s, tol)
-    kernel = vh[rank:].conj().T
-    return (rank, kernel, float(s[0])) if with_norm else (rank, kernel)
+    return rank, vh[rank:].conj().T, float(s[0])
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL, *, floor: float = 0.0) -> int:

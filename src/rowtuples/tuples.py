@@ -7,16 +7,18 @@ the row operator ``[T_1 .. T_d]``.  This module provides validation
 polynomial functional calculus ``p -> p(T)``.
 
 Nilpotency is read off the orbits of the Nakayama generators ``G``, an
-orthonormal basis of ``(Σ_k T_k H)^⊥``, with no ``n x n`` power formed.
-One pass, memoized per tolerance, builds ``G`` and the blocks ``T^alpha G``
-degree by degree, ``T^alpha G = T_k (T^(alpha - e_k) G)`` with ``k`` the
-first nonzero exponent, one stacked product per variable and degree.  The
-index ``m`` is the first degree whose blocks all lie within the zero-test
-cutoff.  It counts only if the blocks of lower degree span ``H`` by a margin
-that proves every ``||T^alpha|| <= c`` at degree ``m``.  By graded Nakayama
-they span for every commuting nilpotent tuple, and they do not when ``T``
-has an invertible part that the orbits of ``G`` reach faintly or not at
-all.  The annihilator, its quotient and ``omega_e`` read the same pass
+orthonormal basis of ``(Σ_k T_k H)^⊥``.  One pass, memoized per tolerance,
+builds ``G`` and the blocks ``T^alpha G`` degree by degree,
+``T^alpha G = T_k (T^(alpha - e_k) G)`` with ``k`` the first nonzero
+exponent, one stacked product per variable and degree.  The index ``m`` is
+the first degree whose blocks all lie within the zero-test cutoff ``c``.
+By graded Nakayama the blocks of lower degree span ``H`` for every
+commuting nilpotent tuple, and a margin on that span proves
+``||T^alpha|| <= c`` at degree ``m``.  If they miss part of ``H`` on which
+``T`` is clearly onto, ``T`` has an invertible part and the index is
+``None``.  Otherwise, and where the orbits outgrow the powers instead of
+dying out, the ``n x n`` powers decide, and only there is a power formed.
+The annihilator, its quotient and ``omega_e`` read the same pass
 (:mod:`rowtuples.ideals`).
 """
 
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,12 +43,11 @@ from .linalg import (
     as_matrix,
     cokernel_basis,
     norm_at_most,
-    norms_at_most,
     numerical_rank,
     operator_norm,
     psd_below_identity,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, graded_indices, indices_of_degree
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
            "require_commuting", "poly_eval"]
@@ -115,8 +118,9 @@ class RowTuple:
     def monomial(self, alpha) -> np.ndarray:
         """``T^alpha`` with memoization; ``T^0`` is the identity.
 
-        For :func:`poly_eval`; the analyses apply ``T^alpha`` to vectors
-        through the orbit step instead and never form a power.
+        For :func:`poly_eval` and the rare search over powers of the
+        nilpotency pass (:func:`_power_index`); the analyses otherwise apply
+        ``T^alpha`` to vectors through the orbit step and form no power.
         """
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.d or any(a < 0 for a in alpha):
@@ -150,24 +154,9 @@ def _predecessor(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return k, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
 
 
-def _orbit_step(t: RowTuple, prev: np.ndarray, plan, count: int) -> np.ndarray:
-    """The ``count`` blocks ``T^alpha V`` of one degree, from the blocks ``prev`` of the last one.
-
-    Blocks are stacked along the middle axis, ``n x k`` each.  ``T^alpha V =
-    T_j (T^(alpha - e_j) V)`` for the first nonzero exponent ``j``, so each
-    entry ``(j, slots, sources)`` of ``plan`` puts ``T_j`` times the blocks
-    ``prev[:, sources]`` at ``slots``: one product per variable.
-    """
-    out = np.empty((prev.shape[0], count, prev.shape[2]), dtype=np.complex128)
-    for var, slots, sources in plan:
-        block = prev[:, sources]
-        out[:, slots] = (t.mats[var] @ block.reshape(block.shape[0], -1)).reshape(block.shape)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
-def _graded_step(d: int, degree: int) -> tuple[tuple[int, slice, slice], ...]:
-    """The plan of :func:`_orbit_step` from degree ``degree - 1`` to ``degree``, graded order.
+def _graded_step(d: int, degree: int) -> tuple[int, tuple[tuple[int, slice, slice], ...]]:
+    """Block count and plan of :func:`_orbit_step` at ``degree``, in graded order.
 
     In the order of :func:`~rowtuples.polynomials.indices_of_degree` the
     exponents whose first nonzero entry is ``j`` form one run, and their
@@ -180,54 +169,118 @@ def _graded_step(d: int, degree: int) -> tuple[tuple[int, slice, slice], ...]:
         run = math.comb(degree - 1 + d - 1 - j, d - 1 - j)
         plan.append((j, slice(start, start + run), slice(before - run, before)))
         start += run
-    return tuple(plan)
+    return start, tuple(plan)
+
+
+def _orbit_step(t: RowTuple, prev: np.ndarray, degree: int) -> np.ndarray:
+    """The blocks ``T^alpha V`` with ``|alpha| = degree``, from those of the degree below.
+
+    Blocks are stacked along the middle axis in graded order, ``n x k``
+    each.  ``T^alpha V = T_j (T^(alpha - e_j) V)`` for the first nonzero
+    exponent ``j``, so a degree costs one product per variable.
+    """
+    count, plan = _graded_step(t.d, degree)
+    out = np.empty((prev.shape[0], count, prev.shape[2]), dtype=np.complex128)
+    for var, slots, sources in plan:
+        block = prev[:, sources]
+        out[:, slots] = (t.mats[var] @ block.reshape(block.shape[0], -1)).reshape(block.shape)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_positions(d: int, top: int) -> Mapping[tuple[int, ...], int]:
+    """Position of each exponent in ``graded_indices(d, top)``, read-only."""
+    return MappingProxyType({alpha: i for i, alpha in enumerate(graded_indices(d, top))})
 
 
 def _orbits(t: RowTuple, v: np.ndarray, monomials) -> np.ndarray:
     """``T^alpha V`` for each exponent of ``monomials``, stacked as ``(n, len, k)``.
 
-    ``V`` is ``n x k``.  The predecessors that ``monomials`` lacks are added,
-    and the blocks are built degree by degree by :func:`_orbit_step`.
+    ``V`` is ``n x k``.  :func:`_orbit_step` builds every degree up to the
+    largest wanted one, and the wanted blocks are picked from them.
     """
     wanted = [tuple(int(a) for a in alpha) for alpha in monomials]
     for alpha in wanted:
         if len(alpha) != t.d or any(a < 0 for a in alpha):
             raise ShapeError(f"bad exponent tuple {alpha} for d={t.d}")
-    if not wanted:
-        return np.zeros((t.dim, 0, v.shape[1]), dtype=np.complex128)
-    # levels[j] maps each exponent of degree j to its position among them
-    levels: list[dict] = [{} for _ in range(1 + max(map(sum, wanted)))]
-    for alpha in wanted:
-        while alpha not in levels[sum(alpha)]:
-            levels[sum(alpha)][alpha] = len(levels[sum(alpha)])
-            if not any(alpha):
-                break
-            alpha = _predecessor(alpha)[1]
-    blocks = [v[:, None, :]]
-    for prev, level in zip(levels, levels[1:]):
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for i, alpha in enumerate(level):
-            var, beta = _predecessor(alpha)
-            slots, sources = groups.setdefault(var, ([], []))
-            slots.append(i)
-            sources.append(prev[beta])
-        plan = [(var, slots, sources) for var, (slots, sources) in groups.items()]
-        blocks.append(_orbit_step(t, blocks[-1], plan, len(level)))
-    offsets = np.cumsum([0] + [len(level) for level in levels])
-    picks = [offsets[sum(alpha)] + levels[sum(alpha)][alpha] for alpha in wanted]
-    return np.concatenate(blocks, axis=1)[:, picks]
+    top = max(map(sum, wanted), default=0)
+    levels = [v[:, None, :]]
+    for degree in range(1, top + 1):
+        levels.append(_orbit_step(t, levels[-1], degree))
+    positions = _graded_positions(t.d, top)
+    return np.concatenate(levels, axis=1)[:, [positions[alpha] for alpha in wanted]]
 
 
 def _vanishing(level: np.ndarray, cutoff: float, tol: ToleranceConfig) -> np.ndarray:
     """Whether each block ``level[:, i]`` has spectral norm at most ``cutoff``.
 
-    A single column's norm is its spectral norm; wider blocks take the
-    Frobenius bracket of :func:`~rowtuples.linalg.norms_at_most`.
+    A single column's norm is its spectral norm; wider blocks go through
+    :func:`~rowtuples.linalg.norm_at_most` one at a time.
     """
     if level.shape[2] != 1:
-        return norms_at_most(level.transpose(1, 0, 2), cutoff, tol)
+        return np.array(
+            [norm_at_most(level[:, i], cutoff, tol) for i in range(level.shape[1])], dtype=bool
+        )
     with np.errstate(over="ignore"):
         return np.sqrt((level.real**2 + level.imag**2).sum(axis=(0, 2))) <= cutoff
+
+
+def _power_index(t: RowTuple, start: int, cutoff: float, tol: ToleranceConfig) -> int | None:
+    """First degree from ``start`` to ``dim + 1`` at which every ``||T^alpha|| <= cutoff``.
+
+    The search over the ``n x n`` powers of :meth:`RowTuple.monomial`, for
+    the tuples whose orbits cannot settle the index.  A degree stops at its
+    first power that does not vanish, so a tuple whose powers never vanish
+    costs about one product per degree.
+    """
+    for degree in range(start, t.dim + 2):
+        if all(norm_at_most(t.monomial(alpha), cutoff, tol)
+               for alpha in indices_of_degree(t.d, degree)):
+            return degree
+    return None
+
+
+def _orbit_certificate(
+    t: RowTuple, levels: list[np.ndarray], index: int, cutoff: float, tol: ToleranceConfig
+) -> bool | None:
+    """What the orbits say of a candidate index, given the blocks of degrees ``0 .. index``.
+
+    ``B`` is the ``n x K`` matrix of the blocks of lower degree, each
+    ``T^beta G`` divided by ``scale^|beta|``.  ``True``: its singular values
+    all exceed ``sqrt(K) * top / c``, ``top`` the largest norm of a column
+    of a degree-``index`` block; writing ``h = B z`` then bounds
+    ``||T^alpha h|| <= top * ||z||_1 <= c ||h||`` for ``|alpha| = index``,
+    since ``||T^beta|| <= scale^|beta|``, so every power of that degree
+    vanishes.  ``False``: ``B`` has numerical rank below ``dim`` and ``T``
+    has an invertible part that the orbits miss.  The orbits span an
+    invariant subspace ``V``, and ``T`` acts on ``H / V`` by the quotient
+    tuple ``W* T_k W``, ``W`` an orthonormal basis of ``V^⊥``.  That tuple
+    is nilpotent when ``T`` is, so its row operator is not onto; here it is
+    onto with every singular value above ``sqrt(c * scale)``, far from the
+    cutoff at which roundoff and the zero test blur what is onto, plus the
+    coupling ``max_k ||W* T_k V||`` by which ``V`` falls short of
+    invariance.  ``None``: the powers must decide, because ``B`` spans
+    ``H`` without the margin of a proof, or misses part of it on which
+    ``T`` is not clearly onto.
+    """
+    below = levels[:index]
+    if t.scale != 1.0:
+        with np.errstate(over="ignore"):
+            below = [level / np.float64(t.scale) ** j for j, level in enumerate(below)]
+    below = np.concatenate(below, axis=1).reshape(t.dim, -1)
+    top = levels[index] / cutoff  # columns of norm at most 1: no square overflows
+    top = (top.real**2 + top.imag**2).sum(axis=0).max(initial=0.0)
+    if numerical_rank(below, tol, floor=math.sqrt(top * below.shape[1])) == t.dim:
+        return True
+    if numerical_rank(below, tol) == t.dim:
+        return None
+    w = cokernel_basis(below, tol)
+    rows = [w.conj().T @ m for m in t.mats]  # W* T_k
+    quotient = [r @ w for r in rows]
+    coupling = max(operator_norm(r - q @ w.conj().T) for r, q in zip(rows, quotient))
+    floor = math.sqrt(cutoff * t.scale) + coupling
+    onto = numerical_rank(np.hstack(quotient), tol, floor=floor) == w.shape[1]
+    return False if onto else None
 
 
 @dataclass(frozen=True)
@@ -251,17 +304,17 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
     ``G`` is the trailing left singular vectors of the row operator, past
     the singular values above both ``rank_rel_tol * sigma_max`` and the
     zero-test cutoff ``c = rank_rel_tol * t.scale``.  A block ``T^alpha G``
-    is zero when its norm is at most ``c``.  The index is the first degree,
-    from 1 on a nonzero space, whose blocks are all zero, at most
-    ``dim + 1``.  It stands only if the ``n x K`` matrix ``B`` of the blocks
-    of lower degree, each ``T^beta G`` divided by ``scale^|beta|``, has
-    numerical rank ``dim`` with every singular value above
-    ``sqrt(K) * top / c``, ``top`` the largest norm of a column of a
-    degree-``m`` block.  Writing ``h = B z`` then bounds
-    ``||T^alpha h|| <= top * ||z||_1 <= c ||h||`` for ``|alpha| = m``, since
-    ``||T^beta|| <= scale^|beta|``, so every ``||T^alpha|| <= c``: the index
-    is the one a search over the powers would find, and an invertible part
-    that the orbits reach only faintly is not certified.
+    is zero when its norm is at most ``c``.  The candidate index is the
+    first degree, from 1 on a nonzero space, whose blocks are all zero, at
+    most ``dim + 1``.  It stands if :func:`_orbit_certificate` proves it;
+    it is ``None`` if the orbits miss an invertible part of ``T``;
+    otherwise the search over the powers (:func:`_power_index`) continues
+    from it.  That search also takes over once the blocks stored have more
+    than ``n (n + 2)`` columns, those of the powers ``x_1^0 .. x_1^(n+1)``
+    that it forms for a tuple whose powers never vanish, so a tuple whose
+    orbits do not die out stores no more than that, not every block up to
+    degree ``dim + 1``.  Where the powers decide the index they also give
+    the zero verdicts.
     """
     require_commuting(t, tol)
 
@@ -270,30 +323,42 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
         gens = cokernel_basis(t.row(), tol, floor=cutoff)
         levels = [gens[:, None, :]]
         zeros = [_vanishing(levels[0], cutoff, tol)]
-        index = None if t.dim else 0
-        for degree in range(1, t.dim + 2 if t.dim else 1):
-            count = math.comb(degree + t.d - 1, t.d - 1)
-            levels.append(_orbit_step(t, levels[-1], _graded_step(t.d, degree), count))
+
+        def grow() -> None:
+            levels.append(_orbit_step(t, levels[-1], len(levels)))
             zeros.append(_vanishing(levels[-1], cutoff, tol))
+
+        index, by_powers = (None if t.dim else 0), False
+        while t.dim and len(levels) <= t.dim + 1:
+            grow()
+            degree = len(levels) - 1
             if zeros[-1].all():
                 index = degree
                 break
+            if sum(z.size for z in zeros) * gens.shape[1] > t.dim * (t.dim + 2):
+                index, by_powers = _power_index(t, degree + 1, cutoff, tol), True
+                break
+        while index and len(levels) <= index:
+            grow()
         if index:
-            # h = below @ z gives ||T^alpha h|| <= top ||z||_1 for |alpha| = m, since
-            # ||T^beta|| <= scale^|beta|, so sigma_min(below) above floor proves
-            # ||T^alpha|| <= cutoff
-            below = levels[:index]
-            if t.scale != 1.0:
-                with np.errstate(over="ignore"):
-                    below = [level / np.float64(t.scale) ** j for j, level in enumerate(below)]
-            below = np.concatenate(below, axis=1).reshape(t.dim, -1)
-            top = levels[index] / cutoff  # columns of norm at most 1: no square overflows
-            top = (top.real**2 + top.imag**2).sum(axis=0).max(initial=0.0)
-            floor = math.sqrt(top * below.shape[1])
-            if numerical_rank(below, tol, floor=floor) != t.dim:
+            certificate = _orbit_certificate(t, levels, index, cutoff, tol)
+            if certificate is None:
+                index, by_powers = _power_index(t, index, cutoff, tol), True
+            elif not certificate:
                 index = None
+        while index and len(levels) <= index:
+            grow()
         if index is None:
             levels, zeros = [levels[0][:, :0]], [zeros[0][:0]]
+        else:
+            levels, zeros = levels[: index + 1], zeros[: index + 1]
+        if by_powers and index:
+            # the verdicts of the powers that decided, as T^alpha G = 0 need not mean T^alpha = 0
+            zeros = [
+                np.array([norm_at_most(t.monomial(alpha), cutoff, tol)
+                          for alpha in indices_of_degree(t.d, j)])
+                for j in range(index + 1)
+            ]
         out = _NakayamaPass(gens, index, np.concatenate(levels, axis=1), np.concatenate(zeros))
         for a in (out.generators, out.blocks, out.zero):
             a.setflags(write=False)
@@ -386,14 +451,15 @@ def nilpotency_index(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> int | N
 
     Decided on the orbits of the Nakayama generators ``G`` (see
     :func:`_nakayama_pass`): ``m`` is the first degree at which every
-    ``T^alpha G`` lies within the zero-test cutoff, and it counts only if
-    the orbits of lower degree span the space by a margin that proves
-    ``||T^alpha|| <= c`` for ``|alpha| = m``.  Graded Nakayama guarantees
-    the span for a commuting nilpotent tuple.  ``None`` means that no
-    degree up to ``dim + 1`` vanishes or that the certificate fails, as it
-    does for a tuple with an invertible part.  Only zero-dimensional tuples
-    report index 0: on a nonzero space ``T^0 G`` spans ``G``, so the search
-    starts at degree 1.
+    ``T^alpha G`` lies within the zero-test cutoff ``c``.  A margin on the
+    span of the orbits of lower degree proves every ``||T^alpha|| <= c`` for
+    ``|alpha| = m``; where it falls short, or the orbits grow instead of
+    dying out, the ``n x n`` powers decide.  So the index is the least
+    degree whose powers all vanish, except that it is ``None`` when the
+    orbits miss part of the space on which ``T`` is clearly onto, an
+    invertible part.  ``None`` also means that no degree up to ``dim + 1``
+    vanishes.  Only zero-dimensional tuples report index 0: on a nonzero
+    space ``T^0 G`` spans ``G``, so the search starts at degree 1.
     """
     return _nakayama_pass(t, tol).index
 

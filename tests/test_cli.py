@@ -624,7 +624,7 @@ class TestSweepCommand:
         import rowtuples.ideals as ideals
 
         calls = []
-        for name in ("rank_and_kernel", "_quotient"):
+        for name in ("_rank_kernel_norm", "_quotient"):
 
             def recording(*args, _real=getattr(ideals, name), _name=name, **kwargs):
                 calls.append(_name)
@@ -634,7 +634,7 @@ class TestSweepCommand:
         code, rep, _ = run_json(capsys, "sweep", "--suite", "greedy", "--count", "3")
         assert code == 0
         assert rep["results"]["suites"][0]["passed"] == 3
-        assert sorted(calls) == ["_quotient"] * 3 + ["rank_and_kernel"] * 3
+        assert sorted(calls) == ["_quotient"] * 3 + ["_rank_kernel_norm"] * 3
 
 
 class TestUsage:

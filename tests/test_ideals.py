@@ -377,7 +377,7 @@ class TestModelSpace:
         def fail(*args, **kwargs):
             raise AssertionError("the model space took a slice, a frame or a kernel")
 
-        for name in ("orthonormalize", "rank_and_kernel"):
+        for name in ("orthonormalize", "_rank_kernel_norm"):
             monkeypatch.setattr(ideals, name, fail)
         monkeypatch.setattr(AnnihilatorBasis, "ideal_slice", fail)
         assert model_space(ann).dim == model_of(t)[0].dim == 6
@@ -573,11 +573,11 @@ class TestOrbitAnnihilator:
 
         shapes = []
 
-        def recording(a, *args, **kwargs):
+        def recording(a, *args, _real=ideals._rank_kernel_norm, **kwargs):
             shapes.append(np.shape(a))
-            return rank_and_kernel(a, *args, **kwargs)
+            return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(ideals, "rank_and_kernel", recording)
+        monkeypatch.setattr(ideals, "_rank_kernel_norm", recording)
         t = _multiplicity_above_one(1, 4)
         annihilator(t)
         mu = nakayama_generators(t).shape[1]
@@ -684,8 +684,9 @@ class TestOrbitPass:
     @pytest.mark.parametrize("seed", range(5))
     def test_a_faint_invertible_part_is_not_certified(self, seed):
         # under an oblique similarity G reaches the 0.05·I part faintly: its
-        # orbits fall below the cutoff at degree 6 and still span H, but
-        # ||T^alpha|| >= 0.05^6 is not below it
+        # orbits fall below the cutoff at degree 6 and still span H, without
+        # the margin of a proof, so the powers decide, and ||T^alpha|| >=
+        # 0.05^6 is not below the cutoff at any degree up to dim + 1 = 6
         from scipy.linalg import block_diag
 
         base = RowTuple([block_diag(m, [[0.05]]) for m in rectangle(2, 2).mats])
@@ -700,6 +701,15 @@ class TestOrbitPass:
         scaled = RowTuple([factor * m for m in t.mats])
         assert nilpotency_index(scaled) == nilpotency_index(t) == 5
         assert omega_e(scaled) == {(2, 2)}
+
+    def test_a_scaled_down_tuple_keeps_the_index_of_its_powers(self):
+        # at 1e-3 the orbits of degree 3 and 4 fall under the cutoff and the
+        # rest span six of nine dimensions, but those six are far from
+        # invariant (coupling 7e-4), so the missed part is no invertible part
+        # and the powers decide, as they did before the pass
+        t = random_similarity(np.random.default_rng(1), rectangle(3, 3))
+        small = RowTuple([1e-3 * m for m in t.mats])
+        assert nilpotency_index(small) == _power_oracle(small)[0] == 3
 
     def test_no_power_is_formed(self, monkeypatch):
         from rowtuples.vectors import multiplicity, quasiaffine_witness
@@ -717,7 +727,7 @@ class TestOrbitPass:
         assert multiplicity(t) == 1
         assert quasiaffine_witness(t).shape == (9, 9)
 
-    def test_orbit_matrix_adds_missing_predecessors(self):
+    def test_orbit_matrix_takes_any_monomials(self):
         t = random_similarity(np.random.default_rng(4), rectangle(3, 2))
         v = np.random.default_rng(5).standard_normal(t.dim)
         monomials = [(2, 1), (0, 1), (1, 0), (2, 1)]  # no origin, no (1, 1) or (2, 0)
@@ -726,6 +736,77 @@ class TestOrbitPass:
             assert np.allclose(orbit[:, j], t.monomial(alpha) @ v, atol=1e-15)
         with pytest.raises(ShapeError):
             orbit_matrix(t, v, [(1, -1)])
+
+    @pytest.mark.parametrize(
+        "seed, instance, index", [(1503002070, 0, 6), (1507001020, 0, 5), (1521001776, 2, 5)]
+    )
+    def test_orbits_short_of_a_proof_leave_the_verdict_to_the_powers(
+        self, seed, instance, index, monkeypatch
+    ):
+        # compressions of cyclic tuples to invariant subspaces in these
+        # rigidity-full sweeps.  In the first two the top-degree orbits sit
+        # just under the cutoff: they span H without the margin of a proof.
+        # In the third the row operator's least singular value, 1.8e-9, sits
+        # just above the cutoff, so G is empty and its orbits span nothing,
+        # yet T is not onto by a clear margin.  The powers decide, with the
+        # index and omega_e of the search over them
+        import rowtuples.tuples as tuples
+        from rowtuples.subspaces import compress
+        from rowtuples.sweeps import _streams, cyclic_instance, proper_invariant, run_suite
+
+        searched = []
+
+        def recording(t, start, *args, _real=tuples._power_index):
+            searched.append(start)
+            return _real(t, start, *args)
+
+        monkeypatch.setattr(tuples, "_power_index", recording)
+        rng = _streams(seed, 4)[instance]
+        t = cyclic_instance(rng)
+        c = compress(t, proper_invariant(rng, t))
+        oracle_index, _, oracle_omega, _ = _power_oracle(c)
+        assert nilpotency_index(c) == oracle_index == index
+        assert omega_e(c) == oracle_omega
+        assert len(searched) == 1
+        [outcome] = run_suite("rigidity-full", seed=seed, count=4)
+        assert outcome.passed == 4
+
+    def test_an_index_of_dim_plus_one_stands(self):
+        # the first compression of instance 3 of this rigidity-coinvariant sweep
+        # is 7-dimensional with index 8: its degree-7 orbit has norm 7e-3, one
+        # dimension more than an exactly nilpotent tuple allows, and only its
+        # degree-8 orbit and powers vanish, so no rank bound may end the pass
+        from rowtuples.subspaces import compress
+        from rowtuples.sweeps import _streams, cyclic_instance, random_coinvariant, run_suite
+
+        rng = _streams(1505001711, 4)[3]
+        t = cyclic_instance(rng)
+        c = compress(t, random_coinvariant(rng, t))
+        assert c.dim == 7
+        assert nilpotency_index(c) == _power_oracle(c)[0] == 8
+        [outcome] = run_suite("rigidity-coinvariant", seed=1505001711, count=4)
+        assert outcome.passed == 4
+
+    @pytest.mark.parametrize("d, p, built", [(3, 6, 4), (4, 4, 3)])
+    def test_orbits_that_do_not_die_hand_over_to_the_powers(self, d, p, built, monkeypatch):
+        # every T^alpha G with alpha != 0 is e2 ⊗ I_p: the blocks stored pass
+        # n (n + 2) columns at degree `built`, well before dim + 1 = 2p + 1, and
+        # the powers, which never vanish, decide at one product per degree
+        import rowtuples.tuples as tuples
+
+        steps = []
+
+        def counting(t, prev, degree, _real=tuples._orbit_step):
+            steps.append(degree)
+            return _real(t, prev, degree)
+
+        monkeypatch.setattr(tuples, "_orbit_step", counting)
+        coupled = np.kron(np.array([[0.0, 0.0], [1.0, 1.0]]), np.eye(p))
+        t = RowTuple([coupled] * d)
+        assert nilpotency_index(t) is None
+        assert steps == list(range(1, built + 1))
+        assert sorted(t._monomials) == [(j,) + (0,) * (d - 1) for j in range(2 * p + 2)]
+        assert tuples._nakayama_pass(t, DEFAULT_TOL).blocks.size == 0
 
 
 class TestNormalForm:

@@ -201,7 +201,7 @@ class TestMemoizedVerdicts:
         calls = []
         for module, name in [
             (tuples, "norm_at_most"),
-            (ideals, "rank_and_kernel"),
+            (ideals, "_rank_kernel_norm"),
             (ideals, "quotient_algebra"),
             (ideals, "model_space"),
             (ideals, "model_tuple"),
