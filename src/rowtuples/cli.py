@@ -82,41 +82,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Each subcommand declares only the flags it reads.
+_FLAGS = {
+    "input": dict(help="JSON input file (tuple, vector, or payload)"),
+    "fixture": dict(help="named fixture, e.g. maxcount or jordan(3)"),
+    "seed": dict(type=int, default=0, help="seed for randomized steps"),
+    "tol": dict(type=float, help="rank/PSD decision tolerance"),
+    "degree": dict(type=int, help="degree cap"),
+    "json": dict(action="store_true", help="machine-readable report"),
+    "poly": dict(help="polynomial string, e.g. 'x1 + x2'"),
+    "suite": dict(default="all", help="suite name or 'all'"),
+    "count": dict(type=int, help="instances per suite"),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="rowtuples", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, help_text, *, seed=False, poly=False, suite=False):
+    def add(name, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="JSON input file (tuple, vector, or payload)")
-        p.add_argument("--fixture", help="named fixture, e.g. maxcount or jordan(3)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-        p.add_argument("--tol", type=float, help="rank/PSD decision tolerance")
-        p.add_argument("--degree", type=int, help="degree cap where applicable")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-        if poly:
-            p.add_argument("--poly", help="polynomial string, e.g. 'x1 + x2'")
-        if suite:
-            p.add_argument("--suite", default="all", help="suite name or 'all'")
-            p.add_argument("--count", type=int, help="instances per suite")
-        return p
+        for flag in flags + ("json",):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
 
-    add("check", "validate a tuple: shapes, contraction, purity, nilpotency")
-    add("ann", "annihilator basis, quotient dimension, socle exponents")
-    add("model", "model space dimension and compressed multiplier matrices")
-    add("cyclic", "cyclicity of a vector (or the tuple's multiplicity)")
-    add("separating", "separating verdict for a vector, or the greedy set", seed=True)
-    add("gram", "word-orbit gram operator and its norm bound")
-    add("transform", "quasi-affine witness intertwining the model tuple")
-    add("rigidity", "annihilator-rigidity verdict for a subspace pair")
-    add("decompose", "invariant-decomposition certificate via the commutant")
-    add("split", "complement an invariant subspace (splitting construction)", seed=True)
-    add("fock", "truncated multiplier norms of a polynomial", poly=True)
+    tup = ("input", "fixture", "tol")
+    add("check", "validate a tuple: shapes, contraction, purity, nilpotency", *tup)
+    add("ann", "annihilator basis, quotient dimension, socle exponents", *tup)
+    add("model", "model space dimension and compressed multiplier matrices", *tup, "degree")
+    add("cyclic", "cyclicity of a vector (or the tuple's multiplicity)", *tup)
+    add("separating", "separating verdict for a vector, or the greedy set", *tup, "seed")
+    add("gram", "word-orbit gram operator and its norm bound", *tup)
+    add("transform", "quasi-affine witness intertwining the model tuple", *tup)
+    add("rigidity", "annihilator-rigidity verdict for a subspace pair", *tup)
+    add("decompose", "invariant-decomposition certificate via the commutant", *tup)
+    add("split", "complement an invariant subspace (splitting construction)", *tup)
+    add("fock", "truncated multiplier norms of a polynomial", "poly", "degree", "tol")
     add("fixtures", "list the built-in fixtures")
-    add("sweep", "run the randomized property suites", seed=True, suite=True)
+    add("sweep", "run the randomized property suites", "suite", "count", "seed")
     return parser
 
 
@@ -331,7 +335,7 @@ def _cmd_split(t, payload, args, tol):
     if not isinstance(payload, dict) or "m" not in payload:
         raise UsageError("m: split needs an input document with subspace columns")
     m = _payload_subspace(payload, "m", t, tol)
-    n = splitting_construct(t, m, seed=args.seed, tol=tol)
+    n = splitting_construct(t, m, tol=tol)
     results = {
         "m_dim": m.dim,
         "n_dim": n.dim,
@@ -366,7 +370,7 @@ def _cmd_fixtures():
     return {"fixtures": fixture_catalog()}, [], EXIT_OK
 
 
-def _cmd_sweep(args, tol):
+def _cmd_sweep(args):
     outs = run_suite(args.suite, seed=args.seed, count=args.count)
     results = {
         "suites": [
@@ -423,7 +427,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("missing subcommand")
-        tol = _tolerance(args)
         for name in ("seed", "count"):
             value = getattr(args, name, None)
             if value is not None and value < 0:
@@ -432,16 +435,17 @@ def main(argv=None) -> int:
             results, warnings, code = _cmd_fixtures()
             dig = digest(b"")
         elif args.command == "fock":
-            results, warnings, code = _cmd_fock(args, tol)
+            results, warnings, code = _cmd_fock(args, _tolerance(args))
             dig = digest((args.poly or "").encode())
         elif args.command == "sweep":
             if args.suite != "all" and args.suite not in SUITES:
                 raise UsageError(
                     f"suite: unknown suite {args.suite!r}; known: {', '.join(SUITES)}, all"
                 )
-            results, warnings, code = _cmd_sweep(args, tol)
+            results, warnings, code = _cmd_sweep(args)
             dig = digest(args.suite.encode(), str(args.seed).encode())
         else:
+            tol = _tolerance(args)
             t, payload, dig = _load_inputs(args)
             results, warnings, code = _TUPLE_COMMANDS[args.command](
                 t, payload, args, tol

@@ -25,7 +25,7 @@ import scipy.sparse
 
 from .errors import DomainError, ShapeError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
-from .polynomials import Polynomial, graded_indices, graded_words, multinomial
+from .polynomials import Polynomial, graded_indices, graded_positions, graded_words, multinomial
 
 __all__ = [
     "TruncatedDA",
@@ -37,11 +37,6 @@ __all__ = [
     "truncated_multiplier_norms",
     "creation_matrix",
 ]
-
-
-@lru_cache(maxsize=None)
-def _index_positions(d: int, max_degree: int) -> dict[tuple[int, ...], int]:
-    return {alpha: i for i, alpha in enumerate(graded_indices(d, max_degree))}
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +70,7 @@ class TruncatedDA:
         return graded_indices(self.d, self.max_degree)
 
     def position(self, alpha: tuple[int, ...]) -> int:
-        return _index_positions(self.d, self.max_degree)[tuple(alpha)]
+        return graded_positions(self.d, self.max_degree)[tuple(alpha)]
 
     def coordinates(self, p: Polynomial) -> np.ndarray:
         """Coordinates of a polynomial in the orthonormal weighted basis.
@@ -120,7 +115,13 @@ class TruncatedFock:
 
 def da_monomial_norm(alpha: tuple[int, ...]) -> float:
     """Drury-Arveson norm of the monomial ``x^alpha``: ``sqrt(a!/|a|!)``."""
-    return math.sqrt(1.0 / multinomial(tuple(int(a) for a in alpha)))
+    return _da_norm(tuple(int(a) for a in alpha))
+
+
+@lru_cache(maxsize=None)
+def _da_norm(alpha: tuple[int, ...]) -> float:
+    """:func:`da_monomial_norm`, computed once per exponent."""
+    return math.sqrt(1.0 / multinomial(alpha))
 
 
 def da_kernel(z, w) -> complex:

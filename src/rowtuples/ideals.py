@@ -53,7 +53,7 @@ from .linalg import (
     orthonormalize,
     subspaces_equal,
 )
-from .polynomials import Polynomial, graded_indices
+from .polynomials import Polynomial, graded_indices, graded_positions
 from .tuples import RowTuple, _nakayama_pass, _orbits, nilpotency_index
 
 __all__ = [
@@ -131,8 +131,7 @@ class AnnihilatorBasis:
             raise ShapeError(
                 f"slice degree {max_degree} below the degree bound {self.degree_bound}"
             )
-        monomials = graded_indices(self.d, max_degree)
-        positions = {alpha: i for i, alpha in enumerate(monomials)}
+        positions = graded_positions(self.d, max_degree)
         source = self.monomials()
         shifts: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -157,10 +156,10 @@ class AnnihilatorBasis:
             length = support[-1] + 1 if support.size else 0
             degree = sum(source[length - 1]) if length else 0
             for beta in graded_indices(self.d, max_degree - degree):
-                column = np.zeros(len(monomials), dtype=np.complex128)
+                column = np.zeros(len(positions), dtype=np.complex128)
                 column[shift_rows(beta)[:length]] = q[:length]
                 columns.append(column)
-        return np.array(columns, dtype=np.complex128).reshape(-1, len(monomials)).T
+        return np.array(columns, dtype=np.complex128).reshape(-1, len(positions)).T
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ class QuotientAlgebra:
 
     @functools.cached_property
     def mult_table(self) -> np.ndarray:
-        positions = {alpha: i for i, alpha in enumerate(self._ann.monomials())}
+        positions = graded_positions(self._ann.d, self._ann.degree_bound)
         table = np.zeros((self.dim,) * 3, dtype=np.complex128)
         for i, alpha in enumerate(self.monomial_basis):
             for j, beta in enumerate(self.monomial_basis):

@@ -12,9 +12,11 @@ the analogous order: by length, then left-to-right letter comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from itertools import product
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -23,6 +25,7 @@ from .errors import PolynomialParseError, ShapeError
 
 __all__ = [
     "graded_indices",
+    "graded_positions",
     "indices_of_degree",
     "graded_words",
     "words_of_length",
@@ -47,10 +50,19 @@ def indices_of_degree(d: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 def graded_indices(d: int, max_degree: int) -> list[tuple[int, ...]]:
     """All multi-indices with total degree at most ``max_degree``, graded order."""
-    out: list[tuple[int, ...]] = []
-    for degree in range(max_degree + 1):
-        out.extend(indices_of_degree(d, degree))
-    return out
+    return list(_graded(d, max_degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _graded(d: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`graded_indices`, enumerated once per ``(d, max_degree)``."""
+    return tuple(alpha for k in range(max_degree + 1) for alpha in indices_of_degree(d, k))
+
+
+@functools.lru_cache(maxsize=None)
+def graded_positions(d: int, max_degree: int) -> Mapping[tuple[int, ...], int]:
+    """Position of each multi-index in ``graded_indices(d, max_degree)``, read-only."""
+    return MappingProxyType({alpha: i for i, alpha in enumerate(_graded(d, max_degree))})
 
 
 def words_of_length(d: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -3,7 +3,8 @@
 Restrictions, compressions, intertwiner spaces, annihilator-rigidity
 verdicts, invariant decompositions from an idempotent of the commutant
 (lifted from its semisimple quotient, with no search), and the splitting
-construction for invariant subspaces whose restricted adjoint is cyclic.
+construction for invariant subspaces whose restricted adjoint is cyclic
+(from that adjoint's Nakayama generator, again with no search).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     ShapeError,
     WitnessSearchError,
 )
-from .ideals import annihilator, annihilators_equal
+from .ideals import annihilator, annihilators_equal, nakayama_generators, orbit_matrix, quotient_of
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -55,7 +56,6 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-8
-_SPLITTING_TRIES = 24  # random candidates for a cyclic vector of the restricted adjoint
 
 
 @dataclass(frozen=True)
@@ -445,21 +445,22 @@ def decomposition_find(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def splitting_construct(
-    t: RowTuple,
-    m: SubspaceBasis,
-    *,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    t: RowTuple, m: SubspaceBasis, *, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SubspaceBasis:
     """Complement an invariant subspace with adjoint-cyclic restriction.
 
     Given nilpotent ``T`` and invariant ``M`` with ``(T|_M)*`` cyclic and
     ``Ann(T|_M) = Ann(T)``, returns an invariant ``N`` with ``M ∩ N = 0``
-    and ``M + N`` the whole space: the orthogonal complement of the
-    adjoint-orbit closure of a cyclic vector for the restricted adjoint.
-    Raises :class:`HypothesisError` naming the first failed hypothesis.
+    and ``M + N`` the whole space, with no search.  The Nakayama generator
+    ``ξ`` of ``(T|_M)*`` (as a vector of ``M``) is cyclic for it, so ``P_M``
+    maps the ``T*``-orbit ``K`` of ``ξ`` onto ``M``; ``K`` is spanned by
+    ``T*^α ξ`` over the quotient's monomial basis ``S``, and the hypotheses
+    give ``|S| = dim M``, so ``K ∩ M^⊥ = 0`` and ``N = K^⊥`` is the trailing
+    part of a complete QR of that orbit matrix.  Raises
+    :class:`HypothesisError` naming the first failed hypothesis, and
+    :class:`WitnessSearchError` when ``|S|`` is not ``dim M``.
     """
-    from .vectors import is_cyclic, multiplicity
+    from .vectors import multiplicity
 
     _same_ambient(t, m)
     if nilpotency_index(t, tol=tol) is None:
@@ -478,17 +479,11 @@ def splitting_construct(
             "the restriction has a different annihilator than the tuple",
         )
 
-    rng = np.random.default_rng(seed)
-    xi_m = None
-    for _ in range(_SPLITTING_TRIES):
-        cand = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-        if is_cyclic(radj, cand, tol=tol):
-            xi_m = cand
-            break
-    if xi_m is None:
+    xi = m.frame @ nakayama_generators(radj, tol)[:, 0]
+    orbit = orbit_matrix(t.adjoint(), xi, quotient_of(t, tol).monomial_basis)
+    if orbit.shape[1] != m.dim:
         raise WitnessSearchError(
-            "no cyclic vector found for the adjoint restriction"
+            f"the quotient has dimension {orbit.shape[1]}, not dim M = {m.dim}"
         )
-    xi = m.frame @ xi_m
-    orbit = generated_invariant(t.adjoint(), [xi], tol)
-    return orbit.complement(tol)
+    q = np.linalg.qr(orbit, mode="complete")[0]
+    return SubspaceBasis(t.dim, q[:, m.dim :])

@@ -247,10 +247,16 @@ def _streams(seed: int, count: int):
 def _sweep(name: str, seed: int, count: int, case) -> SweepOutcome:
     """Run ``case(i, rng)`` on each seeded stream and tally its results.
 
-    ``case`` returns ``(ok, message, violation)``; messages of failed or
-    violating instances are kept, at most eight.
+    ``case`` returns ``(ok, message, violation)``; an exception it raises
+    counts as a failed instance with the message ``instance {i}: {exc}``.
+    Messages of failed or violating instances are kept, at most eight.
     """
-    results = [case(i, rng) for i, rng in enumerate(_streams(seed, count))]
+    results = []
+    for i, rng in enumerate(_streams(seed, count)):
+        try:
+            results.append(case(i, rng))
+        except Exception as exc:  # noqa: BLE001 - aggregated into the outcome
+            results.append((False, f"instance {i}: {exc}", False))
     passed = sum(1 for ok, _, viol in results if ok and not viol)
     violations = sum(1 for _, _, viol in results if viol)
     failed = len(results) - passed - violations
@@ -310,11 +316,7 @@ def sweep_splitting(seed: int = 0, count: int = 100) -> SweepOutcome:
 
     def case(i, rng):
         t, m = splitting_instance(rng, d=2, max_side=3)
-        inner = int(rng.integers(2**31))
-        try:
-            n = splitting_construct(t, m, seed=inner)
-        except Exception as exc:  # noqa: BLE001 - aggregated into the outcome
-            return False, f"instance {i}: {exc}", False
+        n = splitting_construct(t, m)
         stacked = np.hstack([m.frame, n.frame])
         svals = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.array([])
         checks = [
@@ -344,11 +346,7 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
             t = cyclic_instance(rng, d=2, max_delta=12)
         q = quotient_of(t)
         delta = q.dim
-        inner = int(rng.integers(2**31))
-        try:
-            chosen, trace = separating_greedy(t, seed=inner)
-        except Exception as exc:  # noqa: BLE001
-            return False, f"instance {i}: {exc}", False
+        chosen, trace = separating_greedy(t, seed=int(rng.integers(2**31)))
         strict = all(a > b for a, b in zip(trace, trace[1:]))
         joint = orbit_matrix(t, np.column_stack(chosen), q.monomial_basis)
         separating = numerical_rank(joint) == delta
@@ -364,10 +362,7 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
 
     def case(i, rng):
         t = cyclic_instance(rng, d=2, max_delta=8)
-        try:
-            x = quasiaffine_witness(t)
-        except Exception as exc:  # noqa: BLE001
-            return False, f"instance {i}: {exc}", False
+        x = quasiaffine_witness(t)
         space, model = model_of(t)
         residual = max(
             operator_norm(x @ mk - tk @ x) for mk, tk in zip(model.mats, t.mats)

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -47,7 +45,7 @@ from .linalg import (
     operator_norm,
     psd_below_identity,
 )
-from .polynomials import Polynomial, graded_indices, indices_of_degree
+from .polynomials import Polynomial, graded_positions, indices_of_degree
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
            "require_commuting", "poly_eval"]
@@ -187,12 +185,6 @@ def _orbit_step(t: RowTuple, prev: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _graded_positions(d: int, top: int) -> Mapping[tuple[int, ...], int]:
-    """Position of each exponent in ``graded_indices(d, top)``, read-only."""
-    return MappingProxyType({alpha: i for i, alpha in enumerate(graded_indices(d, top))})
-
-
 def _orbits(t: RowTuple, v: np.ndarray, monomials) -> np.ndarray:
     """``T^alpha V`` for each exponent of ``monomials``, stacked as ``(n, len, k)``.
 
@@ -207,7 +199,7 @@ def _orbits(t: RowTuple, v: np.ndarray, monomials) -> np.ndarray:
     levels = [v[:, None, :]]
     for degree in range(1, top + 1):
         levels.append(_orbit_step(t, levels[-1], degree))
-    positions = _graded_positions(t.d, top)
+    positions = graded_positions(t.d, top)
     return np.concatenate(levels, axis=1)[:, [positions[alpha] for alpha in wanted]]
 
 

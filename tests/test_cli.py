@@ -610,14 +610,17 @@ class TestSweepCommand:
         assert rep["results"]["ok"] is False
         assert rep["results"]["suites"][0]["violations"] > 0
 
-    def test_splitting_fault_message_prints_plain_booleans(self, capsys):
-        # the pinned splitting fault: instance 3 fails two of its four checks
+    def test_splitting_failure_message_prints_plain_booleans(self, capsys, monkeypatch):
+        # a numpy boolean would print as np.False_
+        monkeypatch.setattr("rowtuples.sweeps.is_invariant", lambda t, n: np.False_)
         code, rep, _ = run_json(
-            capsys, "sweep", "--suite", "splitting", "--count", "4", "--seed", "800019"
+            capsys, "sweep", "--suite", "splitting", "--count", "2", "--seed", "800019"
         )
         suite = rep["results"]["suites"][0]
-        assert suite["failed"] == 1
-        assert suite["messages"] == ["instance 3: checks=[True, False, True, False]"]
+        assert code == 0 and suite["failed"] == 2
+        assert suite["messages"] == [
+            f"instance {i}: checks=[False, True, True, True]" for i in range(2)
+        ]
 
     def test_greedy_analyses_each_instance_once(self, capsys, monkeypatch):
         # the sweep and separating_greedy share one annihilator and one quotient
@@ -648,7 +651,6 @@ class TestUsage:
             ["sweep", "--count", "-1"],
             ["sweep", "--seed", "-1"],
             ["separating", "--fixture", "maxcount", "--seed", "-1"],
-            ["split", "--fixture", "maxcount", "--seed", "-1"],
         ],
     )
     def test_negative_seed_or_count_is_a_usage_error(self, capsys, argv):
@@ -657,6 +659,21 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error:") and "nonnegative" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--tol", "1e-6"],
+            ["ann", "--fixture", "maxcount", "--degree", "3"],
+            ["split", "--fixture", "maxcount", "--seed", "0"],
+            ["fixtures", "--fixture", "maxcount"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments")
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from rowtuples.errors import DomainError, HypothesisError, ShapeError
+from rowtuples.errors import DomainError, HypothesisError, ShapeError, WitnessSearchError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.ideals import annihilator, annihilators_equal
-from rowtuples.linalg import operator_norm
+from rowtuples.linalg import numerical_rank, operator_norm
 from rowtuples.subspaces import (
     SubspaceBasis,
     Verdict,
@@ -24,7 +24,7 @@ from rowtuples.subspaces import (
     rigidity_invariant_check,
     splitting_construct,
 )
-from rowtuples.sweeps import random_similarity, small_nilpotent_instance
+from rowtuples.sweeps import random_similarity, small_nilpotent_instance, splitting_instance
 from rowtuples.tuples import RowTuple
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -330,7 +330,7 @@ class TestSplitting:
             t, [np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)]
         )
         assert m.dim == 2
-        n = splitting_construct(t, m, seed=0)
+        n = splitting_construct(t, m)
         assert n.dim == 2
         assert is_invariant(t, n)
         stacked = np.hstack([m.frame, n.frame])
@@ -340,7 +340,7 @@ class TestSplitting:
 
     def test_full_subspace_gives_zero_complement(self):
         t = maxcount()
-        n = splitting_construct(t, SubspaceBasis.full(3), seed=0)
+        n = splitting_construct(t, SubspaceBasis.full(3))
         assert n.dim == 0
 
     def test_hypothesis_failures_are_named(self):
@@ -364,11 +364,51 @@ class TestSplitting:
             splitting_construct(maxcount(), m)
         assert info.value.hypothesis == "annihilator_equality"
 
+    def test_conjugated_instances_split_with_a_wide_angle(self):
+        # S T S^-1 with M <- orth(S M): the pair (M, N) is oblique, not block-diagonal
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            t, m = splitting_instance(rng, d=2, max_side=3)
+            g = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
+            s = np.eye(t.dim) + 0.2 * g / np.linalg.norm(g, 2)
+            sinv = np.linalg.inv(s)
+            t = RowTuple([s @ mat @ sinv for mat in t.mats])
+            m = SubspaceBasis.from_span(s @ m.frame)
+            n = splitting_construct(t, m)
+            stacked = np.hstack([m.frame, n.frame])
+            smin = np.linalg.svd(stacked, compute_uv=False)[-1]
+            assert is_invariant(t, n), f"seed {seed}"
+            assert m.dim + n.dim == t.dim, f"seed {seed}"
+            assert numerical_rank(stacked) == t.dim, f"seed {seed}"
+            assert smin >= 0.5, f"seed {seed}: sigma_min {smin:.2e}"
+
+    def test_construction_is_deterministic(self):
+        t, m = splitting_instance(np.random.default_rng(3), d=2, max_side=3)
+        first, second = (splitting_construct(t, m).frame for _ in range(2))
+        assert np.array_equal(first, second)
+        # a fresh copy of the same input recomputes every memoized step
+        fresh = splitting_construct(RowTuple(t.mats), SubspaceBasis(t.dim, m.frame)).frame
+        assert np.array_equal(first, fresh)
+
+    def test_quotient_of_another_dimension_is_refused(self, monkeypatch):
+        import rowtuples.subspaces as subspaces
+
+        t = two_jordan_cells()
+        m = generated_invariant(
+            t, [np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)]
+        )
+        real = subspaces.orbit_matrix
+        monkeypatch.setattr(
+            subspaces, "orbit_matrix", lambda *args: real(*args)[:, :1]
+        )
+        with pytest.raises(WitnessSearchError):
+            splitting_construct(t, m)
+
     def test_restriction_annihilator_preserved_on_split(self):
         t = two_jordan_cells()
         m = generated_invariant(
             t, [np.array([1, 0, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex)]
         )
-        n = splitting_construct(t, m, seed=3)
+        n = splitting_construct(t, m)
         r = restrict(t, n)
         assert annihilators_equal(annihilator(r), annihilator(t))

@@ -7,6 +7,7 @@ import pytest
 
 from rowtuples import fixtures, fock, ideals, sweeps
 
+from rowtuples.errors import WitnessSearchError
 from rowtuples.ideals import annihilator, annihilators_equal, quotient_algebra
 from rowtuples.subspaces import is_invariant, restrict
 from rowtuples.sweeps import (
@@ -213,6 +214,21 @@ class TestSuites:
         outs = run_suite("all", seed=13, count=3)
         assert [o.name for o in outs] == list(SUITES)
         assert all(o.ok for o in outs)
+
+    def test_an_instance_that_raises_fails_alone(self, monkeypatch):
+        real = sweeps.small_nilpotent_instance
+        drawn = []
+
+        def fifth_raises(rng, dim_cap):
+            drawn.append(rng)
+            if len(drawn) == 5:
+                raise WitnessSearchError("no certificate")
+            return real(rng, dim_cap)
+
+        monkeypatch.setattr(sweeps, "small_nilpotent_instance", fifth_raises)
+        (out,) = run_suite("decompose", seed=3, count=12)
+        assert (out.total, out.passed, out.failed) == (12, 11, 1)
+        assert out.messages == ("instance 4: no certificate",)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(KeyError):
