@@ -15,6 +15,15 @@ is the result.  Anything else (booleans alone, bare numbers mixed with
 pairs, strings, ``None``, ragged rows, wrong nesting, integers beyond
 numpy's integer types) goes through a walk over the entries, which
 decides whether the document is accepted and which diagnostic it draws.
+
+Input files are parsed strict-first.  orjson, a C parser, reads plain
+RFC 8259 JSON nested at most ``_STRICT_DEPTH`` levels deep.  The stdlib
+decoder reads everything else: the lenient extensions (``NaN``,
+``Infinity``, numbers beyond the float range, a byte order mark, UTF-16
+or UTF-32, lone surrogates), deeper documents, and malformed ones, whose
+diagnostic is the stdlib's.  The one value that differs is an integer
+literal outside the 64-bit range, which orjson returns as the nearest
+float.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import hashlib
 import json
 
 import numpy as np
+import orjson
 
 from .errors import ShapeError
 from .tuples import RowTuple
@@ -143,9 +153,10 @@ def tuple_from_json(obj) -> RowTuple:
         if key not in obj:
             raise ShapeError(f"tuple: missing field '{key}'")
     d, dim, mats_json = obj["d"], obj["dim"], obj["matrices"]
-    if not isinstance(d, int) or d < 1:
+    # bool is an int subclass, but true is not a count
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ShapeError("d: expected a positive integer")
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ShapeError("dim: expected a nonnegative integer")
     if not isinstance(mats_json, list) or len(mats_json) != d:
         raise ShapeError(f"matrices: expected a list of {d} matrices")
@@ -163,6 +174,51 @@ def tuple_from_json(obj) -> RowTuple:
     return RowTuple(mats)
 
 
+# orjson builds nested containers by recursion on the C stack and crashes
+# the process on nesting in the tens of thousands, so deeper documents go
+# to the stdlib decoder, which refuses them with a RecursionError.
+_STRICT_DEPTH = 64
+_BRACES_TO_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _shallow(raw: bytes) -> bool:
+    """Whether a valid JSON ``raw`` nests at most ``_STRICT_DEPTH`` deep.
+
+    Drops the escapes that hide a quote, then the strings, then strips
+    the innermost bracket pairs once per level.  On malformed input the
+    answer may be wrong, but orjson rejects such input before it builds
+    anything.
+    """
+    text = raw
+    if b"\\" in text:
+        text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
+    text = text.translate(_BRACES_TO_BRACKETS, _NOT_STRUCTURE)
+    brackets = b"".join(text.split(b'"')[::2])
+    for _ in range(_STRICT_DEPTH):
+        brackets = brackets.replace(b"[]", b"")
+    return not brackets
+
+
+def _parse(raw: bytes):
+    if _shallow(raw):
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(raw)
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, UnicodeDecodeError):  # a BOM or null bytes named the encoding
+        return f"not {exc.encoding} text ({exc.reason})"
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return str(exc)  # an integer literal with too many digits
+
+
 def load_document(path: str):
     """Parse a JSON file, reporting malformed content with the path."""
     try:
@@ -171,9 +227,9 @@ def load_document(path: str):
     except OSError as exc:
         raise ShapeError(f"input: cannot read {path}: {exc.strerror}") from exc
     try:
-        return json.loads(raw), raw
-    except json.JSONDecodeError as exc:
-        raise ShapeError(f"input: malformed JSON in {path}: {exc.msg}") from exc
+        return _parse(raw), raw
+    except (ValueError, RecursionError) as exc:
+        raise ShapeError(f"input: malformed JSON in {path}: {_reason(exc)}") from exc
 
 
 def digest(*parts: bytes) -> str:

@@ -133,6 +133,46 @@ class TestCheck:
         assert code == 1
         assert "malformed JSON" in err
 
+    def test_undecodable_bytes(self, capsys, tmp_path):
+        # a UTF-16 byte order mark followed by an odd number of bytes
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: input: malformed JSON in {path}: not utf-16-le text (truncated data)\n"
+        )
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000])
+    def test_deep_nesting(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: input: malformed JSON in {path}: nested too deeply\n"
+
+    def test_integer_literal_with_too_many_digits(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text("[" + "1" * 5000 + "]")
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: input: malformed JSON in {path}: Exceeds the limit")
+        assert len(err.splitlines()) == 1
+
+    def test_nesting_too_deep_for_the_c_stack_is_refused(self, tmp_path):
+        # valid JSON this deep would overflow the C stack of a recursive
+        # parser: the process must end in a one-line error, not a crash
+        path = tmp_path / "deep.json"
+        depth = 300_000
+        path.write_text('{"a":' * depth + "[" * depth + "0" + "]" * depth + "}" * depth)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowtuples.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rowtuples", "check", "--input", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1, proc.stderr[-500:]
+        assert proc.stderr == f"error: input: malformed JSON in {path}: nested too deeply\n"
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "check", "--fixture", "mystery(3)")
         assert code == 1

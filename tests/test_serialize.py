@@ -2,7 +2,9 @@
 
 The decoder reads a document with one array conversion where numpy takes
 it as a plain integer or float array, and walks it entry by entry
-otherwise.  The properties below pin that both paths agree bit for bit.
+otherwise.  Input files are parsed by the strict C parser first and by
+the stdlib decoder when it refuses them.  The properties below pin that
+both pairs of paths agree bit for bit.
 """
 
 import json
@@ -17,6 +19,7 @@ from rowtuples import serialize
 from rowtuples.cli import main
 from rowtuples.errors import ShapeError
 from rowtuples.serialize import (
+    load_document,
     matrix_from_json,
     matrix_to_json,
     tuple_from_json,
@@ -145,6 +148,9 @@ MALFORMED = {
                                "matrices[0]: shape (2, 2) does not match dim 3"),
     "empty rows": (tuple_doc([[], []]), "matrices[0]: shape (2, 0) does not match dim 2"),
     "no rows": (tuple_doc([]), "matrices[0]: expected a non-empty list of rows"),
+    "d true": ({"d": True, "dim": 1, "matrices": [[[0.5]]]}, "d: expected a positive integer"),
+    "dim true": ({"d": 1, "dim": True, "matrices": [[[0.5]]]},
+                 "dim: expected a nonnegative integer"),
 }
 
 
@@ -195,3 +201,131 @@ class TestOneConversion:
         vector_from_json([[1, 0], [0.5, -2]], "v")
         assert t.dim == 2
         assert calls == []
+
+
+def stdlib_only(load, *args):
+    """Load with the strict parser switched off: the stdlib decoder alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(serialize, "_shallow", lambda raw: False)
+        return load(*args)
+
+
+def tuple_outcome(path):
+    try:
+        t = tuple_from_json(load_document(path)[0])
+    except ShapeError as exc:
+        return "error", str(exc)
+    return [(m.shape, m.view(np.float64).view(np.uint64).tobytes()) for m in t.mats]
+
+
+def literal_outcome(raw):
+    return repr(serialize._parse(raw))
+
+
+@st.composite
+def tuple_texts(draw):
+    mats = draw(st.lists(matrix_docs(), min_size=1, max_size=2))
+    doc = {"d": len(mats), "dim": len(mats[0]), "matrices": mats}
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
+encodings = st.sampled_from(["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-32"])
+
+
+@st.composite
+def decimal_literals(draw):
+    """Decimal float literals of up to 30 digits, exponents from -320 to 308."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=30))
+    point = draw(st.integers(1, len(digits)))
+    whole, frac = digits[:point].lstrip("0") or "0", digits[point:]
+    sign = draw(st.sampled_from(["", "-"]))
+    exp = draw(st.integers(-320, 308))
+    return f"{sign}{whole}{'.' + frac if frac else ''}e{exp}"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.sampled_from('[]{}"\\ a\u00e9\n')),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(st.sampled_from('[]{}"\\k')), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+def nesting(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return 1 + max(map(nesting, obj), default=0)
+    return 0
+
+
+class TestStrictParserMatchesStdlib:
+    @given(text=tuple_texts(), encoding=encodings)
+    @settings(max_examples=300, deadline=None)
+    def test_tuple_documents(self, tmp_path_factory, text, encoding):
+        path = tmp_path_factory.mktemp("doc") / "t.json"
+        path.write_bytes(text.encode(encoding))
+        assert tuple_outcome(path) == stdlib_only(tuple_outcome, path)
+
+    @given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_float_reprs(self, xs):
+        for x in xs:
+            raw = repr(x).encode()
+            assert literal_outcome(raw) == stdlib_only(literal_outcome, raw) == repr(x)
+
+    @given(literals=st.lists(decimal_literals(), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_decimal_literals(self, literals):
+        for lit in literals:
+            raw = lit.encode()
+            assert literal_outcome(raw) == stdlib_only(literal_outcome, raw)
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32"])
+    def test_other_encodings_read_like_utf8(self, tmp_path, encoding):
+        doc = json.dumps(tuple_doc([[[0.5, -0.0], 0], [1e-300, 2]]))
+        plain, other = tmp_path / "plain.json", tmp_path / "other.json"
+        plain.write_bytes(doc.encode())
+        other.write_bytes(doc.encode(encoding))
+        assert tuple_outcome(other) == tuple_outcome(plain)
+
+    def test_integers_beyond_64_bits_become_floats(self, tmp_path):
+        # The one divergence: the strict parser reads an integer literal
+        # outside the 64-bit range as the nearest float, the stdlib as an int.
+        big = 2**64
+        assert serialize._parse(b"18446744073709551616") == 1.8446744073709552e19
+        assert isinstance(serialize._parse(b"18446744073709551616"), float)
+        assert stdlib_only(serialize._parse, b"18446744073709551616") == big
+        assert serialize._parse(b"18446744073709551615") == big - 1  # still an int
+        # Matrix entries decode to the same complex value either way ...
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(tuple_doc([[big, [-(2**63) - 1, 2**70]], [0, 0]])))
+        assert tuple_outcome(path) == stdlib_only(tuple_outcome, path)
+        (mat,) = tuple_from_json(load_document(path)[0]).mats
+        assert mat[0, 0] == complex(big) and mat[0, 1] == complex(-(2**63) - 1, 2**70)
+        # ... but a d that large draws another message.
+        path.write_text(json.dumps({"d": big, "dim": 1, "matrices": [[[0]]]}))
+        assert tuple_outcome(path) == ("error", "d: expected a positive integer")
+        assert stdlib_only(tuple_outcome, path) == (
+            "error", f"matrices: expected a list of {big} matrices"
+        )
+
+
+class TestNestingGuard:
+    @given(value=json_values, ascii_only=st.booleans(), depth=st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_measures_nesting_outside_strings(self, value, ascii_only, depth):
+        raw = json.dumps(value, ensure_ascii=ascii_only).encode()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(serialize, "_STRICT_DEPTH", depth)
+            assert serialize._shallow(raw) == (nesting(value) <= depth)
+
+    def test_deep_documents_skip_the_strict_parser(self, monkeypatch):
+        seen = []
+        strict = serialize.orjson.loads
+        monkeypatch.setattr(serialize.orjson, "loads", lambda raw: seen.append(raw) or strict(raw))
+        for depth in (serialize._STRICT_DEPTH, serialize._STRICT_DEPTH + 1):
+            raw = b"[" * depth + b"]" * depth
+            assert serialize._parse(raw) == json.loads(raw)
+        assert seen == [b"[" * serialize._STRICT_DEPTH + b"]" * serialize._STRICT_DEPTH]
