@@ -86,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "input": dict(help="JSON input file (tuple, vector, or payload)"),
     "fixture": dict(help="named fixture, e.g. maxcount or jordan(3)"),
-    "seed": dict(type=int, default=0, help="seed for randomized steps"),
+    "seed": dict(type=int, default=0, help="seed of the sweep's instance streams"),
     "tol": dict(type=float, help="rank/PSD decision tolerance"),
     "degree": dict(type=int, help="degree cap"),
     "json": dict(action="store_true", help="machine-readable report"),
@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     add("ann", "annihilator basis, quotient dimension, socle exponents", *tup)
     add("model", "model space dimension and compressed multiplier matrices", *tup, "degree")
     add("cyclic", "cyclicity of a vector (or the tuple's multiplicity)", *tup)
-    add("separating", "separating verdict for a vector, or the greedy set", *tup, "seed")
+    add("separating", "separating verdict for a vector, or the greedy set", *tup)
     add("gram", "word-orbit gram operator and its norm bound", *tup)
     add("transform", "quasi-affine witness intertwining the model tuple", *tup)
     add("rigidity", "annihilator-rigidity verdict for a subspace pair", *tup)
@@ -243,7 +243,7 @@ def _cmd_cyclic(t, payload, args, tol):
 def _cmd_separating(t, payload, args, tol):
     vec = _payload_vector(payload)
     if vec is None:
-        chosen, trace = separating_greedy(t, seed=args.seed, tol=tol)
+        chosen, trace = separating_greedy(t, tol=tol)
         results = {
             "size": len(chosen),
             "vectors": [vector_to_json(v) for v in chosen],

@@ -42,7 +42,7 @@ class ConvergenceError(RowTuplesError, RuntimeError):
 
 
 class WitnessSearchError(RowTuplesError, RuntimeError):
-    """A certificate search ran out of tries, or a built certificate failed its check."""
+    """A constructed certificate failed its check."""
 
 
 class HypothesisError(RowTuplesError, ValueError):

@@ -343,7 +343,7 @@ class _Parser:
             exponent = 1
             if self.peek() == "^":
                 self.take()
-                exponent = int(self.take("num")[1])
+                exponent = self.parse_exponent()
             alpha = [0] * self.d
             alpha[idx - 1] = exponent
             return Polynomial.monomial(self.d, tuple(alpha))
@@ -353,6 +353,15 @@ class _Parser:
             self.take(")")
             return Polynomial.constant(self.d, value)
         raise PolynomialParseError(f"unexpected token {self.tokens[self.pos][2]!r}")
+
+    def parse_exponent(self) -> int:
+        text = self.take("num")[1]
+        if not text.isdecimal():
+            raise PolynomialParseError(f"exponent must be a digit string, got {text!r}")
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise PolynomialParseError(f"exponent has too many digits ({len(text)})") from None
 
     def parse_complex_literal(self) -> complex:
         sign = self.parse_sign()

@@ -346,7 +346,7 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
             t = cyclic_instance(rng, d=2, max_delta=12)
         q = quotient_of(t)
         delta = q.dim
-        chosen, trace = separating_greedy(t, seed=int(rng.integers(2**31)))
+        chosen, trace = separating_greedy(t)
         strict = all(a > b for a, b in zip(trace, trace[1:]))
         joint = orbit_matrix(t, np.column_stack(chosen), q.monomial_basis)
         separating = numerical_rank(joint) == delta

@@ -1,9 +1,11 @@
 """Cyclic and separating vector analysis for commuting tuples.
 
 Krylov subspaces, multiplicity counts, separating-vector certificates and
-the greedy separating-set construction, the Gram operator of a vector's
-word orbit, the induced intertwiner from truncated Fock space, and the
-quasi-affine witness identifying a cyclic nilpotent tuple with its model.
+a separating set walked from the Nakayama generators, the Gram operator
+of a vector's word orbit, the induced intertwiner from truncated Fock
+space, and the quasi-affine witness identifying a cyclic nilpotent tuple
+with its model.  Every analysis here is deterministic: none draws random
+numbers.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ __all__ = [
     "fock_intertwiner",
     "quasiaffine_witness",
 ]
-
-_GREEDY_TRIES = 64  # gaussian candidates per greedy round before giving up
-
 
 def _check_vector(t: RowTuple, xi) -> np.ndarray:
     v = as_vector(xi)
@@ -108,49 +107,35 @@ def separating_witness(
 
 
 def separating_greedy(
-    t: RowTuple,
-    seed: int = 0,
-    *,
-    sampler: str = "gaussian",
-    tol: ToleranceConfig = DEFAULT_TOL,
+    t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[list[np.ndarray], list[int]]:
-    """Greedy construction of a separating set of at most δ vectors.
+    """A separating set of at most ``min(μ, δ)`` vectors, taken from a cyclic set.
 
-    Maintains the joint kernel ``K = {[p] : p(T)ξ_j = 0 ∀j}`` in quotient
-    coordinates, starting from the full algebra, and repeatedly samples a
-    vector that strictly shrinks it.  The ``gaussian`` sampler draws
-    seeded complex normals; the deterministic ``basis`` sampler walks the
-    standard basis in index order.  Returns the chosen vectors and the
-    trace of kernel dimensions, from δ down to 0.
+    For a commuting tuple a cyclic set separates: if ``p(T)g_j = 0`` for
+    every generator, then ``p(T)H = Σ_j C[T] p(T)g_j = 0``.  Walks the μ
+    Nakayama generators (:func:`~rowtuples.ideals.nakayama_generators`) in
+    order, keeping each that strictly shrinks the joint kernel
+    ``K = {[p] : p(T)ξ_j = 0 ∀j}`` in quotient coordinates, from the full
+    algebra down to zero.  Returns the chosen vectors and the trace of
+    kernel dimensions, from δ down to 0; raises :class:`WitnessSearchError`
+    if the generators leave a kernel.
     """
-    if sampler not in ("gaussian", "basis"):
-        raise ShapeError(f"unknown sampler {sampler!r}; use 'gaussian' or 'basis'")
     q = quotient_of(t, tol)
-    rng = np.random.default_rng(seed)
     kframe = np.eye(q.dim, dtype=np.complex128)
     chosen: list[np.ndarray] = []
     trace = [q.dim]
-    while kframe.shape[1] > 0:
-        accepted = False
-        for attempt in range(_GREEDY_TRIES if sampler == "gaussian" else t.dim):
-            if sampler == "gaussian":
-                cand = rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
-            else:
-                cand = np.zeros(t.dim, dtype=np.complex128)
-                cand[attempt] = 1.0
-            shrunk = kframe @ kernel_basis(
-                orbit_matrix(t, cand, q.monomial_basis) @ kframe, tol
-            )
-            if shrunk.shape[1] < kframe.shape[1]:
-                chosen.append(cand)
-                kframe = shrunk
-                trace.append(kframe.shape[1])
-                accepted = True
-                break
-        if not accepted:
-            raise WitnessSearchError(
-                "greedy separating search could not shrink the joint kernel"
-            )
+    for g in nakayama_generators(t, tol).T:
+        if kframe.shape[1] == 0:
+            break
+        shrunk = kframe @ kernel_basis(orbit_matrix(t, g, q.monomial_basis) @ kframe, tol)
+        if shrunk.shape[1] < kframe.shape[1]:
+            chosen.append(g.copy())
+            kframe = shrunk
+            trace.append(kframe.shape[1])
+    if kframe.shape[1]:
+        raise WitnessSearchError(
+            f"the Nakayama generators leave a joint kernel of dimension {kframe.shape[1]}"
+        )
     return chosen, trace
 
 
@@ -177,14 +162,19 @@ def gram_operator(
     require_commuting(t, tol)
     term = np.outer(v, v.conj())
     gram = np.zeros_like(term)
-    for _ in range(tol.max_iter):
-        gram = gram + term
-        scale = max(1.0, float(np.abs(gram).max()))
-        if np.abs(term).max() <= tol.iter_tol * scale:
-            gram = (gram + gram.conj().T) / 2.0
-            return GramReport(gram, operator_norm(gram, tol), is_cyclic(t, v, tol))
-        term = sum(mat @ term @ mat.conj().T for mat in t.mats)
-    raise ConvergenceError("gram series did not converge within the budget")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tol.max_iter):
+            gram = gram + term
+            peak = float(np.abs(gram).max())
+            if not np.isfinite(peak):
+                raise ConvergenceError("the gram series diverges: a partial sum is not finite")
+            if np.abs(term).max() <= tol.iter_tol * max(1.0, peak):
+                break
+            term = sum(mat @ term @ mat.conj().T for mat in t.mats)
+        else:
+            raise ConvergenceError("gram series did not converge within the budget")
+    gram = (gram + gram.conj().T) / 2.0
+    return GramReport(gram, operator_norm(gram, tol), is_cyclic(t, v, tol))
 
 
 def fock_intertwiner(

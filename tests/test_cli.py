@@ -339,9 +339,7 @@ class TestVectorCommands:
         assert r["witness_operator_norm"] > 0.1
 
     def test_separating_greedy_mode(self, capsys):
-        code, rep, _ = run_json(
-            capsys, "separating", "--fixture", "maxcount", "--seed", "0"
-        )
+        code, rep, _ = run_json(capsys, "separating", "--fixture", "maxcount")
         assert code == 0
         r = rep["results"]
         assert r["size"] == 2
@@ -601,6 +599,13 @@ class TestFockAndFixtures:
         assert code == 1
         assert "poly" in err
 
+    def test_fock_non_integer_exponent_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "fock", "--poly", "x1^1.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: exponent must be a digit string")
+        assert err.count("\n") == 1
+
     def test_fock_variable_index_zero(self, capsys):
         # the parser infers d from the largest index, so x0 is out of range
         code, out, err = run(capsys, "fock", "--poly", "x0")
@@ -680,6 +685,31 @@ class TestSweepCommand:
         assert sorted(calls) == ["_quotient"] * 3 + ["_rank_kernel_norm"] * 3
 
 
+class TestNoRandomDraws:
+    IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_tuple_commands_draw_no_random_numbers(self, capsys, tmp_path, monkeypatch):
+        # only the sweep draws random numbers; every analysis is deterministic
+        from rowtuples.cli import _TUPLE_COMMANDS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analysis drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        vector = write_json(tmp_path, "v.json", [1, 2, 3])
+        pair = write_json(tmp_path, "r.json", {"m": [[1, 0], [0, 1], [0, 0]], "n": self.IDENTITY})
+        whole = write_json(tmp_path, "s.json", {"m": self.IDENTITY})
+        runs = [
+            ("check",), ("ann",), ("model",), ("cyclic",), ("cyclic", "--input", vector),
+            ("separating",), ("separating", "--input", vector), ("gram", "--input", vector),
+            ("transform",), ("rigidity", "--input", pair), ("decompose",),
+            ("split", "--input", whole),
+        ]
+        assert {argv[0] for argv in runs} == set(_TUPLE_COMMANDS)
+        codes = [run(capsys, argv[0], "--fixture", "maxcount", *argv[1:])[0] for argv in runs]
+        assert codes == [0] * 8 + [2] + [0] * 3
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "nonesuch")
@@ -690,7 +720,6 @@ class TestUsage:
         [
             ["sweep", "--count", "-1"],
             ["sweep", "--seed", "-1"],
-            ["separating", "--fixture", "maxcount", "--seed", "-1"],
         ],
     )
     def test_negative_seed_or_count_is_a_usage_error(self, capsys, argv):
@@ -707,6 +736,7 @@ class TestUsage:
             ["ann", "--fixture", "maxcount", "--degree", "3"],
             ["split", "--fixture", "maxcount", "--seed", "0"],
             ["fixtures", "--fixture", "maxcount"],
+            ["separating", "--fixture", "maxcount", "--seed", "-1"],
         ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):

@@ -145,6 +145,12 @@ class TestParseFormat:
         with pytest.raises(PolynomialParseError, match="expected 'num', got 'x3'"):
             parse_polynomial("x1^x3")
 
+    @pytest.mark.parametrize("text", ["x1^1.5", "x1^1e3", "x1^2.0", "x1^.5", "x1^" + "9" * 5000])
+    def test_exponent_must_be_a_digit_string(self, text):
+        # a decimal or too long exponent is a parse error, not a raw ValueError
+        with pytest.raises(PolynomialParseError, match="exponent"):
+            parse_polynomial(text)
+
     def test_readme_example(self):
         assert parse_polynomial("x1^2 - 0.5*x2") == Polynomial(2, {(2, 0): 1, (0, 1): -0.5})
 

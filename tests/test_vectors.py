@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from rowtuples.errors import NotCyclicError, NotNilpotentError, ShapeError
+from rowtuples.errors import (
+    ConvergenceError,
+    NotCyclicError,
+    NotNilpotentError,
+    ShapeError,
+    WitnessSearchError,
+)
 from rowtuples.fixtures import build, fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import TruncatedFock, creation_matrix
 from rowtuples.ideals import (
@@ -15,6 +22,7 @@ from rowtuples.ideals import (
     model_space,
     model_tuple,
     monomial_annihilator,
+    nakayama_generators,
     quotient_algebra,
     staircase_model,
 )
@@ -180,24 +188,26 @@ class TestSeparating:
 
 
 class TestSeparatingGreedy:
-    def test_basis_walk_reproduces_known_pair(self):
+    def test_maxcount_pair_is_its_nakayama_generators(self):
         t = maxcount()
-        chosen, trace = separating_greedy(t, sampler="basis")
+        chosen, trace = separating_greedy(t)
         assert trace == [3, 1, 0]
         assert len(chosen) == 2
-        assert np.allclose(chosen[0], E1)
-        assert np.allclose(chosen[1], E3)
+        for v, g in zip(chosen, nakayama_generators(t).T):
+            assert np.array_equal(v, g)
+        # e3 and -e1, up to phase
+        assert abs(abs(chosen[0][2]) - 1) < 1e-12 and abs(abs(chosen[1][0]) - 1) < 1e-12
 
-    def test_gaussian_needs_at_most_delta_vectors(self):
+    def test_needs_at_most_min_mu_delta_vectors(self):
         t = maxcount()
         q = quotient_algebra(annihilator(t))
-        chosen, _ = separating_greedy(t, seed=3)
-        assert 1 <= len(chosen) <= q.dim
+        chosen, _ = separating_greedy(t)
+        assert 1 <= len(chosen) <= min(multiplicity(t), q.dim)
 
     def test_chosen_set_is_jointly_separating(self):
         t = fromgriff(3)
         q = quotient_algebra(annihilator(t))
-        chosen, _ = separating_greedy(t, seed=1)
+        chosen, _ = separating_greedy(t)
         cols = np.hstack(
             [
                 np.column_stack([t.monomial(a) @ v for a in q.monomial_basis]).T
@@ -207,12 +217,40 @@ class TestSeparatingGreedy:
         assert np.linalg.matrix_rank(cols.T) == q.dim
 
     def test_single_generic_vector_suffices_when_separating(self):
-        chosen, _ = separating_greedy(jordan(3), seed=0)
+        chosen, _ = separating_greedy(jordan(3))
         assert len(chosen) == 1
 
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(ShapeError):
-            separating_greedy(maxcount(), sampler="sobol")
+    def test_a_kernel_left_by_the_generators_is_refused(self, monkeypatch):
+        # e3 alone leaves a kernel on maxcount: the built set fails its check
+        import rowtuples.vectors as vectors
+
+        monkeypatch.setattr(vectors, "nakayama_generators", lambda t, tol: E3[:, None])
+        with pytest.raises(WitnessSearchError, match="joint kernel of dimension 1"):
+            separating_greedy(maxcount())
+
+    @given(
+        d=st.integers(1, 3),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_conjugated_staircase_sums(self, d, sizes, seed):
+        rng = np.random.default_rng(seed)
+        parts = [staircase_model(d, random_staircase(rng, d, size)) for size in sizes]
+        summed = [block_diag(*mats) for mats in zip(*(p.mats for p in parts))]
+        t = random_similarity(rng, RowTuple(summed))
+        q = quotient_algebra(annihilator(t))
+        chosen, trace = separating_greedy(t)
+        assert len(chosen) <= multiplicity(t)
+        assert trace[0] == q.dim and trace[-1] == 0
+        assert all(a > b for a, b in zip(trace, trace[1:]))
+        joint = np.vstack(
+            [np.column_stack([t.monomial(a) @ xi for a in q.monomial_basis]) for xi in chosen]
+        )
+        assert numerical_rank(joint) == q.dim
+        again, again_trace = separating_greedy(RowTuple([m.copy() for m in t.mats]))
+        assert again_trace == trace
+        assert all(np.array_equal(a, b) for a, b in zip(again, chosen))
 
 
 class TestGramOperator:
@@ -250,6 +288,12 @@ class TestGramOperator:
             xi = X @ (const / np.linalg.norm(const))
             rep = gram_operator(t, xi)
             assert rep.bound <= 1.0 + 1e-8
+
+    def test_divergent_series_is_refused_without_overflow_warnings(self):
+        # T = 2I: the terms grow by 4 per step until a partial sum overflows
+        t = RowTuple([2.0 * np.eye(2)])
+        with pytest.raises(ConvergenceError, match="diverges"):
+            gram_operator(t, [1.0, 0.0])
 
     def test_bound_scales_quadratically(self):
         t = maxcount()
