@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from .errors import (
-    DomainError,
     HypothesisError,
     NotCommutingError,
     NotCyclicError,
@@ -110,7 +109,7 @@ def _build_parser() -> _Parser:
     tup = ("input", "fixture", "tol")
     add("check", "validate a tuple: shapes, contraction, purity, nilpotency", *tup)
     add("ann", "annihilator basis, quotient dimension, socle exponents", *tup)
-    add("model", "model space dimension and compressed multiplier matrices", *tup, "degree")
+    add("model", "model space dimension and compressed multiplier matrices", *tup)
     add("cyclic", "cyclicity of a vector (or the tuple's multiplicity)", *tup)
     add("separating", "separating verdict for a vector, or the greedy set", *tup)
     add("gram", "word-orbit gram operator and its norm bound", *tup)
@@ -216,14 +215,10 @@ def _cmd_ann(t, payload, args, tol):
 
 
 def _cmd_model(t, payload, args, tol):
-    # H_J lies below the degree bound, so the matrices do not depend on the cap
     space, mt = model_of(t, tol)
-    cap = space.degree_cap if args.degree is None else args.degree
-    if cap < space.degree_cap:
-        raise DomainError(f"degree cap {cap} below the annihilator bound {space.degree_cap}")
     results = {
         "dim": space.dim,
-        "degree_cap": cap,
+        "degree_cap": space.degree_cap,
         "matrices": [matrix_to_json(mat) for mat in mt.mats],
     }
     return results, [], EXIT_OK

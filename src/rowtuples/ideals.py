@@ -48,10 +48,10 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     cokernel_basis,
+    in_span,
     numerical_rank,
     _rank_kernel_norm,
     orthonormalize,
-    subspaces_equal,
 )
 from .polynomials import Polynomial, graded_indices, graded_positions
 from .tuples import RowTuple, _nakayama_pass, _orbits, nilpotency_index
@@ -84,10 +84,13 @@ class AnnihilatorBasis:
     column per basis element; it is copied on construction and read-only.
     This is deliberately not a Gröbner basis: every construction in the
     package needs only membership tests and quotient dimensions, which
-    are rank computations on this matrix.  The ``ann`` report renders the
-    columns of :func:`annihilator_normal_form` as text straight from the
-    matrix (:func:`~rowtuples.polynomials.format_columns`); :attr:`basis`
-    turns them into :class:`Polynomial` objects for callers that need them.
+    are rank and span decisions on this matrix.  Every monomial of degree
+    ``degree_bound`` lies in the ideal, so a slice at another bound is never
+    built: :func:`annihilators_equal` cuts or zero-pads the rows instead.
+    The ``ann`` report renders the columns of :func:`annihilator_normal_form`
+    as text straight from the matrix
+    (:func:`~rowtuples.polynomials.format_columns`); :attr:`basis` turns
+    them into :class:`Polynomial` objects for callers that need them.
     """
 
     d: int
@@ -115,51 +118,6 @@ class AnnihilatorBasis:
             Polynomial.from_coefficient_vector(self.d, monomials, col)
             for col in self.coefficients.T
         )
-
-    def ideal_slice(self, max_degree: int) -> np.ndarray:
-        """Coefficient columns spanning ``Ann ∩ C[x]_{<=max_degree}``.
-
-        Valid for ``max_degree >= degree_bound``: shifted basis elements
-        ``q * x^beta`` of degree at most ``max_degree`` span the slice,
-        because every monomial of degree ``>= degree_bound`` already lies
-        in the span of such shifts.  Multiplying by ``x^beta`` only moves
-        each coefficient from row ``alpha`` to row ``alpha + beta``, so the
-        columns are built by that index map, basis element by basis
-        element and ``beta`` in graded order.
-        """
-        if max_degree < self.degree_bound:
-            raise ShapeError(
-                f"slice degree {max_degree} below the degree bound {self.degree_bound}"
-            )
-        positions = graded_positions(self.d, max_degree)
-        source = self.monomials()
-        shifts: dict[tuple[int, ...], np.ndarray] = {}
-
-        def shift_rows(beta: tuple[int, ...]) -> np.ndarray:
-            # rows of x^alpha * x^beta for the graded prefix of sources it keeps in range
-            if beta not in shifts:
-                room = max_degree - sum(beta)
-                shifts[beta] = np.array(
-                    [
-                        positions[tuple(a + b for a, b in zip(alpha, beta))]
-                        for alpha in source
-                        if sum(alpha) <= room
-                    ],
-                    dtype=np.intp,
-                )
-            return shifts[beta]
-
-        columns = []
-        for q in self.coefficients.T:
-            support = np.flatnonzero(q)
-            # graded order: q lives on the leading block ending at its last term
-            length = support[-1] + 1 if support.size else 0
-            degree = sum(source[length - 1]) if length else 0
-            for beta in graded_indices(self.d, max_degree - degree):
-                column = np.zeros(len(positions), dtype=np.complex128)
-                column[shift_rows(beta)[:length]] = q[:length]
-                columns.append(column)
-        return np.array(columns, dtype=np.complex128).reshape(-1, len(positions)).T
 
 
 @dataclass(frozen=True)
@@ -204,7 +162,10 @@ class QuotientAlgebra:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """The subspace ``H_J`` inside a Drury-Arveson truncation; ``frame`` is read-only."""
+    """The subspace ``H_J`` inside the Drury-Arveson truncation at ``degree_cap``.
+
+    ``degree_cap`` is the annihilator's degree bound; ``frame`` is read-only.
+    """
 
     d: int
     degree_cap: int
@@ -401,15 +362,22 @@ def annihilators_equal(
 ) -> bool:
     """Whether two annihilator slices generate the same ideal.
 
-    Both slices are extended to a common degree before comparison, since
-    equal ideals can be presented with different degree bounds.
+    The ideals ``I_a`` and ``I_b`` are equal when their quotients have the
+    same dimension (rows minus numerical rank of each slice, the same at
+    every degree bound) and ``I_a ⊆ I_b``: when the columns of ``a``, cut or
+    zero-padded to the graded monomials of ``b``, lie within
+    ``tol·max(1, ||a||_F)`` of ``span(b)``
+    (:func:`~rowtuples.linalg.in_span`).  The cut is exact, since every
+    monomial beyond ``b``'s degree bound lies in ``I_b``.
     """
     if a.d != b.d:
         return False
-    degree = max(a.degree_bound, b.degree_bound)
-    frame_a = orthonormalize(a.ideal_slice(degree))
-    frame_b = orthonormalize(b.ideal_slice(degree))
-    return subspaces_equal(frame_a, frame_b, tol)
+    x, rows, frame = a.coefficients, len(b.coefficients), orthonormalize(b.coefficients)
+    if len(x) - numerical_rank(x) != rows - frame.shape[1]:
+        return False
+    cut = np.zeros((rows, x.shape[1]), dtype=np.complex128)
+    cut[: len(x)] = x[:rows]
+    return in_span(cut, frame, tol * max(1.0, float(np.linalg.norm(x))))
 
 
 def quotient_algebra(
@@ -502,20 +470,18 @@ def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, .
     return out
 
 
-def model_space(
-    ann: AnnihilatorBasis, degree_cap: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
-) -> ModelSpace:
-    """``H_J`` inside the degree-``degree_cap`` truncation, as :func:`_model_graph`.
+def model_space(ann: AnnihilatorBasis, tol: ToleranceConfig = DEFAULT_TOL) -> ModelSpace:
+    """``H_J`` inside the truncation at the degree bound ``m``, as :func:`_model_graph`.
 
-    The graph of the normal form of :func:`quotient_algebra`.  The cap
-    defaults to the degree bound ``m`` and must not fall below it.  Every
+    The graph of the normal form of :func:`quotient_algebra`.  Every
     monomial of degree ``m`` must lie in the annihilator (the nilpotent
-    regime), so ``H_J`` is supported on degrees below ``m``.
+    regime), so ``H_J`` is supported on degrees below ``m`` and a higher
+    truncation would only pad the frame with zero rows.
     """
-    return _model_graph(quotient_algebra(ann, tol), degree_cap)
+    return _model_graph(quotient_algebra(ann, tol))
 
 
-def _model_graph(q: QuotientAlgebra, degree_cap: int | None) -> ModelSpace:
+def _model_graph(q: QuotientAlgebra) -> ModelSpace:
     """``H_J`` as the graph of the quotient's normal form ``c``, in the canonical frame.
 
     ``v`` is orthogonal to the slice exactly when ``v_gamma = Σ_{alpha ∈ S}
@@ -526,9 +492,6 @@ def _model_graph(q: QuotientAlgebra, degree_cap: int | None) -> ModelSpace:
     """
     ann = q._ann
     m = ann.degree_bound
-    degree_cap = m if degree_cap is None else degree_cap
-    if degree_cap < m:
-        raise DomainError(f"degree cap {degree_cap} below the annihilator bound {m}")
     monomials = ann.monomials()
     for i, alpha in enumerate(monomials):
         if sum(alpha) == m and q._reducer[:, i].any():  # standard, or a nonzero normal form
@@ -537,8 +500,7 @@ def _model_graph(q: QuotientAlgebra, degree_cap: int | None) -> ModelSpace:
                 "the ideal is not nilpotent at this bound"
             )
     weights = np.array([da_monomial_norm(alpha) for alpha in monomials])
-    graph = np.zeros((math.comb(degree_cap + ann.d, ann.d), q.dim), dtype=np.complex128)
-    graph[: len(monomials)] = q._reducer.conj().T * weights[q._standard] / weights[:, None]
+    graph = q._reducer.conj().T * weights[q._standard] / weights[:, None]
     for _ in range(2):
         try:
             r = scipy.linalg.cholesky(graph.conj().T @ graph, check_finite=False)
@@ -547,7 +509,7 @@ def _model_graph(q: QuotientAlgebra, degree_cap: int | None) -> ModelSpace:
         graph = scipy.linalg.solve_triangular(r, graph.T, trans="T", check_finite=False).T
     frame = _canonical_frame(graph)
     frame.setflags(write=False)
-    return ModelSpace(d=ann.d, degree_cap=degree_cap, frame=frame)
+    return ModelSpace(d=ann.d, degree_cap=m, frame=frame)
 
 
 def _canonical_frame(kernel: np.ndarray) -> np.ndarray:
@@ -598,6 +560,6 @@ def model_tuple(space: ModelSpace) -> RowTuple:
 
 
 def model_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[ModelSpace, RowTuple]:
-    """Default-cap model space of ``Ann(T)`` and its model tuple, computed once per tolerance."""
-    space = t.memo(("model_space", tol), lambda: _model_graph(quotient_of(t, tol), None))
+    """Model space of ``Ann(T)`` and its model tuple, computed once per tolerance."""
+    space = t.memo(("model_space", tol), lambda: _model_graph(quotient_of(t, tol)))
     return space, t.memo(("model_tuple", tol), lambda: model_tuple(space))

@@ -25,6 +25,12 @@ brackets the spectral norm, ``||A||_F / sqrt(min(m, n)) <= ||A||_2 <=
 verdict is settled without an SVD unless the cutoff falls inside that
 bracket; only then does an SVD run.  Norms whose value is reported or
 used keep ``operator_norm``.
+
+Whether ``span(A)`` lies in ``span(F)``, for an orthonormal frame ``F``, is
+one such decision (``in_span``) on the residual ``A - F (F* A)``.
+Invariance, subspace equality and ideal equality all reduce to it, so no
+projector ``F F*`` is formed for a decision; ``projector`` and
+``subspace_distance`` remain as the reference of the tests.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
     "as_vector",
     "operator_norm",
     "norm_at_most",
+    "in_span",
     "rank_and_kernel",
     "numerical_rank",
     "kernel_basis",
@@ -165,21 +172,30 @@ def norm_at_most(a, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     verdict true and ``f > bound * sqrt(k)`` proves it false; each test has
     a relative margin of ``1e-8`` against rounding.  Only a bound inside the
     bracket, or a Frobenius sum that overflows or underflows, runs
-    ``operator_norm``.  Empty input is within every nonnegative bound.
+    ``operator_norm``.  Empty input is within every nonnegative bound.  The
+    verdict is a plain ``bool``, also for a numpy ``bound``.
     """
     m = as_matrix(a)
-    if m.size == 0:
-        return 0.0 <= bound
     with np.errstate(over="ignore", under="ignore"):
         fro = float(np.sqrt(np.vdot(m, m).real))
-    if fro == 0.0 and not m.any():
-        return 0.0 <= bound
+    if fro == 0.0 and not m.any():  # also empty input
+        return bool(0.0 <= bound)
     if _FROBENIUS_FLOOR < fro < np.inf:
         if fro <= bound * (1.0 - _BRACKET_MARGIN):
             return True
         if fro > bound * np.sqrt(min(m.shape)) * (1.0 + _BRACKET_MARGIN):
             return False
-    return operator_norm(m, tol) <= bound
+    return bool(operator_norm(m, tol) <= bound)
+
+
+def in_span(a, frame, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether ``||A - F (F* A)|| = ||(I - F F*) A|| <= bound``, by :func:`norm_at_most`.
+
+    ``frame`` must have orthonormal columns; the projector is never formed.
+    """
+    m = as_matrix(a)
+    f = as_matrix(frame)
+    return norm_at_most(m - f @ (f.conj().T @ m), bound, tol)
 
 
 def _as_operand(a):
@@ -309,10 +325,9 @@ def subspace_distance(frame_a, frame_b) -> float:
 def subspaces_equal(frame_a, frame_b, tol: float = 1e-8) -> bool:
     """Whether two orthonormal frames span the same subspace.
 
-    Requires matching dimension and projector distance below ``tol``.
+    Requires matching dimension and ``||F_a - F_b (F_b* F_a)|| <= tol``
+    (:func:`in_span`), which for equal dimensions is the projector distance.
     """
     a = as_matrix(frame_a)
     b = as_matrix(frame_b)
-    if a.shape[1] != b.shape[1]:
-        return False
-    return norm_at_most(projector(a) - projector(b), tol)
+    return a.shape[1] == b.shape[1] and in_span(a, b, tol)

@@ -332,10 +332,8 @@ class _Parser:
         kind = self.peek()
         if kind is None:
             raise PolynomialParseError("unexpected end of input")
-        if kind == "num":
-            return Polynomial.constant(self.d, float(self.take()[1]))
-        if kind == "inum":
-            return Polynomial.constant(self.d, float(self.take()[1]) * 1j)
+        if kind in ("num", "inum"):
+            return Polynomial.constant(self.d, self.parse_number())
         if kind == "var":
             idx = int(self.take()[1])
             if not 1 <= idx <= self.d:
@@ -373,11 +371,12 @@ class _Parser:
 
     def parse_number(self) -> complex:
         kind, value, source = self.take()
-        if kind == "num":
-            return complex(float(value))
-        if kind == "inum":
-            return complex(0, float(value))
-        raise PolynomialParseError(f"expected a number, got {source!r}")
+        if kind not in ("num", "inum"):
+            raise PolynomialParseError(f"expected a number, got {source!r}")
+        x = float(value)
+        if not math.isfinite(x):
+            raise PolynomialParseError(f"number {source!r} overflows a float")
+        return complex(x) if kind == "num" else complex(0, x)
 
 
 def parse_polynomial(text: str, d: int | None = None) -> Polynomial:

@@ -28,6 +28,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     cokernel_basis,
+    in_span,
     kernel_basis,
     norm_at_most,
     orthonormalize,
@@ -120,14 +121,16 @@ def _same_ambient(t: RowTuple, m: SubspaceBasis) -> None:
 def _corner_vanishes(
     t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig, atol: float, *, upper: bool
 ) -> bool:
-    """Whether ``P T_k (I−P)`` (``upper``) or ``(I−P) T_k P`` vanishes for all k."""
+    """Whether ``P T_k (I−P)`` (``upper``) or ``(I−P) T_k P`` vanishes for all k.
+
+    Their norms are those of ``(I−P) T_k* F`` and ``(I−P) T_k F``, ``F`` the
+    frame, so :func:`~rowtuples.linalg.in_span` tests ``T_k* F`` or ``T_k F``.
+    """
     _same_ambient(t, m)
-    p = m.projector()
-    comp = np.eye(t.dim) - p
-    left, right = (p, comp) if upper else (comp, p)
+    mats = t.adjoint().mats if upper else t.mats
     return all(
-        norm_at_most(left @ mat @ right, atol * max(1.0, norm), tol)
-        for mat, norm in zip(t.mats, t.norms)
+        in_span(mat @ m.frame, m.frame, atol * max(1.0, norm), tol)
+        for mat, norm in zip(mats, t.norms)
     )
 
 
@@ -261,7 +264,7 @@ def _compare_pair(
     ann_eq = annihilators_equal(
         annihilator(compress(t, m), tol), annihilator(compress(t, n), tol)
     )
-    return ann_eq, m.dim == n.dim and subspaces_equal(m.frame, n.frame)
+    return ann_eq, subspaces_equal(m.frame, n.frame)
 
 
 def rigidity_invariant_check(

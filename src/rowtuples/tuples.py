@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     NotCommutingError,
     NotRowContractionError,
     ShapeError,
@@ -378,7 +379,10 @@ class TupleReport:
 
 def _commuting(t: RowTuple, tol: ToleranceConfig) -> bool:
     def compute() -> bool:
-        cutoff = tol.rank_rel_tol * t.scale ** 2
+        square = t.scale * t.scale
+        if square == math.inf:  # norms above about 1.3e154: products overflow
+            raise DomainError(f"tuple norm {t.scale:.3g} is too large: its products overflow")
+        cutoff = tol.rank_rel_tol * square
         return all(
             norm_at_most(t.mats[j] @ t.mats[k] - t.mats[k] @ t.mats[j], cutoff)
             for j in range(t.d)

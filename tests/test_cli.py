@@ -114,6 +114,16 @@ class TestCheck:
         assert rep["command"] == "check"
         assert rep["warnings"] == []
 
+    @pytest.mark.parametrize("command", ["check", "ann", "cyclic"])
+    @pytest.mark.parametrize("entry", [1e160, 1e200])
+    def test_norm_whose_square_overflows_is_refused(self, capsys, tmp_path, command, entry):
+        # the commutativity test squares the largest norm before any product
+        doc = {"d": 2, "dim": 2, "matrices": [[[0, entry], [0, 0]], [[0, 0], [0, 0]]]}
+        code, out, err = run(capsys, command, "--input", write_json(tmp_path, "t.json", doc))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: tuple norm {entry:.3g} is too large: its products overflow\n"
+
     def test_tuple_file(self, capsys, tmp_path):
         path = write_json(tmp_path, "t.json", TWO_CELLS)
         code, rep, _ = run_json(capsys, "check", "--input", path)
@@ -284,21 +294,6 @@ class TestAnnAndModel:
         for source in (path, zero):
             code, rep, _ = run_json(capsys, "cyclic", "--input", source)
             assert code == 0 and rep["results"]["multiplicity"] == 3
-
-    def test_model_degree_only_checks_the_cap(self, capsys, tmp_path):
-        from rowtuples.fixtures import rectangle
-        from rowtuples.sweeps import random_similarity
-
-        t = random_similarity(np.random.default_rng(2), rectangle(3, 3))
-        path = write_json(tmp_path, "t.json", tuple_to_json(t))
-        code, rep, _ = run_json(capsys, "model", "--input", path)
-        assert code == 0
-        m = rep["results"]["degree_cap"]
-        code, wide, _ = run_json(capsys, "model", "--input", path, "--degree", str(m + 3))
-        assert code == 0 and wide["results"]["degree_cap"] == m + 3
-        assert wide["results"]["matrices"] == rep["results"]["matrices"]
-        code, _, err = run(capsys, "model", "--input", path, "--degree", str(m - 1))
-        assert code == 1 and "below the annihilator bound" in err
 
     def test_model_jordan(self, capsys):
         code, rep, _ = run_json(capsys, "model", "--fixture", "jordan(2)")
@@ -606,6 +601,12 @@ class TestFockAndFixtures:
         assert err.startswith("error: exponent must be a digit string")
         assert err.count("\n") == 1
 
+    def test_fock_non_finite_literal_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "fock", "--poly", "1e999*x1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: number '1e999' overflows a float\n"
+
     def test_fock_variable_index_zero(self, capsys):
         # the parser infers d from the largest index, so x0 is out of range
         code, out, err = run(capsys, "fock", "--poly", "x0")
@@ -737,6 +738,7 @@ class TestUsage:
             ["split", "--fixture", "maxcount", "--seed", "0"],
             ["fixtures", "--fixture", "maxcount"],
             ["separating", "--fixture", "maxcount", "--seed", "-1"],
+            ["model", "--fixture", "maxcount", "--degree", "3"],
         ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):

@@ -56,3 +56,20 @@ def test_rank_decisions_go_through_linalg(name):
         if isinstance(node, ast.Attribute) and node.attr == "matrix_rank"
     ]
     assert calls == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used_or_exported(name):
+    # an import left behind by a removed caller is dead code
+    path = pathlib.Path(rowtuples.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(importlib.import_module(f"rowtuples.{name}").__dict__.get("__all__", ()))
+    assert sorted(imported - used - exported) == []

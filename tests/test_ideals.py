@@ -32,7 +32,7 @@ from rowtuples.linalg import (
     rank_and_kernel,
     subspace_distance,
 )
-from rowtuples.polynomials import Polynomial, graded_indices, indices_of_degree, parse_polynomial
+from rowtuples.polynomials import Polynomial, graded_indices, indices_of_degree
 from rowtuples.sweeps import random_similarity, random_staircase, staircase_generators
 from rowtuples.tuples import RowTuple, nilpotency_index, poly_eval, validate
 
@@ -136,13 +136,24 @@ class TestMonomialAnnihilator:
         with pytest.raises(DomainError):
             monomial_annihilator(2, [(2, 0)])
 
-    def test_ideal_slice_contains_shifts(self):
-        ann = monomial_annihilator(2, [(2, 0), (1, 1), (0, 2)])
-        sl = ann.ideal_slice(4)
-        # x1^2 * x2^2 must lie in the degree-4 slice
-        target = Polynomial.monomial(2, (2, 2)).coefficient_vector(graded_indices(2, 4))
-        coeffs, *_ = np.linalg.lstsq(sl, target, rcond=None)
-        assert np.linalg.norm(sl @ coeffs - target) < 1e-10
+
+def _up(alpha: tuple[int, ...], k: int, step: int = 1) -> tuple[int, ...]:
+    return alpha[:k] + (alpha[k] + step,) + alpha[k + 1 :]
+
+
+@st.composite
+def staircases(draw, max_size: int = 12):
+    """A staircase in N^d, d = 1..3, of 1 to ``max_size`` points, grown corner by corner."""
+    d = draw(st.integers(1, 3))
+    size = draw(st.integers(1, max_size))
+    lam = {(0,) * d}
+    while len(lam) < size:
+        ups = {_up(alpha, k) for alpha in lam for k in range(d)} - lam
+        corners = sorted(
+            c for c in ups if all(c[j] == 0 or _up(c, j, -1) in lam for j in range(d))
+        )
+        lam.add(draw(st.sampled_from(corners)))
+    return d, lam
 
 
 def _shifted_products(ann: AnnihilatorBasis, max_degree: int) -> np.ndarray:
@@ -154,32 +165,6 @@ def _shifted_products(ann: AnnihilatorBasis, max_degree: int) -> np.ndarray:
         for beta in graded_indices(ann.d, max_degree - max(q.degree(), 0))
     ]
     return np.array(columns, dtype=np.complex128).T.reshape(len(monomials), len(columns))
-
-
-class TestIdealSlice:
-    @pytest.mark.parametrize("extra", [0, 1, 3])
-    def test_matches_polynomial_multiplication(self, extra):
-        rng = np.random.default_rng(23)
-        anns = [
-            annihilator(maxcount()),
-            annihilator(random_similarity(rng, rectangle(3, 2))),
-            annihilator(random_similarity(rng, rectangle(2, 2, 2))),
-            monomial_annihilator(2, [(3, 0), (1, 1), (0, 4)]),
-            monomial_annihilator(1, [(2,)]),
-            AnnihilatorBasis(
-                2, 2, _columns(2, 2, [Polynomial.zero(2), parse_polynomial("x1 - 2*x2^2")])
-            ),
-        ]
-        for ann in anns:
-            degree = ann.degree_bound + extra
-            expected = _shifted_products(ann, degree)
-            got = ann.ideal_slice(degree)
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
-
-    def test_empty_basis(self):
-        ann = AnnihilatorBasis(2, 1, np.zeros((3, 0)))
-        assert ann.ideal_slice(2).shape == (6, 0)
 
 
 class TestAnnihilatorsEqual:
@@ -198,6 +183,39 @@ class TestAnnihilatorsEqual:
         a = monomial_annihilator(1, [(2,)])
         scaled = AnnihilatorBasis(1, 2, 3.0 * a.coefficients)
         assert annihilators_equal(a, scaled)
+
+    @given(
+        case=staircases(max_size=8),
+        kind=st.sampled_from(["conjugates", "normal form", "other staircase", "redundant"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_shifted_slices(self, case, kind, seed):
+        # the rule before the span test: both ideals' slices at a common
+        # degree, spanned by shifted products, compared as subspaces
+        d, lam = case
+        rng = np.random.default_rng(seed)
+        model = staircase_model(d, lam)
+        a = annihilator(random_similarity(rng, model))
+        if kind == "conjugates":
+            b, equal = annihilator(random_similarity(rng, model)), True
+        elif kind == "normal form":
+            b, equal = annihilator_normal_form(random_similarity(rng, model)), True
+        elif kind == "other staircase":
+            other = random_staircase(rng, d, 8)
+            b, equal = annihilator(random_similarity(rng, staircase_model(d, other))), other == lam
+        else:  # the monomial ideal again, spanned redundantly at a higher bound
+            a = monomial_annihilator(d, staircase_generators(d, lam))
+            degree = a.degree_bound + int(rng.integers(1, 3))
+            shifted = _shifted_products(a, degree)
+            mix = rng.standard_normal((shifted.shape[1], shifted.shape[1] + 2))
+            b, equal = AnnihilatorBasis(d, degree, shifted @ mix), True
+        for x, y in ((a, b), (b, a)):
+            degree = max(x.degree_bound, y.degree_bound)
+            frames = [orthonormalize(_shifted_products(z, degree)) for z in (x, y)]
+            verdict = annihilators_equal(x, y)
+            assert type(verdict) is bool
+            assert verdict == (subspace_distance(*frames) <= 1e-8) == equal
 
 
 class TestQuotientAlgebra:
@@ -228,7 +246,7 @@ class TestQuotientAlgebra:
         for t in (maxcount(), rectangle(2, 2)):
             ann = annihilator(t)
             degree = ann.degree_bound + 1
-            spanning = AnnihilatorBasis(t.d, degree, ann.ideal_slice(degree))
+            spanning = AnnihilatorBasis(t.d, degree, _shifted_products(ann, degree))
             slice_dim = math.comb(degree + t.d, t.d) - quotient_of(t).dim
             assert spanning.coefficients.shape[1] > slice_dim
             assert quotient_algebra(spanning).monomial_basis == quotient_of(t).monomial_basis
@@ -356,13 +374,6 @@ class TestModelSpace:
             if alpha[1] > 0:
                 assert np.abs(ms.frame[i]).max() < 1e-12
 
-    def test_degree_cap_override(self):
-        ann = monomial_annihilator(1, [(2,)])
-        ms = model_space(ann, degree_cap=4)
-        assert ms.dim == 2
-        with pytest.raises(DomainError):
-            model_space(ann, degree_cap=1)
-
     def test_rejects_non_cofinite_slice(self):
         lone = AnnihilatorBasis(2, 2, _columns(2, 2, [Polynomial.monomial(2, (2, 0))]))
         with pytest.raises(DomainError):
@@ -379,7 +390,6 @@ class TestModelSpace:
 
         for name in ("orthonormalize", "_rank_kernel_norm"):
             monkeypatch.setattr(ideals, name, fail)
-        monkeypatch.setattr(AnnihilatorBasis, "ideal_slice", fail)
         assert model_space(ann).dim == model_of(t)[0].dim == 6
 
 
@@ -423,25 +433,6 @@ class TestModelTuple:
         top = mt.monomial((1, 1)) @ const
         assert abs(np.linalg.norm(top) - da_monomial_norm((1, 1))) < 1e-12
         assert abs(np.linalg.norm(top) - 1 / math.sqrt(2)) < 1e-12
-
-
-def _up(alpha: tuple[int, ...], k: int, step: int = 1) -> tuple[int, ...]:
-    return alpha[:k] + (alpha[k] + step,) + alpha[k + 1 :]
-
-
-@st.composite
-def staircases(draw):
-    """A staircase in N^d, d = 1..3, of 1 to 12 points, grown corner by corner."""
-    d = draw(st.integers(1, 3))
-    size = draw(st.integers(1, 12))
-    lam = {(0,) * d}
-    while len(lam) < size:
-        ups = {_up(alpha, k) for alpha in lam for k in range(d)} - lam
-        corners = sorted(
-            c for c in ups if all(c[j] == 0 or _up(c, j, -1) in lam for j in range(d))
-        )
-        lam.add(draw(st.sampled_from(corners)))
-    return d, lam
 
 
 class TestStaircaseModel:

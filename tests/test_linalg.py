@@ -18,6 +18,7 @@ from rowtuples.linalg import (
     ToleranceConfig,
     cokernel_basis,
     kernel_basis,
+    in_span,
     norm_at_most,
     numerical_rank,
     operator_norm,
@@ -157,6 +158,14 @@ class TestNormAtMost:
         assert norm_at_most(np.zeros((3, 0)), 0.0)
         assert norm_at_most(np.zeros((3, 3)), 0.0)
         assert not norm_at_most(np.zeros((3, 3)), -1.0)
+
+    def test_numpy_bound_gives_a_plain_bool(self):
+        # json.dumps refuses np.bool_; each return path is taken once
+        a = np.diag([3.0, 1.0])
+        cases = [(np.zeros((0, 0)), 0.0), (np.zeros((2, 2)), 0.0), (a, 4.0), (a, 2.0), (a, 3.0)]
+        for m, bound in cases:
+            assert type(norm_at_most(m, np.float64(bound))) is bool
+            assert type(in_span(m, np.eye(len(m))[:, :1], np.float64(bound))) is bool
 
     def test_rejects_what_as_matrix_rejects(self):
         with pytest.raises(ShapeError):

@@ -151,6 +151,16 @@ class TestParseFormat:
         with pytest.raises(PolynomialParseError, match="exponent"):
             parse_polynomial(text)
 
+    @pytest.mark.parametrize(
+        "text, literal",
+        [("1e999*x1", "1e999"), ("1e999-1e999", "1e999"), ("(1+1e999i)*x1", "1e999i"),
+         ("2e308i", "2e308i")],
+    )
+    def test_number_literal_must_be_a_finite_float(self, text, literal):
+        # float() turns these into inf, and their difference into nan
+        with pytest.raises(PolynomialParseError, match=f"number '{literal}' overflows a float"):
+            parse_polynomial(text)
+
     def test_readme_example(self):
         assert parse_polynomial("x1^2 - 0.5*x2") == Polynomial(2, {(2, 0): 1, (0, 1): -0.5})
 

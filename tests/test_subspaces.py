@@ -8,8 +8,8 @@ from scipy.linalg import block_diag
 
 from rowtuples.errors import DomainError, HypothesisError, ShapeError, WitnessSearchError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
-from rowtuples.ideals import annihilator, annihilators_equal
-from rowtuples.linalg import numerical_rank, operator_norm
+from rowtuples.ideals import annihilator, annihilators_equal, staircase_model
+from rowtuples.linalg import numerical_rank, operator_norm, subspaces_equal
 from rowtuples.subspaces import (
     SubspaceBasis,
     Verdict,
@@ -18,13 +18,20 @@ from rowtuples.subspaces import (
     decomposition_find,
     generated_invariant,
     intertwiner_space,
+    is_coinvariant,
     is_invariant,
     restrict,
     rigidity_coinvariant_check,
     rigidity_invariant_check,
     splitting_construct,
 )
-from rowtuples.sweeps import random_similarity, small_nilpotent_instance, splitting_instance
+from rowtuples.sweeps import (
+    proper_invariant,
+    random_similarity,
+    random_staircase,
+    small_nilpotent_instance,
+    splitting_instance,
+)
 from rowtuples.tuples import RowTuple
 
 E1 = np.array([1.0, 0.0, 0.0], dtype=complex)
@@ -134,6 +141,39 @@ class TestInvariance:
         m = SubspaceBasis.from_span(E1.reshape(3, 1))
         with pytest.raises(DomainError):
             restrict(t, m)
+
+    @given(
+        d=st.integers(1, 3),
+        size=st.integers(2, 8),
+        log_tilt=st.floats(-12.0, -6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_span_residuals_agree_with_the_projector_formulas(self, d, size, log_tilt, seed):
+        # a proper invariant subspace, its complement and a random subspace,
+        # each also tilted by about 10^log_tilt, so verdicts fall on both
+        # sides of atol and tol
+        tilt = 10.0**log_tilt
+        rng = np.random.default_rng(seed)
+        t = random_similarity(rng, staircase_model(d, random_staircase(rng, d, size)))
+        n = t.dim
+        m = proper_invariant(rng, t)
+        frames = [m, m.complement(), SubspaceBasis.from_span(rng.standard_normal((n, m.dim)))]
+        for f in list(frames):
+            noise = rng.standard_normal((n, f.dim)) + 1j * rng.standard_normal((n, f.dim))
+            frames.append(SubspaceBasis.from_span(f.frame + tilt * noise))
+        for f in frames:
+            p = f.projector()
+            q = np.eye(n) - p
+            for upper, test in ((False, is_invariant), (True, is_coinvariant)):
+                corners = [p @ mat @ q if upper else q @ mat @ p for mat in t.mats]
+                expected = all(
+                    operator_norm(c) <= 1e-9 * max(1.0, norm) for c, norm in zip(corners, t.norms)
+                )
+                assert test(t, f) is expected
+            for g in frames:
+                expected = f.dim == g.dim and operator_norm(p - g.projector()) <= 1e-8
+                assert subspaces_equal(f.frame, g.frame) is expected
 
 
 class TestIntertwinerSpace:
