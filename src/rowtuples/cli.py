@@ -37,13 +37,13 @@ from .ideals import (
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
 from .polynomials import format_columns, parse_polynomial
 from .serialize import (
+    collector_paused,
     digest,
     load_document,
     matrix_from_json,
-    matrix_to_json,
+    pairs_text,
     tuple_from_json,
     vector_from_json,
-    vector_to_json,
 )
 from .subspaces import (
     SubspaceBasis,
@@ -196,7 +196,7 @@ def _cmd_check(t, payload, args, tol):
         "pure": rep.pure,
         "nilpotent": rep.nilpotent,
         "defect": rep.defect,
-        "defect_operator": matrix_to_json(rep.defect_operator),
+        "defect_operator": rep.defect_operator,
     }
     return results, [], EXIT_OK
 
@@ -219,7 +219,7 @@ def _cmd_model(t, payload, args, tol):
     results = {
         "dim": space.dim,
         "degree_cap": space.degree_cap,
-        "matrices": [matrix_to_json(mat) for mat in mt.mats],
+        "matrices": list(mt.mats),
     }
     return results, [], EXIT_OK
 
@@ -241,7 +241,7 @@ def _cmd_separating(t, payload, args, tol):
         chosen, trace = separating_greedy(t, tol=tol)
         results = {
             "size": len(chosen),
-            "vectors": [vector_to_json(v) for v in chosen],
+            "vectors": list(chosen),
             "kernel_trace": trace,
         }
         return results, [], EXIT_OK
@@ -260,7 +260,7 @@ def _cmd_gram(t, payload, args, tol):
         raise UsageError("vector: the gram command needs an input vector")
     rep = gram_operator(t, vec, tol)
     results = {
-        "gram": matrix_to_json(rep.gram),
+        "gram": rep.gram,
         "bound": _float(rep.bound),
         "cyclic": rep.cyclic,
     }
@@ -274,7 +274,7 @@ def _cmd_transform(t, payload, args, tol):
         operator_norm(t.mats[k] @ x - x @ mt.mats[k]) for k in range(t.d)
     )
     results = {
-        "witness": matrix_to_json(x),
+        "witness": x,
         "residual": _float(residual),
         "rank": numerical_rank(x, tol),
         "model_dim": mt.dim,
@@ -317,7 +317,7 @@ def _cmd_decompose(t, payload, args, tol):
         "exists": rep.exists,
         "commutant_dim": rep.commutant_dim,
         "semisimple_dim": rep.semisimple_dim,
-        "idempotent": None if rep.idempotent is None else matrix_to_json(rep.idempotent),
+        "idempotent": rep.idempotent,
     }
     if rep.exists:
         found = decomposition_find(t, tol=tol)
@@ -335,7 +335,7 @@ def _cmd_split(t, payload, args, tol):
         "m_dim": m.dim,
         "n_dim": n.dim,
         "dim": t.dim,
-        "n_columns": matrix_to_json(n.frame),
+        "n_columns": n.frame,
     }
     warnings = []
     if n.dim == 0:
@@ -399,17 +399,36 @@ _TUPLE_COMMANDS = {
 }
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value)``, with each numpy array as its ``[re, im]`` pairs.
+
+    A dict or list that holds no array goes to ``json.dumps`` whole; one
+    that does is walked, and the encoder refusing the array ends its try.
+    """
+    if isinstance(value, np.ndarray):
+        return pairs_text(value)
+    try:
+        return json.dumps(value)
+    except TypeError:
+        if isinstance(value, dict):
+            items = (f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items())
+            return "{" + ", ".join(items) + "}"
+        if isinstance(value, (list, tuple)):
+            return "[" + ", ".join(map(_json_text, value)) + "]"
+        raise
+
+
 def _render(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report))
+        print(_json_text(report))
         return
     print(f"command: {report['command']}")
     print(f"input_digest: {report['input_digest']}")
     for w in report["warnings"]:
         print(f"warning: {w}")
     for key, value in report["results"].items():
-        if isinstance(value, (list, dict)):
-            print(f"{key}: {json.dumps(value)}")
+        if isinstance(value, (list, dict, np.ndarray)):
+            print(f"{key}: {_json_text(value)}")
         else:
             print(f"{key}: {value}")
     print(f"wall_time_s: {report['wall_time_s']:.6f}")
@@ -441,7 +460,8 @@ def main(argv=None) -> int:
             dig = digest(args.suite.encode(), str(args.seed).encode())
         else:
             tol = _tolerance(args)
-            t, payload, dig = _load_inputs(args)
+            with collector_paused():
+                t, payload, dig = _load_inputs(args)
             results, warnings, code = _TUPLE_COMMANDS[args.command](
                 t, payload, args, tol
             )
@@ -463,7 +483,8 @@ def main(argv=None) -> int:
         "warnings": warnings,
         "wall_time_s": time.perf_counter() - start,
     }
-    _render(report, args.json)
+    with collector_paused():
+        _render(report, args.json)
     return code
 
 

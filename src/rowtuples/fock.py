@@ -149,24 +149,59 @@ def _multiplication_sparse(p: Polynomial, space: TruncatedDA) -> scipy.sparse.cs
 
     Each term of ``p`` sends a basis monomial to a single one, so there are
     at most ``len(p.coeffs)`` nonzeros per column out of ``space.dim``.
+    The entries of a term are formed as arrays over the basis, with the
+    target positions from :func:`_graded_rank`.
     """
     if p.d != space.d:
         raise ShapeError(f"polynomial has d={p.d}, space has d={space.d}")
     basis = space.basis()
+    exps = np.array(basis, dtype=np.int64)
+    degrees = exps.sum(axis=1)
+    norms = np.array([_da_norm(alpha) for alpha in basis])
+    binom = np.array(
+        [[math.comb(n, r) for r in range(space.d + 1)] for n in range(space.max_degree + space.d)],
+        dtype=np.int64,
+    )
     rows, cols, vals = [], [], []
     for gamma, c in p.coeffs.items():
-        step = sum(gamma)
-        for j, alpha in enumerate(basis):
-            if sum(alpha) + step > space.max_degree:
-                continue
-            beta = tuple(a + g for a, g in zip(alpha, gamma))
-            rows.append(space.position(beta))
-            cols.append(j)
-            vals.append(c * da_monomial_norm(beta) / da_monomial_norm(alpha))
-    return scipy.sparse.csr_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
-        shape=(space.dim, space.dim),
-    )
+        (j,) = np.nonzero(degrees <= space.max_degree - sum(gamma))
+        i = _graded_rank(exps[j] + np.array(gamma, dtype=np.int64), binom)
+        # real and imaginary parts apart, as Python's c * nb / na rounds them:
+        # numpy's complex / real multiplies by a reciprocal.  A stored
+        # coefficient has no -0.0 part, so the signs of zeros agree too.
+        entry = np.empty(j.size, dtype=np.complex128)
+        entry.real = c.real * norms[i] / norms[j]
+        entry.imag = c.imag * norms[i] / norms[j]
+        rows.append(i)
+        cols.append(j)
+        vals.append(entry)
+    if not vals:
+        return scipy.sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    # row-major with sorted columns, the layout a COO-to-CSR conversion gives
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(space.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
+    return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(space.dim, space.dim))
+
+
+def _graded_rank(exps: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Positions of the rows of ``exps`` in the graded order of ``graded_indices``.
+
+    ``binom[n, r]`` is ``C(n, r)``.  The ``C(k + d - 1, d)`` monomials of
+    degree below ``k`` come first.  Within a degree the order is
+    ``x1``-major with the first exponent descending, so ``a_1`` is preceded
+    by the ``C(k - a_1 + d - 2, d - 1)`` monomials with a larger first
+    exponent, and the rest of the row ranks the same way in ``d - 1``
+    variables.
+    """
+    d = exps.shape[1]
+    left = exps.sum(axis=1)
+    rank = binom[left + d - 1, d]
+    for k in range(d - 1):
+        left = left - exps[:, k]
+        rank += binom[left + d - k - 2, d - k - 1]
+    return rank
 
 
 def truncated_multiplier_norm(

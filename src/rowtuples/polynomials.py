@@ -286,6 +286,14 @@ def _tokenize(text: str) -> list[tuple[str, str, str]]:
     return tokens
 
 
+def _overflowed(poly: Polynomial) -> tuple[int, ...] | None:
+    """The first exponent whose coefficient is not finite, if any."""
+    for alpha, c in poly.coeffs.items():
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            return alpha
+    return None
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, str]], d: int):
         self.tokens = tokens
@@ -311,6 +319,10 @@ class _Parser:
             poly = poly + self.parse_term(sign)
         if self.pos != len(self.tokens):
             raise PolynomialParseError(f"trailing input: {self.tokens[self.pos][2]!r}")
+        alpha = _overflowed(poly)
+        if alpha is not None:  # finite terms can add up to inf
+            name = _monomial_text(alpha) or "the constant term"
+            raise PolynomialParseError(f"coefficient of {name} overflows a float")
         return poly
 
     def parse_sign(self) -> float:
@@ -321,11 +333,16 @@ class _Parser:
         return sign
 
     def parse_term(self, sign: float) -> Polynomial:
+        start = self.pos
         poly = Polynomial.constant(self.d, sign)
         poly = poly * self.parse_factor()
         while self.peek() == "*":
             self.take()
             poly = poly * self.parse_factor()
+        # finite literals can multiply out to inf, or to nan through inf * 0
+        if _overflowed(poly) is not None:
+            source = "".join(tok[2] for tok in self.tokens[start:self.pos])
+            raise PolynomialParseError(f"coefficient of term {source!r} overflows a float")
         return poly
 
     def parse_factor(self) -> Polynomial:

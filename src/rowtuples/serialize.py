@@ -24,10 +24,21 @@ or UTF-32, lone surrogates), deeper documents, and malformed ones, whose
 diagnostic is the stdlib's.  The one value that differs is an integer
 literal outside the 64-bit range, which orjson returns as the nearest
 float.
+
+Reports are written from arrays.  ``pairs_text`` returns exactly the text
+``json.dumps`` gives for ``matrix_to_json(arr)``, but for an array whose
+entries are mostly repeats (a model matrix is almost all exact zeros) it
+writes one ``repr`` per distinct entry instead of listing every pair.
+``collector_paused`` holds off the cyclic garbage collector while a caller
+parses a document or writes a report: both build thousands of acyclic
+lists, and without the pause they set off full collections that re-walk
+every long-lived object.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 
@@ -38,10 +49,12 @@ from .errors import ShapeError
 from .tuples import RowTuple
 
 __all__ = [
+    "collector_paused",
     "digest",
     "load_document",
     "matrix_from_json",
     "matrix_to_json",
+    "pairs_text",
     "tuple_from_json",
     "tuple_to_json",
     "vector_from_json",
@@ -68,6 +81,37 @@ def _pairs_to_json(arr: np.ndarray) -> list:
     # [re, im] pairs along a new last axis; tolist keeps signed zeros
     arr = np.asarray(arr, dtype=np.complex128)
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def pairs_text(arr: np.ndarray) -> str:
+    """``json.dumps(matrix_to_json(arr))`` for a complex array of any shape.
+
+    A finite array in which at most half the entries are distinct is written
+    from one ``repr`` per distinct ``(re, im)`` bit pattern (so ``-0.0``
+    keeps its own text), joined with the encoder's ``", "`` separators.
+    Anything else is dumped from its lists, which is faster when most
+    entries differ.
+    """
+    arr = np.asarray(arr, dtype=np.complex128)
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    if np.isfinite(flat.view(np.float64)).all():
+        # exact zeros, the bulk of a model matrix, skip the sort
+        nonzero = flat.view(np.uint64).reshape(-1, 2).any(axis=1)
+        bits, inverse = np.unique(flat[nonzero].view("V16"), return_inverse=True)
+        if 2 * (bits.size + (not nonzero.all())) <= flat.size:
+            pairs = [(0.0, 0.0)] + bits.view(np.float64).reshape(-1, 2).tolist()
+            texts = np.array([f"[{re!r}, {im!r}]" for re, im in pairs], dtype=object)
+            index = np.zeros(flat.size, dtype=np.intp)
+            index[nonzero] = inverse + 1
+            nested = texts[index].reshape(arr.shape).tolist()
+            return nested if arr.ndim == 0 else _joined(nested, arr.ndim)
+    return json.dumps(_pairs_to_json(arr))
+
+
+def _joined(nested: list, depth: int) -> str:
+    """JSON text of ``depth`` levels of nested lists of entry texts."""
+    parts = nested if depth == 1 else [_joined(x, depth - 1) for x in nested]
+    return "[" + ", ".join(parts) + "]"
 
 
 def _array_from_json(obj, depth: int) -> np.ndarray | None:
@@ -230,6 +274,24 @@ def load_document(path: str):
         return _parse(raw), raw
     except (ValueError, RecursionError) as exc:
         raise ShapeError(f"input: malformed JSON in {path}: {_reason(exc)}") from exc
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector over the block, then restore its state.
+
+    Parsing a document and listing an array build thousands of acyclic
+    lists, and each allocation burst sets off full collections that re-walk
+    every long-lived object.  Reference counting frees such trees on its
+    own; a caller that had the collector off keeps it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def digest(*parts: bytes) -> str:

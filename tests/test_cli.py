@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from rowtuples.linalg import ToleranceConfig
 from rowtuples.polynomials import parse_polynomial
 from rowtuples.serialize import (
     matrix_from_json,
+    matrix_to_json,
     tuple_from_json,
     tuple_to_json,
     vector_from_json,
@@ -607,6 +609,14 @@ class TestFockAndFixtures:
         assert out == ""
         assert err == "error: number '1e999' overflows a float\n"
 
+    def test_fock_overflowing_coefficient_product_is_a_usage_error(self, capsys):
+        # finite literals whose product overflows are named as the term, not
+        # reported later as a matrix with non-finite entries
+        code, out, err = run(capsys, "fock", "--poly", "1e200*x1*1e200 + x2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: coefficient of term '1e200*x1*1e200' overflows a float\n"
+
     def test_fock_variable_index_zero(self, capsys):
         # the parser infers d from the largest index, so x0 is out of range
         code, out, err = run(capsys, "fock", "--poly", "x0")
@@ -709,6 +719,100 @@ class TestNoRandomDraws:
         assert {argv[0] for argv in runs} == set(_TUPLE_COMMANDS)
         codes = [run(capsys, argv[0], "--fixture", "maxcount", *argv[1:])[0] for argv in runs]
         assert codes == [0] * 8 + [2] + [0] * 3
+
+
+class TestReportText:
+    """Array results are written from their entries, with the bytes of the pair lists."""
+
+    VECTOR = [1, [2, -0.5], 3]
+    RUNS = [
+        ("check", "--fixture", "maxcount"),
+        ("check", "--fixture", "rectangle(2,3)"),
+        ("model", "--fixture", "jordan(4)"),
+        ("model", "--fixture", "rectangle(3,3)"),
+        ("model", "--fixture", "model(x1^2;x2^2)"),
+        ("separating", "--fixture", "maxcount"),
+        ("separating", "--fixture", "fromgriff(2)"),
+        ("gram", "--fixture", "jordan(3)", "--input", "vector"),
+        ("transform", "--fixture", "rectangle(2,3)"),
+        ("decompose", "--input", "two_cells"),
+        ("split", "--input", "cells_and_m"),
+        ("split", "--fixture", "maxcount", "--input", "whole"),
+    ]
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+    def test_matches_the_report_of_the_lists(self, capsys, tmp_path, monkeypatch, argv, mode):
+        files = {
+            "vector": write_json(tmp_path, "v.json", self.VECTOR),
+            "two_cells": write_json(tmp_path, "t.json", TWO_CELLS),
+            "cells_and_m": write_json(
+                tmp_path, "s.json", {"tuple": TWO_CELLS, "m": [[1, 0], [0, 1], [0, 0], [0, 0]]}
+            ),
+            "whole": write_json(tmp_path, "w.json", {"m": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+        }
+        argv = [files.get(a, a) for a in argv] + list(mode)
+
+        def without_time(out):
+            return re.sub(r"wall_time_s\W+[0-9.e-]+", "wall_time_s", out)
+
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.setattr("rowtuples.cli.pairs_text", lambda a: json.dumps(matrix_to_json(a)))
+        want_code, want, _ = run(capsys, *argv)
+        assert code == want_code == 0
+        assert without_time(out) == without_time(want)
+        assert "[[" in out
+
+
+class TestCollectorState:
+    """``main`` pauses the cyclic collector around input and report, and leaves its state."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def cases(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"d": 1, "dim": 1, "matrices": [[[0]]]')
+        return [
+            (["model", "--input", write_json(tmp_path, "t.json", TWO_CELLS), "--json"], 0),
+            (["ann", "--input", str(bad)], 1),
+            (["ann", "--input", str(tmp_path / "missing.json")], 1),
+            (["ann", "--input", write_json(tmp_path, "nc.json", NON_COMMUTING)], 2),
+        ]
+
+    def test_state_is_restored_on_every_exit(self, capsys, tmp_path, collector):
+        for argv, want in self.cases(tmp_path):
+            assert run(capsys, *argv)[0] == want, argv
+            assert gc.isenabled() is collector, argv
+
+    def test_paused_for_input_and_report_but_not_for_the_analysis(
+        self, capsys, tmp_path, monkeypatch, collector
+    ):
+        from rowtuples import cli
+
+        seen = {}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name] = gc.isenabled()
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapped)
+
+        for name in ("load_document", "tuple_from_json", "model_of", "pairs_text"):
+            recording(name, getattr(cli, name))
+        path = write_json(tmp_path, "t.json", TWO_CELLS)
+        assert run(capsys, "model", "--input", path, "--json")[0] == 0
+        assert seen == {
+            "load_document": False,
+            "tuple_from_json": False,
+            "model_of": collector,
+            "pairs_text": False,
+        }
 
 
 class TestUsage:

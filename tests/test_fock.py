@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from rowtuples import fock
 from rowtuples.errors import ConvergenceError, DomainError, ShapeError
 from rowtuples.fock import (
     TruncatedDA,
@@ -139,6 +141,61 @@ class TestMultiplicationMatrix:
                 for k in range(1, d + 1)
             )
             assert psd_below_identity(gram)
+
+
+def per_entry_multiplier(p, space):
+    """The multiplier assembled one entry at a time: the reference for the array assembly."""
+    basis = space.basis()
+    rows, cols, vals = [], [], []
+    for gamma, c in p.coeffs.items():
+        step = sum(gamma)
+        for j, alpha in enumerate(basis):
+            if sum(alpha) + step > space.max_degree:
+                continue
+            beta = tuple(a + g for a, g in zip(alpha, gamma))
+            rows.append(space.position(beta))
+            cols.append(j)
+            vals.append(c * da_monomial_norm(beta) / da_monomial_norm(alpha))
+    return scipy.sparse.csr_matrix(
+        (np.asarray(vals, dtype=np.complex128), (rows, cols)),
+        shape=(space.dim, space.dim),
+    )
+
+
+class TestArrayAssembly:
+    @pytest.mark.parametrize(
+        "text, d, cap",
+        [
+            ("x1", 3, 6),
+            ("x2", 3, 6),
+            ("x3", 3, 6),
+            ("x1", 2, 13),
+            ("x2", 2, 13),
+            ("(1+2i)*x1^2*x2 - 3i*x2 + 0.5 - (2-1.5i)*x1*x3^3 + 1e-300i*x3", 3, 9),
+            ("x1 + x2", 2, 40),
+            ("x1^3*x2^4 - 2i*x1^5", 2, 4),  # every term above the cap: the zero matrix
+            ("x4^2 - x1", 4, 5),
+            ("2.5", 1, 7),
+        ],
+    )
+    def test_bit_identical_to_the_per_entry_assembly(self, text, d, cap):
+        p = parse_polynomial(text, d)
+        space = TruncatedDA(d, cap)
+        got = fock._multiplication_sparse(p, space)
+        want = per_entry_multiplier(p, space)
+        # int64 views: the sign of every zero counts
+        assert np.array_equal(got.toarray().view(np.int64), want.toarray().view(np.int64))
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+    def test_cap_below_the_degree_gives_zero(self):
+        m = multiplication_matrix(parse_polynomial("x1^3*x2 + 1i*x2^5", 2), TruncatedDA(2, 3))
+        assert m.shape == (10, 10) and not m.any()
+
+    def test_zero_polynomial(self):
+        m = multiplication_matrix(Polynomial.zero(2), TruncatedDA(2, 2))
+        assert m.shape == (6, 6) and not m.any()
 
 
 class TestMultiplierNorm:

@@ -161,6 +161,23 @@ class TestParseFormat:
         with pytest.raises(PolynomialParseError, match=f"number '{literal}' overflows a float"):
             parse_polynomial(text)
 
+    @pytest.mark.parametrize(
+        "text, term",
+        [("1e200*1e200*x1", "1e200*1e200*x1"), ("x2 - 1e200*x1*1e200", "1e200*x1*1e200"),
+         ("(1e308+1e308)*x1", "(1e308+1e308)*x1"), ("2i*1e200*1e200i", "2i*1e200*1e200i")],
+    )
+    def test_coefficient_product_must_be_a_finite_float(self, text, term):
+        # each literal is finite, but the product in Polynomial.__mul__ is not
+        with pytest.raises(PolynomialParseError) as info:
+            parse_polynomial(text)
+        assert str(info.value) == f"coefficient of term '{term}' overflows a float"
+
+    def test_coefficient_sum_must_be_a_finite_float(self):
+        with pytest.raises(PolynomialParseError, match="^coefficient of x1 overflows a float$"):
+            parse_polynomial("1e308*x1 + 1e308*x1")
+        with pytest.raises(PolynomialParseError, match="^coefficient of the constant term"):
+            parse_polynomial("-1e308 - 1e308 + x2")
+
     def test_readme_example(self):
         assert parse_polynomial("x1^2 - 0.5*x2") == Polynomial(2, {(2, 0): 1, (0, 1): -0.5})
 

@@ -22,6 +22,7 @@ from rowtuples.serialize import (
     load_document,
     matrix_from_json,
     matrix_to_json,
+    pairs_text,
     tuple_from_json,
     vector_from_json,
     vector_to_json,
@@ -329,3 +330,80 @@ class TestNestingGuard:
             raw = b"[" * depth + b"]" * depth
             assert serialize._parse(raw) == json.loads(raw)
         assert seen == [b"[" * serialize._STRICT_DEPTH + b"]" * serialize._STRICT_DEPTH]
+
+
+# Parts whose text is easy to get wrong: signed zeros, subnormals, the float
+# extremes, and values at which repr switches between fixed and exponent form.
+EDGE_PARTS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1e-05, 0.0001, -1e-05, 1e16, 1e15, 9999999999999998.0, 1e22, 0.1, -2.5,
+]
+parts = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(allow_nan=False, allow_infinity=False))
+shapes = st.one_of(
+    st.sampled_from([(0, 0), (3, 0), (0, 2), (0,), (), (1, 1)]),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def report_arrays(draw):
+    """Complex arrays with few distinct entries or many, sometimes not finite."""
+    shape = draw(shapes)
+    size = math.prod(shape)
+    pool = draw(st.lists(st.tuples(parts, parts), min_size=1, max_size=8))
+    if draw(st.booleans()):  # most entries from a small pool: the distinct-entry text
+        pairs = [draw(st.sampled_from(pool)) for _ in range(size)]
+    else:
+        pairs = draw(st.lists(st.tuples(parts, parts), min_size=size, max_size=size))
+    if size and draw(st.integers(0, 9)) == 0:
+        pairs[draw(st.integers(0, size - 1))] = draw(
+            st.sampled_from([(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+        )
+    arr = np.empty(size, dtype=np.complex128)
+    arr.view(np.float64)[:] = np.array(pairs, dtype=np.float64).reshape(-1)
+    return arr.reshape(shape)
+
+
+class TestPairsText:
+    """The report writer gives exactly the text of ``json.dumps`` over the pair lists."""
+
+    @given(arr=report_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_dumping_the_lists(self, arr):
+        assert pairs_text(arr) == json.dumps(serialize._pairs_to_json(arr))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (4, 0), (0, 3), (0,), ()])
+    def test_empty_and_scalar_shapes(self, shape):
+        for arr in (np.zeros(shape, dtype=complex), np.full(shape, -0.0 - 1e-05j)):
+            assert pairs_text(arr) == json.dumps(serialize._pairs_to_json(arr))
+
+    def test_signed_zeros_keep_their_text(self):
+        arr = np.array([[0.0, -0.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]] * 3)
+        assert pairs_text(arr) == json.dumps(matrix_to_json(arr))
+        assert "[-0.0, -0.0]" in pairs_text(arr)
+
+    def test_real_input_is_written_as_pairs(self):
+        arr = np.array([[1, 0], [0, 0]])
+        assert pairs_text(arr) == "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"
+
+    def test_mostly_repeated_entries_are_not_listed(self, monkeypatch):
+        def refuse(arr):
+            raise AssertionError("listed an array with few distinct entries")
+
+        monkeypatch.setattr(serialize, "_pairs_to_json", refuse)
+        arr = np.zeros((49, 49), dtype=complex)
+        arr[np.arange(48) + 1, np.arange(48)] = np.sqrt(np.arange(1, 49) / 49)
+        assert pairs_text(arr).startswith("[[[0.0, 0.0], [0.0, 0.0],")
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.arange(6, dtype=complex).reshape(2, 3), np.array([1.0, 2.0, 1.0]),
+         np.array([[math.nan, 0], [0, 0]], dtype=complex)],
+    )
+    def test_distinct_or_non_finite_entries_are_listed(self, monkeypatch, arr):
+        listed = []
+        original = serialize._pairs_to_json
+        monkeypatch.setattr(serialize, "_pairs_to_json", lambda a: listed.append(a) or original(a))
+        assert pairs_text(arr) == json.dumps(original(arr))
+        assert len(listed) == 1
