@@ -25,7 +25,7 @@ import scipy.sparse
 
 from .errors import DomainError, ShapeError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
-from .polynomials import Polynomial, graded_indices, graded_positions, graded_words, multinomial
+from .polynomials import Polynomial, graded_indices, graded_rank, graded_words, multinomial
 
 __all__ = [
     "TruncatedDA",
@@ -70,7 +70,11 @@ class TruncatedDA:
         return graded_indices(self.d, self.max_degree)
 
     def position(self, alpha: tuple[int, ...]) -> int:
-        return graded_positions(self.d, self.max_degree)[tuple(alpha)]
+        """Index of ``alpha`` in :meth:`basis`."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.d or min(alpha) < 0 or sum(alpha) > self.max_degree:
+            raise ShapeError(f"{alpha} is not a multi-index of degree at most {self.max_degree}")
+        return int(graded_rank(np.array([alpha]))[0])
 
     def coordinates(self, p: Polynomial) -> np.ndarray:
         """Coordinates of a polynomial in the orthonormal weighted basis.
@@ -150,7 +154,7 @@ def _multiplication_sparse(p: Polynomial, space: TruncatedDA) -> scipy.sparse.cs
     Each term of ``p`` sends a basis monomial to a single one, so there are
     at most ``len(p.coeffs)`` nonzeros per column out of ``space.dim``.
     The entries of a term are formed as arrays over the basis, with the
-    target positions from :func:`_graded_rank`.
+    target positions from :func:`graded_rank`.
     """
     if p.d != space.d:
         raise ShapeError(f"polynomial has d={p.d}, space has d={space.d}")
@@ -158,23 +162,13 @@ def _multiplication_sparse(p: Polynomial, space: TruncatedDA) -> scipy.sparse.cs
     exps = np.array(basis, dtype=np.int64)
     degrees = exps.sum(axis=1)
     norms = np.array([_da_norm(alpha) for alpha in basis])
-    binom = np.array(
-        [[math.comb(n, r) for r in range(space.d + 1)] for n in range(space.max_degree + space.d)],
-        dtype=np.int64,
-    )
     rows, cols, vals = [], [], []
     for gamma, c in p.coeffs.items():
         (j,) = np.nonzero(degrees <= space.max_degree - sum(gamma))
-        i = _graded_rank(exps[j] + np.array(gamma, dtype=np.int64), binom)
-        # real and imaginary parts apart, as Python's c * nb / na rounds them:
-        # numpy's complex / real multiplies by a reciprocal.  A stored
-        # coefficient has no -0.0 part, so the signs of zeros agree too.
-        entry = np.empty(j.size, dtype=np.complex128)
-        entry.real = c.real * norms[i] / norms[j]
-        entry.imag = c.imag * norms[i] / norms[j]
+        i = graded_rank(exps[j] + np.array(gamma, dtype=np.int64))
         rows.append(i)
         cols.append(j)
-        vals.append(entry)
+        vals.append(_scaled(c, norms[i], norms[j]))
     if not vals:
         return scipy.sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
@@ -185,23 +179,20 @@ def _multiplication_sparse(p: Polynomial, space: TruncatedDA) -> scipy.sparse.cs
     return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(space.dim, space.dim))
 
 
-def _graded_rank(exps: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Positions of the rows of ``exps`` in the graded order of ``graded_indices``.
+def _scaled(c: complex, nb: np.ndarray, na: np.ndarray) -> np.ndarray:
+    """``c * nb / na`` entry by entry, rounded as Python rounds the scalar formula.
 
-    ``binom[n, r]`` is ``C(n, r)``.  The ``C(k + d - 1, d)`` monomials of
-    degree below ``k`` come first.  Within a degree the order is
-    ``x1``-major with the first exponent descending, so ``a_1`` is preceded
-    by the ``C(k - a_1 + d - 2, d - 1)`` monomials with a larger first
-    exponent, and the rest of the row ranks the same way in ``d - 1``
-    variables.
+    Python multiplies ``c`` by ``complex(nb, 0.0)`` and divides by
+    ``complex(na, 0.0)``; the same float operations on the parts, in the
+    same order, give the same bits, the signs of underflowed zeros included.
+    numpy's complex / real multiplies by a reciprocal instead.
     """
-    d = exps.shape[1]
-    left = exps.sum(axis=1)
-    rank = binom[left + d - 1, d]
-    for k in range(d - 1):
-        left = left - exps[:, k]
-        rank += binom[left + d - k - 2, d - k - 1]
-    return rank
+    re = c.real * nb - c.imag * 0.0
+    im = c.real * 0.0 + c.imag * nb
+    out = np.empty(nb.size, dtype=np.complex128)
+    out.real = (re + im * 0.0) / na
+    out.imag = (im - re * 0.0) / na
+    return out
 
 
 def truncated_multiplier_norm(

@@ -53,7 +53,7 @@ from .linalg import (
     _rank_kernel_norm,
     orthonormalize,
 )
-from .polynomials import Polynomial, graded_indices, graded_positions
+from .polynomials import Polynomial, graded_indices, graded_positions, graded_rank
 from .tuples import RowTuple, _nakayama_pass, _orbits, nilpotency_index
 
 __all__ = [
@@ -344,8 +344,8 @@ def staircase_model(d: int, staircase) -> RowTuple:
         for k in range(d):
             if alpha[k] and alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :] not in points:
                 raise DomainError(f"staircase is not an order ideal below {alpha}")
-    # the graded order of graded_indices: degree, then x1-major descending
-    basis = sorted(points, key=lambda a: (sum(a), tuple(-x for x in a)))
+    unordered = list(points)
+    basis = [unordered[i] for i in np.argsort(graded_rank(np.array(unordered)))]
     positions = {alpha: i for i, alpha in enumerate(basis)}
     mats = np.zeros((d, len(basis), len(basis)), dtype=np.complex128)
     for j, alpha in enumerate(basis):

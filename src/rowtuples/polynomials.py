@@ -26,6 +26,7 @@ from .errors import PolynomialParseError, ShapeError
 __all__ = [
     "graded_indices",
     "graded_positions",
+    "graded_rank",
     "indices_of_degree",
     "graded_words",
     "words_of_length",
@@ -63,6 +64,28 @@ def _graded(d: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
 def graded_positions(d: int, max_degree: int) -> Mapping[tuple[int, ...], int]:
     """Position of each multi-index in ``graded_indices(d, max_degree)``, read-only."""
     return MappingProxyType({alpha: i for i, alpha in enumerate(_graded(d, max_degree))})
+
+
+def graded_rank(exps: np.ndarray) -> np.ndarray:
+    """Positions of the rows of ``exps`` in the order of :func:`graded_indices`.
+
+    ``exps`` is an integer array of shape ``(n, d)``, one multi-index per
+    row.  The ``C(k + d - 1, d)`` monomials of degree below ``k`` come
+    first.  Within a degree the order is ``x1``-major with the first
+    exponent descending, so ``a_1`` is preceded by the
+    ``C(k - a_1 + d - 2, d - 1)`` monomials with a larger first exponent,
+    and the rest of the row ranks the same way in ``d - 1`` variables.
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    d = exps.shape[1]
+    left = exps.sum(axis=1)
+    top = int(left.max(initial=0)) + d
+    binom = np.array([[math.comb(n, r) for r in range(d + 1)] for n in range(top)], dtype=np.int64)
+    rank = binom[left + d - 1, d]
+    for k in range(d - 1):
+        left = left - exps[:, k]
+        rank += binom[left + d - k - 2, d - k - 1]
+    return rank
 
 
 def words_of_length(d: int, length: int) -> Iterator[tuple[int, ...]]:

@@ -26,9 +26,9 @@ literal outside the 64-bit range, which orjson returns as the nearest
 float.
 
 Reports are written from arrays.  ``pairs_text`` returns exactly the text
-``json.dumps`` gives for ``matrix_to_json(arr)``, but for an array whose
-entries are mostly repeats (a model matrix is almost all exact zeros) it
-writes one ``repr`` per distinct entry instead of listing every pair.
+``json.dumps`` gives for ``matrix_to_json(arr)``, but encodes each
+distinct entry once instead of listing every pair, which pays off on the
+model matrices, almost all exact zeros.
 ``collector_paused`` holds off the cyclic garbage collector while a caller
 parses a document or writes a report: both build thousands of acyclic
 lists, and without the pause they set off full collections that re-walk
@@ -86,26 +86,23 @@ def _pairs_to_json(arr: np.ndarray) -> list:
 def pairs_text(arr: np.ndarray) -> str:
     """``json.dumps(matrix_to_json(arr))`` for a complex array of any shape.
 
-    A finite array in which at most half the entries are distinct is written
-    from one ``repr`` per distinct ``(re, im)`` bit pattern (so ``-0.0``
-    keeps its own text), joined with the encoder's ``", "`` separators.
-    Anything else is dumped from its lists, which is faster when most
-    entries differ.
+    The encoder writes each distinct ``(re, im)`` bit pattern once (so
+    ``-0.0`` keeps its own text and a non-finite part its ``NaN`` or
+    ``Infinity``), and the entries are joined from those pair texts with
+    the encoder's ``", "`` separators.
     """
     arr = np.asarray(arr, dtype=np.complex128)
     flat = np.ascontiguousarray(arr).reshape(-1)
-    if np.isfinite(flat.view(np.float64)).all():
-        # exact zeros, the bulk of a model matrix, skip the sort
-        nonzero = flat.view(np.uint64).reshape(-1, 2).any(axis=1)
-        bits, inverse = np.unique(flat[nonzero].view("V16"), return_inverse=True)
-        if 2 * (bits.size + (not nonzero.all())) <= flat.size:
-            pairs = [(0.0, 0.0)] + bits.view(np.float64).reshape(-1, 2).tolist()
-            texts = np.array([f"[{re!r}, {im!r}]" for re, im in pairs], dtype=object)
-            index = np.zeros(flat.size, dtype=np.intp)
-            index[nonzero] = inverse + 1
-            nested = texts[index].reshape(arr.shape).tolist()
-            return nested if arr.ndim == 0 else _joined(nested, arr.ndim)
-    return json.dumps(_pairs_to_json(arr))
+    # exact zeros, the bulk of a model matrix, skip the sort
+    nonzero = flat.view(np.uint64).reshape(-1, 2).any(axis=1)
+    bits, inverse = np.unique(flat[nonzero].view("V16"), return_inverse=True)
+    pairs = [[0.0, 0.0]] + bits.view(np.float64).reshape(-1, 2).tolist()
+    # one encoder call for all of them; no number's text holds a bracket
+    texts = ["[" + t + "]" for t in json.dumps(pairs)[2:-2].split("], [")]
+    index = np.zeros(flat.size, dtype=np.intp)
+    index[nonzero] = inverse + 1
+    nested = np.array(texts, dtype=object)[index].reshape(arr.shape).tolist()
+    return nested if arr.ndim == 0 else _joined(nested, arr.ndim)
 
 
 def _joined(nested: list, depth: int) -> str:

@@ -20,6 +20,7 @@ from rowtuples.polynomials import (
     Polynomial,
     abelianize,
     graded_indices,
+    graded_positions,
     multinomial,
     parse_polynomial,
 )
@@ -50,6 +51,11 @@ class TestSpaces:
         # single entry of size ||x1*x2|| = sqrt(1/2)
         assert np.count_nonzero(v) == 1
         assert v[da.position((1, 1))] == pytest.approx(math.sqrt(0.5))
+
+    @pytest.mark.parametrize("alpha", [(3, 0), (0, 0, 0), (-1, 1), (1, 2)])
+    def test_position_outside_the_basis_is_refused(self, alpha):
+        with pytest.raises(ShapeError):
+            TruncatedDA(2, 2).position(alpha)
 
     def test_coordinates_rejects_overflow(self):
         with pytest.raises(ShapeError):
@@ -144,7 +150,10 @@ class TestMultiplicationMatrix:
 
 
 def per_entry_multiplier(p, space):
-    """The multiplier assembled one entry at a time: the reference for the array assembly."""
+    """The multiplier assembled one entry at a time: the reference for the array assembly.
+
+    Positions come from the enumerated basis, not from ``graded_rank``.
+    """
     basis = space.basis()
     rows, cols, vals = [], [], []
     for gamma, c in p.coeffs.items():
@@ -153,7 +162,7 @@ def per_entry_multiplier(p, space):
             if sum(alpha) + step > space.max_degree:
                 continue
             beta = tuple(a + g for a, g in zip(alpha, gamma))
-            rows.append(space.position(beta))
+            rows.append(graded_positions(space.d, space.max_degree)[beta])
             cols.append(j)
             vals.append(c * da_monomial_norm(beta) / da_monomial_norm(alpha))
     return scipy.sparse.csr_matrix(
@@ -176,6 +185,10 @@ class TestArrayAssembly:
             ("x1^3*x2^4 - 2i*x1^5", 2, 4),  # every term above the cap: the zero matrix
             ("x4^2 - x1", 4, 5),
             ("2.5", 1, 7),
+            # parts that underflow to zero: the signs of the zeros must agree
+            ("-5e-324*x3", 3, 3),
+            ("(-5e-324-5e-324i)*x3 + (5e-324-5e-324i)*x1 - 5e-324i*x2", 3, 3),
+            ("(1e-320-3e-321i)*x1^2 - (2e-323+1e-323i)*x2", 2, 6),
         ],
     )
     def test_bit_identical_to_the_per_entry_assembly(self, text, d, cap):

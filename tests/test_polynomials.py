@@ -10,6 +10,8 @@ from rowtuples.polynomials import (
     format_columns,
     format_polynomial,
     graded_indices,
+    graded_positions,
+    graded_rank,
     graded_words,
     multinomial,
     parse_polynomial,
@@ -49,6 +51,16 @@ class TestGradedEnumeration:
             if a not in seen:
                 seen.append(a)
         assert seen == graded_indices(3, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rank_is_the_enumerated_position(self, d):
+        for n in (0, 1, 2, 6):
+            basis = graded_indices(d, n)
+            assert graded_rank(np.array(basis)).tolist() == list(range(len(basis)))
+            shuffled = basis[::-1]
+            positions = graded_positions(d, n)
+            assert graded_rank(np.array(shuffled)).tolist() == [positions[a] for a in shuffled]
+        assert graded_rank(np.zeros((0, d), dtype=int)).shape == (0,)
 
     def test_counts(self):
         import math
