@@ -6,7 +6,8 @@ Thirteen subcommands over JSON tuple files and named fixtures:
     rigidity decompose split fock fixtures sweep
 
 Exit codes: 0 success, 1 usage error, 2 hypothesis-inapplicable,
-3 a verdict contradicting a proved theorem (would-be counterexample).
+3 a verdict contradicting a proved theorem (would-be counterexample),
+141 the reader closed stdout before the report was written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -70,6 +72,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INAPPLICABLE = 2
 EXIT_VIOLATION = 3
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 class UsageError(Exception):
@@ -484,7 +487,12 @@ def main(argv=None) -> int:
         "wall_time_s": time.perf_counter() - start,
     }
     with collector_paused():
-        _render(report, args.json)
+        try:
+            _render(report, args.json)
+            sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        except BrokenPipeError:  # the reader left: the exit flush writes to devnull instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
     return code
 
 

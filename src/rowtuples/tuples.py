@@ -17,9 +17,9 @@ commuting nilpotent tuple, and a margin on that span proves
 ``||T^alpha|| <= c`` at degree ``m``.  If they miss part of ``H`` on which
 ``T`` is clearly onto, ``T`` has an invertible part and the index is
 ``None``.  Otherwise, and where the orbits outgrow the powers instead of
-dying out, the ``n x n`` powers decide, and only there is a power formed.
-The annihilator, its quotient and ``omega_e`` read the same pass
-(:mod:`rowtuples.ideals`).
+dying out, the ``n x n`` powers decide, the orbit of ``V = I`` in the same
+step, and only there is a power formed.  The annihilator, its quotient and
+``omega_e`` read the same pass (:mod:`rowtuples.ideals`).
 """
 
 from __future__ import annotations
@@ -60,15 +60,13 @@ class RowTuple:
     to the (empty) zero operator.
 
     The matrices are copied on construction and frozen, so the tuple never
-    changes and may memoize what it derives from them:
-
-    * ``_monomials`` maps ``alpha`` to ``T^alpha`` (see :meth:`monomial`);
-    * ``_memo`` maps a key to a derived value (see :meth:`memo`): the
-      norms, the generator orbits with their zero tests, and the analyses
-      of other modules.
+    changes and may memoize what it derives from them in ``_memo`` (see
+    :meth:`memo`): the norms, the generator orbits with their zero tests,
+    and the analyses of other modules.  No power ``T^alpha`` is kept; the
+    orbit step (:func:`_orbit_step`) builds each one where it is needed.
     """
 
-    __slots__ = ("d", "dim", "mats", "_monomials", "_memo")
+    __slots__ = ("d", "dim", "mats", "_memo")
 
     def __init__(self, mats):
         # copies: the caller's arrays stay writable, and writes to them miss the memo
@@ -83,7 +81,6 @@ class RowTuple:
         self.d = len(mats)
         self.dim = dim
         self.mats = mats
-        self._monomials: dict[tuple[int, ...], np.ndarray] = {}
         self._memo: dict = {}
 
     def __repr__(self):
@@ -114,28 +111,6 @@ class RowTuple:
         g = sum(m @ m.conj().T for m in self.mats)
         return (g + g.conj().T) / 2.0
 
-    def monomial(self, alpha) -> np.ndarray:
-        """``T^alpha`` with memoization; ``T^0`` is the identity.
-
-        For :func:`poly_eval` and the rare search over powers of the
-        nilpotency pass (:func:`_power_index`); the analyses otherwise apply
-        ``T^alpha`` to vectors through the orbit step and form no power.
-        """
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.d or any(a < 0 for a in alpha):
-            raise ShapeError(f"bad exponent tuple {alpha} for d={self.d}")
-        cached = self._monomials.get(alpha)
-        if cached is not None:
-            return cached
-        if sum(alpha) == 0:
-            out = np.eye(self.dim, dtype=np.complex128)
-        else:
-            k, prev = _predecessor(alpha)
-            out = self.mats[k] @ self.monomial(prev)
-        out.setflags(write=False)
-        self._monomials[alpha] = out
-        return out
-
     @property
     def norms(self) -> tuple[float, ...]:
         """Operator norms ``(||T_1||, .., ||T_d||)``, computed once."""
@@ -145,12 +120,6 @@ class RowTuple:
     def scale(self) -> float:
         """``max(1, max_k ||T_k||)``, the scale of absolute zero tests."""
         return max(1.0, *self.norms)
-
-
-def _predecessor(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """``(k, alpha - e_k)`` for the first nonzero exponent ``k`` of ``alpha``."""
-    k = next(i for i, a in enumerate(alpha) if a > 0)
-    return k, alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :]
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,7 +151,8 @@ def _orbit_step(t: RowTuple, prev: np.ndarray, degree: int) -> np.ndarray:
     out = np.empty((prev.shape[0], count, prev.shape[2]), dtype=np.complex128)
     for var, slots, sources in plan:
         block = prev[:, sources]
-        out[:, slots] = (t.mats[var] @ block.reshape(block.shape[0], -1)).reshape(block.shape)
+        n, run, k = block.shape
+        out[:, slots] = (t.mats[var] @ block.reshape(n, run * k)).reshape(block.shape)
     return out
 
 
@@ -218,19 +188,30 @@ def _vanishing(level: np.ndarray, cutoff: float, tol: ToleranceConfig) -> np.nda
         return np.sqrt((level.real**2 + level.imag**2).sum(axis=(0, 2))) <= cutoff
 
 
-def _power_index(t: RowTuple, start: int, cutoff: float, tol: ToleranceConfig) -> int | None:
+def _power_index(
+    t: RowTuple, start: int, cutoff: float, tol: ToleranceConfig
+) -> tuple[int | None, list[np.ndarray]]:
     """First degree from ``start`` to ``dim + 1`` at which every ``||T^alpha|| <= cutoff``.
 
-    The search over the ``n x n`` powers of :meth:`RowTuple.monomial`, for
-    the tuples whose orbits cannot settle the index.  A degree stops at its
-    first power that does not vanish, so a tuple whose powers never vanish
-    costs about one product per degree.
+    The search over the ``n x n`` powers, the orbit blocks of ``V = I``, for
+    the tuples whose orbits cannot settle the index.  Until ``T_1^j``
+    vanishes a degree forms only ``T_1^j``, so a tuple whose powers never
+    vanish costs one product per degree.  Returns the index, ``None`` past
+    ``dim + 1``, and the levels of the powers of degrees ``0 .. index``.
     """
-    for degree in range(start, t.dim + 2):
-        if all(norm_at_most(t.monomial(alpha), cutoff, tol)
-               for alpha in indices_of_degree(t.d, degree)):
-            return degree
-    return None
+    power = np.eye(t.dim, dtype=np.complex128)
+    levels: list[np.ndarray] = []
+    for degree in range(1, t.dim + 2):
+        if not levels:
+            power = t.mats[0] @ power  # T_1^degree
+            if degree < start or not norm_at_most(power, cutoff, tol):
+                continue
+            levels = [np.eye(t.dim, dtype=np.complex128)[:, None, :]]
+        while len(levels) <= degree:
+            levels.append(_orbit_step(t, levels[-1], len(levels)))
+        if _vanishing(levels[-1], cutoff, tol).all():
+            return degree, levels
+    return None, []
 
 
 def _orbit_certificate(
@@ -321,7 +302,7 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
             levels.append(_orbit_step(t, levels[-1], len(levels)))
             zeros.append(_vanishing(levels[-1], cutoff, tol))
 
-        index, by_powers = (None if t.dim else 0), False
+        index, powers = (None if t.dim else 0), []
         while t.dim and len(levels) <= t.dim + 1:
             grow()
             degree = len(levels) - 1
@@ -329,14 +310,14 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
                 index = degree
                 break
             if sum(z.size for z in zeros) * gens.shape[1] > t.dim * (t.dim + 2):
-                index, by_powers = _power_index(t, degree + 1, cutoff, tol), True
+                index, powers = _power_index(t, degree + 1, cutoff, tol)
                 break
         while index and len(levels) <= index:
             grow()
         if index:
             certificate = _orbit_certificate(t, levels, index, cutoff, tol)
             if certificate is None:
-                index, by_powers = _power_index(t, index, cutoff, tol), True
+                index, powers = _power_index(t, index, cutoff, tol)
             elif not certificate:
                 index = None
         while index and len(levels) <= index:
@@ -345,13 +326,9 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
             levels, zeros = [levels[0][:, :0]], [zeros[0][:0]]
         else:
             levels, zeros = levels[: index + 1], zeros[: index + 1]
-        if by_powers and index:
+        if powers and index:
             # the verdicts of the powers that decided, as T^alpha G = 0 need not mean T^alpha = 0
-            zeros = [
-                np.array([norm_at_most(t.monomial(alpha), cutoff, tol)
-                          for alpha in indices_of_degree(t.d, j)])
-                for j in range(index + 1)
-            ]
+            zeros = [_vanishing(level, cutoff, tol) for level in powers]
         out = _NakayamaPass(gens, index, np.concatenate(levels, axis=1), np.concatenate(zeros))
         for a in (out.generators, out.blocks, out.zero):
             a.setflags(write=False)
@@ -461,10 +438,19 @@ def nilpotency_index(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> int | N
 
 
 def poly_eval(p: Polynomial, t: RowTuple) -> np.ndarray:
-    """Evaluate ``p(T) = sum c_alpha T^alpha``."""
+    """Evaluate ``p(T) = sum c_alpha T^alpha``, the terms summed in graded order.
+
+    The powers of a degree are the orbit blocks of ``V = I``, stepped from
+    those of the degree below (:func:`_orbit_step`); one degree is kept.
+    """
     if p.d != t.d:
         raise ShapeError(f"polynomial has d={p.d}, tuple has d={t.d}")
     out = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for alpha, c in p.coeffs.items():
-        out += c * t.monomial(alpha)
+    level = np.eye(t.dim, dtype=np.complex128)[:, None, :]
+    for degree in range(p.degree() + 1):
+        if degree:
+            level = _orbit_step(t, level, degree)
+        for i, alpha in enumerate(indices_of_degree(t.d, degree)):
+            if alpha in p.coeffs:
+                out += p.coeffs[alpha] * level[:, i]
     return out

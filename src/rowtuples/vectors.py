@@ -30,7 +30,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, abelianize
 from .subspaces import SubspaceBasis, generated_invariant
 from .tuples import RowTuple, require_commuting
 
@@ -182,19 +182,16 @@ def fock_intertwiner(
 ) -> np.ndarray:
     """Matrix of ``e_w ↦ T_w ξ`` on the truncated Fock space.
 
+    The tuple commutes, so ``T_w ξ = T^α ξ`` for the letter counts ``α``
+    of the word ``w``, and the columns come from :func:`orbit_matrix`.
     When ``max_length`` reaches the nilpotency index, the result
     intertwines the creation operators with the tuple exactly, and its
     squared norm equals the Gram bound.
     """
     v = _check_vector(t, xi)
-    space = TruncatedFock(t.d, max_length)
-    orbit: dict[tuple[int, ...], np.ndarray] = {(): v}
-    cols = []
-    for word in space.basis():
-        if word not in orbit:
-            orbit[word] = t.mats[word[0] - 1] @ orbit[word[1:]]
-        cols.append(orbit[word])
-    return np.column_stack(cols)
+    require_commuting(t, tol)
+    words = TruncatedFock(t.d, max_length).basis()
+    return orbit_matrix(t, v, [abelianize(w, t.d) for w in words])
 
 
 def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

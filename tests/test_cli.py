@@ -855,6 +855,27 @@ class TestUsage:
         code, _, err = run(capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "--fixture", "rectangle(7,7)", "--json"],  # more than a pipe buffer
+            ["check", "--fixture", "maxcount"],  # a few lines, still buffered at exit
+        ],
+    )
+    def test_a_reader_that_left_ends_quietly(self, argv):
+        # stdout is a pipe whose read end is closed before the report is written
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowtuples.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rowtuples", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_repeated_main_matches_fresh_processes(self, capsys):
         # the parser is built once per process; reuse must not leak state
         argvs = [

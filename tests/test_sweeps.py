@@ -205,6 +205,22 @@ class TestSuites:
         assert out.violations == 0
         assert out.ok
 
+    def test_closure_canaries_pass(self):
+        # each op failed under one rewrite of generated_invariant's closure:
+        # raw orbit blocks with one rank cutoff, or a stop rule at the
+        # invariance test's own bound; the frames it returns sit near the
+        # invariance thresholds of these instances
+        canaries = [
+            ("rigidity-full", 1000216, 4),
+            ("rigidity-full", 2005526, 4),
+            ("rigidity-coinvariant", 6003445, 4),
+            ("rigidity-adjoint", 6005942, 6),
+            ("rigidity-adjoint", 8005684, 6),
+        ]
+        for name, seed, count in canaries:
+            (out,) = run_suite(name, seed=seed, count=count)
+            assert (out.passed, out.failed, out.violations) == (count, 0, 0), (name, seed)
+
     def test_deterministic_for_fixed_seed(self):
         a = run_suite("greedy", seed=5, count=8)[0]
         b = run_suite("greedy", seed=5, count=8)[0]

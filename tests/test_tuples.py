@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowtuples import ideals, linalg, subspaces, tuples
 from rowtuples.errors import NotCommutingError, NotRowContractionError, ShapeError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import truncated_multiplier_norm
-from rowtuples.ideals import annihilator, model_of, omega_e, quotient_of
+from rowtuples.ideals import annihilator, model_of, omega_e, quotient_of, staircase_model
 from rowtuples.linalg import ToleranceConfig
 from rowtuples.subspaces import decomposition_exists, decomposition_find
 from rowtuples.polynomials import Polynomial, parse_polynomial
-from rowtuples.sweeps import random_similarity
+from rowtuples.sweeps import random_similarity, random_staircase
 from rowtuples.tuples import (
     RowTuple,
     nilpotency_index,
@@ -42,6 +44,14 @@ class TestRowTuple:
         assert t.dim == 0
         assert poly_eval(Polynomial.variable(1, 1), t).shape == (0, 0)
 
+    def test_zero_dimension_steps_every_degree(self):
+        # the orbit step reshapes a block with no entries
+        t = RowTuple([np.zeros((0, 0))] * 2)
+        orbit = ideals.orbit_matrix(t, np.zeros((0, 1)), [(1, 0), (0, 3), (2, 1)])
+        assert orbit.shape == (0, 3)
+        p = Polynomial(2, {(0, 0): 1.0, (1, 0): 2.0, (1, 2): 3j})
+        assert poly_eval(p, t).shape == (0, 0)
+
     def test_immutable_mats(self):
         t = maxcount()
         with pytest.raises(ValueError):
@@ -67,11 +77,6 @@ class TestRowTuple:
         assert np.array_equal(t.mats[0], np.eye(2, k=-1))
         assert nilpotency_index(t) == 2
         assert nilpotency_index(RowTuple(list(base))) is None
-
-    def test_monomial_cache_consistency(self):
-        t = rectangle(2, 3)
-        direct = t.mats[0] @ t.mats[0] @ t.mats[1]
-        assert np.allclose(t.monomial((2, 1)), direct, atol=1e-14)
 
 
 class TestValidate:
@@ -166,7 +171,6 @@ class TestMemoizedVerdicts:
     def test_repeat_queries_reuse_norms_and_verdicts(self, monkeypatch):
         t = random_similarity(np.random.default_rng(8), rectangle(3, 3))
         annihilator(t)
-        monomials = dict(t._monomials)
         calls = []
         real = linalg.operator_norm
 
@@ -174,12 +178,16 @@ class TestMemoizedVerdicts:
             calls.append(args[0].shape)
             return real(*args, **kwargs)
 
+        def stepping(t, prev, degree, _real=tuples._orbit_step):
+            calls.append(("step", degree))
+            return _real(t, prev, degree)
+
         for module in (linalg, tuples, ideals):
             monkeypatch.setattr(module, "operator_norm", counting, raising=False)
+        monkeypatch.setattr(tuples, "_orbit_step", stepping)
         assert omega_e(t) == {(2, 2)}
         assert nilpotency_index(t) == 5
         assert calls == []
-        assert t._monomials.keys() == monomials.keys()
 
     def test_second_analysis_computes_nothing(self, monkeypatch):
         t = random_similarity(np.random.default_rng(3), rectangle(2, 2))
@@ -308,6 +316,29 @@ class TestPolyEval:
                 lhs = poly_eval(p * q, t)
                 rhs = poly_eval(p, t) @ poly_eval(q, t)
                 assert np.abs(lhs - rhs).max() < 1e-10
+
+    @given(
+        d=st.integers(1, 3),
+        size=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_plain_powers(self, d, size, seed, data, power):
+        # conjugated staircase models, and dim = 0, against products formed one by one
+        rng = np.random.default_rng(seed)
+        if size:
+            t = random_similarity(rng, staircase_model(d, random_staircase(rng, d, size)))
+        else:
+            t = zero_tuple(d, 0)
+        top = data.draw(st.integers(0, nilpotency_index(t) + 2), label="degree")
+        p = _random_poly(rng, d, top)
+        expected = sum(
+            (c * power(t, alpha) for alpha, c in p.coeffs.items()),
+            np.zeros((t.dim, t.dim), dtype=complex),
+        )
+        scale = max(1.0, sum(abs(c) for c in p.coeffs.values()))
+        assert np.abs(poly_eval(p, t) - expected).max(initial=0.0) <= 1e-13 * scale
 
 
 def _random_poly(rng, d, degree):

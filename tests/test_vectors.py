@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 
 from rowtuples.errors import (
     ConvergenceError,
+    NotCommutingError,
     NotCyclicError,
     NotNilpotentError,
     ShapeError,
@@ -204,13 +205,13 @@ class TestSeparatingGreedy:
         chosen, _ = separating_greedy(t)
         assert 1 <= len(chosen) <= min(multiplicity(t), q.dim)
 
-    def test_chosen_set_is_jointly_separating(self):
+    def test_chosen_set_is_jointly_separating(self, power):
         t = fromgriff(3)
         q = quotient_algebra(annihilator(t))
         chosen, _ = separating_greedy(t)
         cols = np.hstack(
             [
-                np.column_stack([t.monomial(a) @ v for a in q.monomial_basis]).T
+                np.column_stack([power(t, a) @ v for a in q.monomial_basis]).T
                 for v in chosen
             ]
         )
@@ -234,7 +235,7 @@ class TestSeparatingGreedy:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_conjugated_staircase_sums(self, d, sizes, seed):
+    def test_conjugated_staircase_sums(self, d, sizes, seed, power):
         rng = np.random.default_rng(seed)
         parts = [staircase_model(d, random_staircase(rng, d, size)) for size in sizes]
         summed = [block_diag(*mats) for mats in zip(*(p.mats for p in parts))]
@@ -245,7 +246,7 @@ class TestSeparatingGreedy:
         assert trace[0] == q.dim and trace[-1] == 0
         assert all(a > b for a, b in zip(trace, trace[1:]))
         joint = np.vstack(
-            [np.column_stack([t.monomial(a) @ xi for a in q.monomial_basis]) for xi in chosen]
+            [np.column_stack([power(t, a) @ xi for a in q.monomial_basis]) for xi in chosen]
         )
         assert numerical_rank(joint) == q.dim
         again, again_trace = separating_greedy(RowTuple([m.copy() for m in t.mats]))
@@ -319,6 +320,15 @@ class TestFockIntertwiner:
         for k in range(2):
             resid = t.mats[k] @ X - X @ creation_matrix(k + 1, fock)
             assert operator_norm(resid) < 1e-12
+
+    def test_words_with_the_same_letters_share_a_column(self):
+        # T_w ξ = T^α ξ for the letter counts α of w: the tuple must commute
+        t = fromgriff(2)
+        X = fock_intertwiner(t, np.ones(t.dim), 2)
+        fock = TruncatedFock(2, 2)
+        assert np.array_equal(X[:, fock.position((1, 2))], X[:, fock.position((2, 1))])
+        with pytest.raises(NotCommutingError):
+            fock_intertwiner(RowTuple([[[0, 1], [0, 0]], [[0, 0], [1, 0]]]), [1, 0], 2)
 
     def test_gram_factorization(self):
         # G = X X^H reproduces the word-orbit gram operator
