@@ -3,7 +3,8 @@
 Annihilator ideals and their quotient algebras, truncated Drury-Arveson
 model spaces, cyclic and separating vectors, invariant-subspace rigidity
 checks, and decomposition/splitting constructions — all as dense
-numerical linear algebra over numpy/scipy.
+numerical linear algebra over numpy.  scipy is imported on demand, by the
+sparse truncated multiplier norms and large Lanczos norms only.
 """
 
 from .errors import (

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainError, ShapeError
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
@@ -142,19 +141,44 @@ def multiplication_matrix(p: Polynomial, space: TruncatedDA) -> np.ndarray:
     """Compressed multiplication operator ``P_N M_p |_N`` on the truncation.
 
     Entry ``(beta, alpha)`` is ``c_{beta-alpha} ||x^beta|| / ||x^alpha||``;
-    products of degree beyond the cap are dropped.  Assembled sparse and
-    returned dense; ``truncated_multiplier_norm`` keeps the sparse form.
+    products of degree beyond the cap are dropped.  The entries of
+    :func:`_multiplication_entries` are added into a zero array, as a CSR
+    matrix's ``toarray`` adds them, so a ``-0.0`` entry reads ``+0.0``;
+    each position occurs once, so nothing else is summed.
+    ``truncated_multiplier_norm`` keeps the sparse form.
     """
-    return _multiplication_sparse(p, space).toarray()
+    rows, cols, vals = _multiplication_entries(p, space)
+    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    out[rows, cols] += vals
+    return out
 
 
-def _multiplication_sparse(p: Polynomial, space: TruncatedDA) -> scipy.sparse.csr_matrix:
-    """``multiplication_matrix`` in CSR form.
+def _multiplication_sparse(p: Polynomial, space: TruncatedDA):
+    """``multiplication_matrix`` as a ``scipy.sparse`` CSR matrix.
+
+    Built from the same entries, laid out row-major with sorted columns, as
+    a COO-to-CSR conversion gives.  The one place outside
+    :func:`~rowtuples.linalg.operator_norm` that imports scipy.
+    """
+    import scipy.sparse
+
+    rows, cols, vals = _multiplication_entries(p, space)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(space.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
+    return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(space.dim, space.dim))
+
+
+def _multiplication_entries(
+    p: Polynomial, space: TruncatedDA
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of each nonzero of ``multiplication_matrix``.
 
     Each term of ``p`` sends a basis monomial to a single one, so there are
-    at most ``len(p.coeffs)`` nonzeros per column out of ``space.dim``.
-    The entries of a term are formed as arrays over the basis, with the
-    target positions from :func:`graded_rank`.
+    at most ``len(p.coeffs)`` nonzeros per column out of ``space.dim``, and
+    no ``(row, column)`` pair occurs twice.  The entries of a term are
+    formed as arrays over the basis, with the target positions from
+    :func:`graded_rank`.
     """
     if p.d != space.d:
         raise ShapeError(f"polynomial has d={p.d}, space has d={space.d}")
@@ -162,21 +186,16 @@ def _multiplication_sparse(p: Polynomial, space: TruncatedDA) -> scipy.sparse.cs
     exps = np.array(basis, dtype=np.int64)
     degrees = exps.sum(axis=1)
     norms = np.array([_da_norm(alpha) for alpha in basis])
-    rows, cols, vals = [], [], []
+    terms = []
     for gamma, c in p.coeffs.items():
         (j,) = np.nonzero(degrees <= space.max_degree - sum(gamma))
         i = graded_rank(exps[j] + np.array(gamma, dtype=np.int64))
-        rows.append(i)
-        cols.append(j)
-        vals.append(_scaled(c, norms[i], norms[j]))
-    if not vals:
-        return scipy.sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    # row-major with sorted columns, the layout a COO-to-CSR conversion gives
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(space.dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=space.dim), out=indptr[1:])
-    return scipy.sparse.csr_matrix((vals[order], cols[order], indptr), shape=(space.dim, space.dim))
+        terms.append((i, j, _scaled(c, norms[i], norms[j])))
+    if not terms:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, np.zeros(0, dtype=np.complex128)
+    rows, cols, vals = map(np.concatenate, zip(*terms))
+    return rows, cols, vals
 
 
 def _scaled(c: complex, nb: np.ndarray, na: np.ndarray) -> np.ndarray:

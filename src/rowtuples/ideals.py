@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NotNilpotentError, ShapeError
 from .fock import TruncatedDA, da_monomial_norm, multiplication_matrix
@@ -486,9 +485,12 @@ def _model_graph(q: QuotientAlgebra) -> ModelSpace:
 
     ``v`` is orthogonal to the slice exactly when ``v_gamma = Σ_{alpha ∈ S}
     conj(c_(alpha,gamma)) w_alpha v_alpha / w_gamma`` (``w = ||x^gamma||``).
-    That graph basis ``Y`` becomes ``Y R^-1``, ``R`` the Cholesky factor of
-    ``Y* Y``, twice (CholeskyQR2, Fukaya et al., ScalA 2014: one pass loses
-    orthogonality as ``eps cond(Y)^2``); a monomial ideal gets a 0/1 frame.
+    That graph basis ``Y`` becomes ``Y R^-1``, ``R`` the upper Cholesky factor
+    of ``Y* Y``, twice (CholeskyQR2, Fukaya et al., ScalA 2014: one pass loses
+    orthogonality as ``eps cond(Y)^2``), all in numpy: numpy has no
+    triangular solver, so ``R^T X^T = Y^T`` goes through its general one.  A
+    monomial ideal has the 0/1 graph with ``Y_S = I``, so ``R = I``, both
+    steps are exact and the frame is 0/1.
     """
     ann = q._ann
     m = ann.degree_bound
@@ -503,10 +505,10 @@ def _model_graph(q: QuotientAlgebra) -> ModelSpace:
     graph = q._reducer.conj().T * weights[q._standard] / weights[:, None]
     for _ in range(2):
         try:
-            r = scipy.linalg.cholesky(graph.conj().T @ graph, check_finite=False)
+            r = np.linalg.cholesky(graph.conj().T @ graph, upper=True)
         except np.linalg.LinAlgError as exc:
             raise DomainError("the normal form is too ill-conditioned for a model") from exc
-        graph = scipy.linalg.solve_triangular(r, graph.T, trans="T", check_finite=False).T
+        graph = np.linalg.solve(r.T, graph.T).T
     frame = _canonical_frame(graph)
     frame.setflags(write=False)
     return ModelSpace(d=ann.d, degree_cap=m, frame=frame)

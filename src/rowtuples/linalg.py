@@ -1,7 +1,10 @@
 """Numerical linear algebra substrate: tolerances, norms, ranks, frames.
 
 All matrices are dense ``numpy.ndarray`` objects with dtype ``complex128``;
-``operator_norm`` alone also takes a ``scipy.sparse`` matrix.  Rank
+``operator_norm`` alone also takes a ``scipy.sparse`` matrix.  Everything
+here runs on numpy: scipy is imported only by ``operator_norm``'s Lanczos
+branch, and sparse input is recognised without importing it, since a
+caller holding a sparse matrix has imported ``scipy.sparse`` already.  Rank
 decisions are made relative to the largest singular value ``sigma_max`` of
 the matrix at hand, so that uniformly scaled inputs produce identical
 decisions.  The exception is the ``floor`` that ``numerical_rank`` and
@@ -12,9 +15,10 @@ singular value at or below the floor counts as zero however large
 Each decision computes only the factors it returns.  ``numerical_rank``
 needs singular values alone.  ``rank_and_kernel`` needs the right singular
 vectors too, but never the left ones: a tall matrix is first reduced to
-the square triangular factor ``R`` of its QR decomposition, which has the
-same singular values and right singular vectors (the R-SVD of T. F. Chan,
-ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
+the square triangular factor ``R`` of its QR decomposition
+(``numpy.linalg.qr`` in mode ``"r"``), which has the same singular values
+and right singular vectors (the R-SVD of T. F. Chan, ACM TOMS 8(1), 1982),
+so no factor as tall as the input is ever formed.
 ``cokernel_basis`` needs the left singular vectors instead, and takes them
 from one SVD of the matrix itself, not of its adjoint.
 
@@ -35,12 +39,10 @@ projector ``F F*`` is formed for a decision; ``projector`` and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConvergenceError, NotHermitianError, ShapeError, ToleranceError
 
@@ -147,8 +149,10 @@ def operator_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     if min(m.shape) == 0:
         return 0.0
     if max(m.shape) <= _DENSE_SVD_LIMIT or min(m.shape) < _LANCZOS_MIN_ORDER:
-        dense = m.toarray() if scipy.sparse.issparse(m) else m
+        dense = m if isinstance(m, np.ndarray) else m.toarray()
         return float(np.linalg.svd(dense, compute_uv=False)[0])
+    import scipy.sparse.linalg
+
     n = m.shape[1]
     adjoint = m.conj().T
     gram = scipy.sparse.linalg.LinearOperator(
@@ -199,12 +203,17 @@ def in_span(a, frame, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def _as_operand(a):
-    """``as_matrix`` for dense input; a finite complex CSR matrix for sparse."""
-    if not scipy.sparse.issparse(a):
+    """``as_matrix`` for dense input; a finite complex CSR matrix for sparse.
+
+    Sparse input can only come from a caller that has imported
+    ``scipy.sparse``, so the test looks the module up instead of importing it.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is None or not sparse.issparse(a):
         return as_matrix(a)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    m = scipy.sparse.csr_matrix(a, dtype=np.complex128)
+    m = sparse.csr_matrix(a, dtype=np.complex128)
     if not np.isfinite(m.data).all():
         raise ShapeError("matrix contains non-finite entries")
     return m
@@ -233,7 +242,7 @@ def _rank_kernel_norm(a, tol: ToleranceConfig) -> tuple[int, np.ndarray, float]:
     if m.size == 0:
         return 0, np.eye(ncols, dtype=np.complex128), 0.0
     if nrows > ncols:
-        m = scipy.linalg.qr(m, mode="r", check_finite=False)[0][:ncols]
+        m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = _rank_from_singular_values(s, tol)
     return rank, vh[rank:].conj().T, float(s[0])

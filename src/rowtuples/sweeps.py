@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .fixtures import rectangle
 from .fock import TruncatedFock, creation_matrix
@@ -137,9 +136,17 @@ def random_similarity(
     return RowTuple(mats)
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix ``a ⊕ b``."""
+    out = np.zeros(np.add(a.shape, b.shape), dtype=np.result_type(a, b))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
 def _direct_sum(a: RowTuple, b: RowTuple) -> RowTuple:
     """The block-diagonal tuple ``A ⊕ B``."""
-    return RowTuple([block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats)])
+    return RowTuple([_block_diag(ma, mb) for ma, mb in zip(a.mats, b.mats)])
 
 
 def _random_box(rng, d: int, max_side: int) -> tuple[list[int], RowTuple]:
@@ -205,7 +212,7 @@ def small_nilpotent_instance(rng, dim_cap: int = 4) -> RowTuple:
     if kind == 1:
         a = int(rng.integers(1, dim_cap))
         b = int(rng.integers(1, dim_cap + 1 - a))
-        block = block_diag(np.eye(a, k=-1), np.eye(b, k=-1))
+        block = _block_diag(np.eye(a, k=-1), np.eye(b, k=-1))
         t = RowTuple([block / 2.0, np.zeros((a + b, a + b))])
         return random_similarity(rng, t)
     n = int(rng.integers(2, dim_cap + 1))

@@ -194,17 +194,21 @@ def _power_index(
     """First degree from ``start`` to ``dim + 1`` at which every ``||T^alpha|| <= cutoff``.
 
     The search over the ``n x n`` powers, the orbit blocks of ``V = I``, for
-    the tuples whose orbits cannot settle the index.  Until ``T_1^j``
-    vanishes a degree forms only ``T_1^j``, so a tuple whose powers never
-    vanish costs one product per degree.  Returns the index, ``None`` past
-    ``dim + 1``, and the levels of the powers of degrees ``0 .. index``.
+    the tuples whose orbits cannot settle the index.  A degree can vanish
+    only if its pure powers ``T_k^j`` do, so until they all vanish a degree
+    forms only those, one product per variable, and keeps one of each.
+    From the first degree ``j`` at which they do, whole degrees are built;
+    for a commuting tuple every monomial of degree ``d (j - 1) + 1`` has a
+    pure power of degree ``j`` as a factor, which bounds the levels kept.
+    Returns the index, ``None`` past ``dim + 1``, and the levels of the
+    powers of degrees ``0 .. index``.
     """
-    power = np.eye(t.dim, dtype=np.complex128)
+    powers = [np.eye(t.dim, dtype=np.complex128)] * t.d
     levels: list[np.ndarray] = []
     for degree in range(1, t.dim + 2):
         if not levels:
-            power = t.mats[0] @ power  # T_1^degree
-            if degree < start or not norm_at_most(power, cutoff, tol):
+            powers = [m @ power for m, power in zip(t.mats, powers)]  # T_k^degree
+            if degree < start or not all(norm_at_most(p, cutoff, tol) for p in powers):
                 continue
             levels = [np.eye(t.dim, dtype=np.complex128)[:, None, :]]
         while len(levels) <= degree:

@@ -721,6 +721,61 @@ class TestNoRandomDraws:
         assert codes == [0] * 8 + [2] + [0] * 3
 
 
+class TestScipyOnDemand:
+    """Only the fock multiplier and the sparse Lanczos norm import scipy."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from rowtuples.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["fock", "--poly", "x1 + x2", "--degree", "8", "--json"]))
+after = "scipy.sparse" in sys.modules
+print(json.dumps({"codes": codes, "before": before, "after": after, "fock": out.getvalue()}))
+"""
+
+    def test_tuple_commands_and_sweeps_leave_scipy_unloaded(self, capsys, tmp_path):
+        from rowtuples.cli import _TUPLE_COMMANDS
+
+        identity = TestNoRandomDraws.IDENTITY
+        vector = write_json(tmp_path, "v.json", [1, 2, 3])
+        pair = write_json(tmp_path, "r.json", {"m": [[1, 0], [0, 1], [0, 0]], "n": identity})
+        whole = write_json(tmp_path, "s.json", {"m": identity})
+        runs = [
+            ("check",), ("ann",), ("model",), ("cyclic",), ("cyclic", "--input", vector),
+            ("separating",), ("separating", "--input", vector), ("gram", "--input", vector),
+            ("transform",), ("rigidity", "--input", pair), ("decompose",),
+            ("split", "--input", whole),
+        ]
+        assert {argv[0] for argv in runs} == set(_TUPLE_COMMANDS)
+        argvs = [[argv[0], "--fixture", "maxcount", *argv[1:], "--json"] for argv in runs]
+        argvs += [
+            ["model", "--fixture", "fromgriff(2)", "--json"],
+            ["transform", "--fixture", "rectangle(2,3)", "--json"],
+            ["decompose", "--fixture", "rectangle(2,2)", "--json"],
+            ["fixtures", "--json"],
+            ["sweep", "--suite", "all", "--count", "2", "--json"],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowtuples.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        fresh = json.loads(proc.stdout)
+        assert fresh["codes"] == [0] * 8 + [2] + [0] * 9
+        assert fresh["before"] == []
+        assert fresh["after"]
+        _, rep, _ = run_json(capsys, "fock", "--poly", "x1 + x2", "--degree", "8")
+        assert json.loads(fresh["fock"])["results"]["norms"] == rep["results"]["norms"]
+
+
 class TestReportText:
     """Array results are written from their entries, with the bytes of the pair lists."""
 

@@ -189,6 +189,9 @@ class TestArrayAssembly:
             ("-5e-324*x3", 3, 3),
             ("(-5e-324-5e-324i)*x3 + (5e-324-5e-324i)*x1 - 5e-324i*x2", 3, 3),
             ("(1e-320-3e-321i)*x1^2 - (2e-323+1e-323i)*x2", 2, 6),
+            # signed zero parts, and subnormal parts that round to -0.0 entries
+            ("-(5e-324+5e-324i)*x1*x2 + (-0.0+5e-324i)*x2 - (4e-320-0.0i)*x1", 2, 6),
+            ("(-0.0-1e-310i)*x1^3 + (-5e-324+0.0i)*x2", 2, 9),
         ],
     )
     def test_bit_identical_to_the_per_entry_assembly(self, text, d, cap):
@@ -201,6 +204,9 @@ class TestArrayAssembly:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        # the dense writer adds the same entries into zeros, as toarray does
+        dense = multiplication_matrix(p, space)
+        assert np.array_equal(dense.view(np.int64), got.toarray().view(np.int64))
 
     def test_cap_below_the_degree_gives_zero(self):
         m = multiplication_matrix(parse_polynomial("x1^3*x2 + 1i*x2^5", 2), TruncatedDA(2, 3))

@@ -392,6 +392,30 @@ class TestModelSpace:
             monkeypatch.setattr(ideals, name, fail)
         assert model_space(ann).dim == model_of(t)[0].dim == 6
 
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_graph_frame_matches_a_scipy_cholesky_qr2(self, seed):
+        # a unitary change of variables of rectangle(3, 3), then a similarity:
+        # the ideal is not monomial, so the Cholesky factors are not I
+        import scipy.linalg
+
+        from rowtuples.ideals import _model_graph
+
+        rng = np.random.default_rng(seed)
+        u = orthonormalize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        base = rectangle(3, 3).mats
+        mixed = RowTuple([u[k, 0] * base[0] + u[k, 1] * base[1] for k in range(2)])
+        q = quotient_of(random_similarity(rng, mixed))
+        weights = np.array([da_monomial_norm(alpha) for alpha in q._ann.monomials()])
+        graph = q._reducer.conj().T * weights[q._standard] / weights[:, None]
+        assert np.abs(graph.conj().T @ graph - np.eye(q.dim)).max() > 1e-3
+        for _ in range(2):
+            r = scipy.linalg.cholesky(graph.conj().T @ graph, check_finite=False)
+            graph = scipy.linalg.solve_triangular(r, graph.T, trans="T", check_finite=False).T
+        want = _canonical_frame(graph)
+        got = _model_graph(q).frame
+        assert got.shape == want.shape == (len(q._ann.monomials()), 9)
+        assert np.abs(got - want).max() <= 1e-14
+
 
 class TestModelTuple:
     def test_jordan_cell(self):

@@ -31,6 +31,28 @@ from rowtuples.linalg import (
 )
 
 
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_scipy_r_svd(a):
+    """The tall branch of ``rank_and_kernel`` against the R-SVD with scipy's R, bit for bit."""
+    import scipy.linalg
+
+    from rowtuples.linalg import _rank_kernel_norm
+
+    rows, cols = a.shape
+    assert rows > cols
+    r = scipy.linalg.qr(a, mode="r", check_finite=False)[0][:cols]
+    assert np.array_equal(bits(np.linalg.qr(a, mode="r")), bits(r))
+    _, s, vh = np.linalg.svd(r, full_matrices=True)
+    rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_rel_tol * s[0]))
+    got_rank, got_kernel, got_norm = _rank_kernel_norm(a, DEFAULT_TOL)
+    assert got_rank == rank
+    assert np.array_equal(bits(got_kernel), bits(vh[rank:].conj().T))
+    assert got_norm == float(s[0])
+
+
 class TestToleranceConfig:
     def test_defaults(self):
         tol = ToleranceConfig()
@@ -250,6 +272,40 @@ class TestRankAndKernel:
             assert np.linalg.norm(a @ kernel, 2) <= 1e-10 * norm
         oracle = np.linalg.svd(a, full_matrices=True)[2][r:].conj().T
         assert np.abs(projector(kernel) - projector(oracle)).max() < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 1), (9, 4), (12, 7), (40, 3), (7, 6)]),
+        rank_fraction=st.floats(0.0, 1.0),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tall_reduction_is_scipys_r_factor(self, shape, rank_fraction, scale, seed):
+        rows, cols = shape
+        r = round(rank_fraction * cols)
+        rng = np.random.default_rng(seed)
+        left = rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))
+        right = rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))
+        assert_scipy_r_svd(scale * left @ right)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sides=st.sampled_from([((2, 2), (3, 2)), ((3, 2), (3, 2)), ((2, 3), (4, 1)), ((3, 3), (2, 2))]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_intertwiner_systems_reduce_to_scipys_r_factor(self, sides, seed):
+        # the Kronecker system that intertwiner_space solves, between conjugated models
+        from unittest import mock
+
+        from rowtuples import subspaces
+        from rowtuples.fixtures import rectangle
+        from rowtuples.sweeps import random_similarity
+
+        rng = np.random.default_rng(seed)
+        source, target = (random_similarity(rng, rectangle(*s)) for s in sides)
+        with mock.patch.object(subspaces, "kernel_basis", wraps=subspaces.kernel_basis) as spy:
+            subspaces.intertwiner_space(source, target)
+        assert_scipy_r_svd(spy.call_args.args[0])
 
     def test_tall_input_forms_no_left_factor(self):
         # the full left factor of a 2704 x 105 complex matrix alone is 117 MB

@@ -104,7 +104,7 @@ class TestGenerators:
         # monomial models are built in closed form: no model space, no multiplier
         calls = []
         for module, name in [
-            (fock, "_multiplication_sparse"),
+            (fock, "_multiplication_entries"),
             (ideals, "model_space"),
             (ideals, "_model_graph"),
         ]:
@@ -136,7 +136,7 @@ class TestGenerators:
         assert out.ok and len(sums) == 1
         assert calls == []
         ideals.model_tuple(ideals.model_space(ideals.monomial_annihilator(1, [(2,)])))
-        assert calls == ["model_space", "_model_graph", "_multiplication_sparse"]
+        assert calls == ["model_space", "_model_graph", "_multiplication_entries"]
 
     def test_small_nilpotent_instance(self):
         for rng in _rngs(9, 10):

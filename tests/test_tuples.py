@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,29 @@ class TestNilpotencyIndex:
         t = RowTuple([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
         with pytest.raises(NotCommutingError):
             nilpotency_index(t)
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_power_search_waits_for_every_pure_power(self, n, monkeypatch):
+        # T_1 = 0 vanishes at once, but C = [[0, 0], [1, 1]] ⊗ I is idempotent:
+        # no degree vanishes, so the search over the powers builds no whole degree
+        searched = []
+
+        def recording(t, start, *args, _real=tuples._power_index):
+            searched.append(start)
+            return _real(t, start, *args)
+
+        monkeypatch.setattr(tuples, "_power_index", recording)
+        c = np.kron([[0, 0], [1, 1]], np.eye(n // 2))
+        t = RowTuple([np.zeros((n, n)), c, c])
+        tracemalloc.start()
+        try:
+            index = nilpotency_index(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index is None
+        assert len(searched) == 1
+        assert peak <= 2 * 2**20
 
 
 class TestMemoizedVerdicts:
