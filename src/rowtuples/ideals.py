@@ -27,9 +27,14 @@ the quotient as a compressed multiplication tuple on the subspace
     H_J = ( Ann(T) ∩ C[x]_{<=m} )^⊥
 
 of the truncated Drury-Arveson space, the graph of the normal form over
-the coordinates of ``S``, supported on degrees below ``m``.  For a monomial
-ideal ``H_J`` is the coordinate span of the staircase of standard
-monomials, and :func:`staircase_model` writes the model down in closed form.
+the coordinates of ``S``, supported on degrees below ``m``.  The normal
+form of ``x^gamma`` uses only standard monomials before ``gamma``, so the
+graph column of a standard monomial vanishes on every coordinate before
+it, and one orthonormalization of the columns in reverse order yields the
+canonical frame of ``H_J``: graded, with fixed phases (:func:`_model_graph`).
+For a monomial ideal ``H_J`` is the coordinate span of the staircase of
+standard monomials, and :func:`staircase_model` writes the model down in
+closed form.
 """
 
 from __future__ import annotations
@@ -485,12 +490,21 @@ def _model_graph(q: QuotientAlgebra) -> ModelSpace:
 
     ``v`` is orthogonal to the slice exactly when ``v_gamma = Σ_{alpha ∈ S}
     conj(c_(alpha,gamma)) w_alpha v_alpha / w_gamma`` (``w = ||x^gamma||``).
-    That graph basis ``Y`` becomes ``Y R^-1``, ``R`` the upper Cholesky factor
-    of ``Y* Y``, twice (CholeskyQR2, Fukaya et al., ScalA 2014: one pass loses
-    orthogonality as ``eps cond(Y)^2``), all in numpy: numpy has no
-    triangular solver, so ``R^T X^T = Y^T`` goes through its general one.  A
-    monomial ideal has the 0/1 graph with ``Y_S = I``, so ``R = I``, both
-    steps are exact and the frame is 0/1.
+    That graph basis ``Y`` has one column per standard monomial ``s_i``, in
+    graded order, and column ``i`` is zero on every row before ``s_i``: it is
+    the identity on the rows of ``S``, and the normal form of ``x^gamma``
+    uses only standard monomials before ``gamma``.  So the columns from
+    ``i`` on span ``H_J ∩ span{e_gamma : gamma >= s_i}``, and the canonical
+    frame, whose column ``i`` is the unit vector of that space orthogonal
+    to the next one, is the orthonormalization of ``Y`` that mixes each
+    column only with the columns after it: the QR factor of the reversed
+    columns, reversed back.  It is taken as ``Y R^-1``, ``R`` the upper
+    Cholesky factor of ``Y* Y``, twice (CholeskyQR2, Fukaya et al., ScalA
+    2014: one pass loses orthogonality as ``eps cond(Y)^2``), all in numpy:
+    numpy has no triangular solver, so ``R^T X^T = Y^T`` goes through its
+    general one.  :func:`_fix_phases` then fixes each column's phase.  A
+    monomial ideal has the 0/1 graph with ``Y_S = I``, so ``R = I``, every
+    step is exact and the frame is the 0/1 staircase columns.
     """
     ann = q._ann
     m = ann.degree_bound
@@ -502,51 +516,30 @@ def _model_graph(q: QuotientAlgebra) -> ModelSpace:
                 "the ideal is not nilpotent at this bound"
             )
     weights = np.array([da_monomial_norm(alpha) for alpha in monomials])
-    graph = q._reducer.conj().T * weights[q._standard] / weights[:, None]
+    graph = (q._reducer.conj().T * weights[q._standard] / weights[:, None])[:, ::-1]
     for _ in range(2):
         try:
             r = np.linalg.cholesky(graph.conj().T @ graph, upper=True)
         except np.linalg.LinAlgError as exc:
             raise DomainError("the normal form is too ill-conditioned for a model") from exc
         graph = np.linalg.solve(r.T, graph.T).T
-    frame = _canonical_frame(graph)
+    frame = _fix_phases(graph[:, ::-1])
     frame.setflags(write=False)
     return ModelSpace(d=ann.d, degree_cap=m, frame=frame)
 
 
-def _canonical_frame(kernel: np.ndarray) -> np.ndarray:
-    """Reorient an orthonormal frame to a graded, phase-fixed basis.
+def _fix_phases(x: np.ndarray) -> np.ndarray:
+    """Each column of ``x`` turned by the unit phase that makes its lead entry real positive.
 
-    Columns are rebuilt by Gram-Schmidt over the coordinate projections in
-    graded monomial order, so for monomial ideals the frame reduces to the
-    surviving coordinate vectors; each column is scaled to make its largest
-    entry real positive.  The projection of coordinate ``j`` is
-    ``K (K*)[:, j]`` and ``K`` is an isometry, so the Gram-Schmidt runs on
-    the short columns of ``K*`` (classical, with one reorthogonalization
-    pass) and the frame is ``K`` times the result.
+    The lead entry is the first whose modulus is at least ``(1 - 1e-12)``
+    times the column's largest.  Roundoff orders entries whose moduli tie
+    exactly either way; under this rule they still give the same lead, so a
+    perturbation at roundoff level cannot turn the whole column.
     """
-    rank = kernel.shape[1]
-    if rank == 0:
-        return kernel
-    coords = kernel.conj().T
-    basis = np.zeros((rank, rank), dtype=np.complex128)
-    found = 0
-    for j in range(coords.shape[1]):
-        if found == rank:
-            break
-        v = coords[:, j]
-        for _ in range(2):
-            done = basis[:, :found]
-            v = v - done @ (done.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis[:, found] = v / norm
-            found += 1
-    if found != rank:  # near-degenerate projector; keep the given frame
-        return kernel
-    frame = kernel @ basis
-    lead = frame[np.argmax(np.abs(frame), axis=0), np.arange(rank)]
-    return frame * (np.conj(lead) / np.abs(lead))
+    mods = np.abs(x)
+    rows = np.argmax(mods >= (1 - 1e-12) * mods.max(axis=0), axis=0)
+    lead = x[rows, np.arange(x.shape[1])]
+    return x * (np.conj(lead) / np.abs(lead))
 
 
 def model_tuple(space: ModelSpace) -> RowTuple:

@@ -203,7 +203,9 @@ def tuple_from_json(obj) -> RowTuple:
         raise ShapeError(f"matrices: expected a list of {d} matrices")
     mats = []
     for k, mj in enumerate(mats_json):
-        if dim == 0:
+        if dim == 0:  # tuple_to_json writes an empty matrix as []
+            if mj != []:
+                raise ShapeError(f"matrices[{k}]: anything but [] does not match dim 0")
             mats.append(np.zeros((0, 0), dtype=np.complex128))
             continue
         mat = matrix_from_json(mj, f"matrices[{k}]")

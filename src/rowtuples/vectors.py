@@ -21,7 +21,7 @@ from .errors import (
     WitnessSearchError,
 )
 from .fock import TruncatedFock
-from .ideals import model_of, nakayama_generators, orbit_matrix, quotient_of
+from .ideals import _fix_phases, model_of, nakayama_generators, orbit_matrix, quotient_of
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -198,7 +198,8 @@ def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     """Invertible ``X`` with ``X (M_J)_k = T_k X`` for ``J = Ann(T)``.
 
     Requires a cyclic nilpotent tuple.  With ξ spanning ``(Σ_k T_k H)^⊥``,
-    its largest entry made real positive, and ``1`` the model's constant,
+    its phase fixed by the model frame's rule (:func:`~rowtuples.ideals._fix_phases`),
+    and ``1`` the model's constant,
     ``X = [T^α ξ] [M^α 1]⁻¹`` over the quotient monomial basis, scaled to
     unit norm: deterministic, ``X 1 ∥ ξ``, and the identity on a model tuple.
     """
@@ -210,9 +211,7 @@ def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
         raise WitnessSearchError(
             f"model dimension {model.dim} does not match tuple dimension {t.dim}"
         )
-    xi = gens[:, 0]
-    lead = xi[int(np.argmax(np.abs(xi)))]
-    xi = xi * (np.conj(lead) / np.abs(lead))
+    xi = _fix_phases(gens)[:, 0]
     q = quotient_of(t, tol)
     orbit = orbit_matrix(t, xi, q.monomial_basis)
     model_orbit = orbit_matrix(model, space.frame[0].conj(), q.monomial_basis)

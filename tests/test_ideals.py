@@ -10,7 +10,6 @@ from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from rowtuples.ideals import (
     AnnihilatorBasis,
-    _canonical_frame,
     annihilator,
     annihilator_normal_form,
     annihilators_equal,
@@ -142,9 +141,9 @@ def _up(alpha: tuple[int, ...], k: int, step: int = 1) -> tuple[int, ...]:
 
 
 @st.composite
-def staircases(draw, max_size: int = 12):
-    """A staircase in N^d, d = 1..3, of 1 to ``max_size`` points, grown corner by corner."""
-    d = draw(st.integers(1, 3))
+def staircases(draw, max_size: int = 12, min_d: int = 1):
+    """A staircase in N^d, d = ``min_d``..3, of 1 to ``max_size`` points, grown corner by corner."""
+    d = draw(st.integers(min_d, 3))
     size = draw(st.integers(1, max_size))
     lam = {(0,) * d}
     while len(lam) < size:
@@ -400,18 +399,16 @@ class TestModelSpace:
 
         from rowtuples.ideals import _model_graph
 
-        rng = np.random.default_rng(seed)
-        u = orthonormalize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        base = rectangle(3, 3).mats
-        mixed = RowTuple([u[k, 0] * base[0] + u[k, 1] * base[1] for k in range(2)])
-        q = quotient_of(random_similarity(rng, mixed))
+        q = quotient_of(_mixed_similarity(seed, 2, set(np.ndindex(3, 3))))
         weights = np.array([da_monomial_norm(alpha) for alpha in q._ann.monomials()])
         graph = q._reducer.conj().T * weights[q._standard] / weights[:, None]
         assert np.abs(graph.conj().T @ graph - np.eye(q.dim)).max() > 1e-3
+        # CholeskyQR2 on the reversed columns, reversed back, then the phase rule
+        graph = graph[:, ::-1]
         for _ in range(2):
             r = scipy.linalg.cholesky(graph.conj().T @ graph, check_finite=False)
             graph = scipy.linalg.solve_triangular(r, graph.T, trans="T", check_finite=False).T
-        want = _canonical_frame(graph)
+        want = _phase_rule(graph[:, ::-1])
         got = _model_graph(q).frame
         assert got.shape == want.shape == (len(q._ann.monomials()), 9)
         assert np.abs(got - want).max() <= 1e-14
@@ -903,33 +900,72 @@ class TestExactQuotient:
             assert np.array_equal(got != 0, want != 0)
             assert np.allclose(got, want, rtol=1e-12, atol=0)
 
+    @given(case=staircases(min_d=2), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_frame_and_model_are_bit_exact(self, case, seed):
+        # the input shape of every sweep and benchmark op: nothing is rounded
+        d, lam = case
+        want = staircase_model(d, lam).mats
+        space, model = model_of(random_similarity(np.random.default_rng(seed), RowTuple(want)))
+        assert np.all((space.frame == 0) | (space.frame == 1))
+        assert np.stack(model.mats).tobytes() == np.stack(want).tobytes()
+
+
+def _phase_rule(frame: np.ndarray) -> np.ndarray:
+    """The frame's phase rule, one column at a time: the oracle of ``_fix_phases``.
+
+    Each column is turned so that its first entry of modulus at least
+    ``(1 - 1e-12)`` times the column's largest is real positive.
+    """
+    out = frame.astype(np.complex128)
+    for j in range(out.shape[1]):
+        mods = np.abs(out[:, j])
+        lead = out[next(i for i, m in enumerate(mods) if m >= (1 - 1e-12) * mods.max()), j]
+        out[:, j] *= np.conj(lead) / abs(lead)
+    return out
+
 
 def _projector_frame(kernel: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt over the columns of the explicit projector, the frame's oracle."""
+    """Modified Gram-Schmidt over the columns of the explicit projector, the frame's oracle.
+
+    Two passes: a coordinate whose projection nearly lies in the span of the
+    earlier ones leaves a short residual, which one pass would leave skewed.
+    """
     proj = kernel @ kernel.conj().T
     cols: list[np.ndarray] = []
     for j in range(proj.shape[0]):
         if len(cols) == kernel.shape[1]:
             break
         v = proj[:, j].copy()
-        for u in cols:
-            v -= u * (u.conj() @ v)
+        for _ in range(2):
+            for u in cols:
+                v -= u * (u.conj() @ v)
         if np.linalg.norm(v) > 1e-8:
             cols.append(v / np.linalg.norm(v))
-    lead = [v[int(np.argmax(np.abs(v)))] for v in cols]
-    return np.column_stack([v * (np.conj(c) / abs(c)) for v, c in zip(cols, lead)])
+    return _phase_rule(np.column_stack(cols))
+
+
+def _mixed_similarity(seed: int, d: int, staircase) -> RowTuple:
+    """A similarity of the staircase model with its variables mixed by a unitary.
+
+    The mixing makes the ideal non-monomial, so the model frame is not 0/1.
+    """
+    rng = np.random.default_rng(seed)
+    u = orthonormalize(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    base = staircase_model(d, staircase).mats
+    mixed = RowTuple([np.tensordot(u[k], base, axes=1) for k in range(d)])
+    return random_similarity(rng, mixed)
 
 
 class TestCanonicalFrame:
-    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(6, 3), (12, 5), (20, 20)]))
+    @given(case=staircases(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_matches_the_projector_gram_schmidt(self, seed, shape):
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        kernel = orthonormalize(g)
-        frame = _canonical_frame(kernel)
-        assert np.abs(frame - _projector_frame(kernel)).max() < 1e-13
-        assert np.abs(frame.conj().T @ frame - np.eye(shape[1])).max() < 1e-13
+    def test_matches_the_projector_gram_schmidt(self, case, seed):
+        d, lam = case
+        frame = model_space(annihilator(_mixed_similarity(seed, d, lam))).frame
+        assert frame.shape[1] == len(lam)
+        assert np.abs(frame - _projector_frame(frame)).max() < 1e-13
+        assert np.abs(frame.conj().T @ frame - np.eye(len(lam))).max() < 1e-13
 
     def test_model_space_frames_match(self):
         for t in (
@@ -941,8 +977,20 @@ class TestCanonicalFrame:
             assert np.abs(frame - _projector_frame(frame)).max() < 1e-13
 
     def test_rank_deficient_coordinates_skipped(self):
-        # the span of e2 and e4: coordinates 1 and 3 project to zero
-        kernel = np.zeros((4, 2), dtype=np.complex128)
-        kernel[1, 0] = kernel[3, 1] = 1j
-        frame = _canonical_frame(kernel)
-        assert np.array_equal(frame, np.eye(4)[:, [1, 3]])
+        # a monomial model's frame is exactly the 0/1 columns of its staircase
+        ann = monomial_annihilator(2, [(2, 0), (1, 1), (0, 3)])
+        staircase = {(0, 0), (1, 0), (0, 1), (0, 2)}
+        rows = [i for i, alpha in enumerate(ann.monomials()) if alpha in staircase]
+        frame = model_space(ann).frame
+        assert np.array_equal(frame, np.eye(len(ann.monomials()))[:, rows])
+
+    def test_stable_at_phase_ties(self):
+        # unitary mixing of rectangle(3, 3) gives frame columns whose largest
+        # moduli tie exactly; scaling T_1 by one ulp must not turn a column
+        moved = 0
+        for seed in range(75):
+            t = _mixed_similarity(seed, 2, set(np.ndindex(3, 3)))
+            nudged = RowTuple([t.mats[0] * (1 + 2e-16), t.mats[1]])
+            a, b = model_of(t)[0].frame, model_of(nudged)[0].frame
+            moved += np.abs(a - b).max() > 1e-10
+        assert moved == 0

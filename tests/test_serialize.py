@@ -24,6 +24,7 @@ from rowtuples.serialize import (
     matrix_to_json,
     pairs_text,
     tuple_from_json,
+    tuple_to_json,
     vector_from_json,
     vector_to_json,
 )
@@ -152,6 +153,8 @@ MALFORMED = {
     "d true": ({"d": True, "dim": 1, "matrices": [[[0.5]]]}, "d: expected a positive integer"),
     "dim true": ({"d": 1, "dim": True, "matrices": [[[0.5]]]},
                  "dim: expected a nonnegative integer"),
+    "matrices at dim 0": ({"d": 2, "dim": 0, "matrices": [[[1, 2]], "junk"]},
+                          "matrices[0]: anything but [] does not match dim 0"),
 }
 
 
@@ -173,6 +176,12 @@ class TestDiagnostics:
         assert code == 1
         assert out.out == ""
         assert out.err == f"error: {message}\n"
+
+    def test_dim_zero_round_trip(self):
+        doc = {"d": 2, "dim": 0, "matrices": [[], []]}
+        t = tuple_from_json(doc)
+        assert (t.d, t.dim) == (2, 0)
+        assert tuple_to_json(t) == doc
 
     def test_all_bool_matrix_accepted(self):
         t = tuple_from_json(tuple_doc([[False, False], [True, False]]))

@@ -412,6 +412,17 @@ class TestQuasiaffineWitness:
             assert max(np.abs(a - b).max() for a, b in zip(u.mats, t.mats)) <= 4e-16
             assert np.abs(quasiaffine_witness(u) - x).max() <= 1e-12
 
+    def test_stable_at_a_phase_tie(self):
+        # the generator (e1 + i e2)/√2 has two entries of equal modulus;
+        # roundoff in the similarity must not turn the witness by a unit phase
+        s = 1 / math.sqrt(2)
+        u = np.array([[s, s, 0], [1j * s, -1j * s, 0], [0, 0, 1]])
+        nudged = u.copy()
+        nudged[1, 0] *= 1 + 1e-15
+        cell = jordan(3).mats[0]
+        x, y = (quasiaffine_witness(RowTuple([v @ cell @ np.linalg.inv(v)])) for v in (u, nudged))
+        assert np.abs(x - y).max() <= 1e-12
+
     @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_similar_staircase_models(self, d, size, seed):
