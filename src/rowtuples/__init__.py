@@ -4,7 +4,8 @@ Annihilator ideals and their quotient algebras, truncated Drury-Arveson
 model spaces, cyclic and separating vectors, invariant-subspace rigidity
 checks, and decomposition/splitting constructions — all as dense
 numerical linear algebra over numpy.  scipy is imported on demand, by the
-sparse truncated multiplier norms and large Lanczos norms only.
+truncated multiplier norms above 600 coordinates and large Lanczos norms
+only, and orjson on the first input document read.
 """
 
 from .errors import (
@@ -27,6 +28,7 @@ from .fock import (
     TruncatedDA,
     TruncatedFock,
     creation_matrix,
+    creation_targets,
     da_kernel,
     da_monomial_norm,
     multiplication_matrix,

@@ -12,6 +12,13 @@ Both use the graded orders of :mod:`rowtuples.polynomials`, so degree
 truncation is always compression onto a leading block of coordinates.
 Operators that raise the degree past the cap are compressed: the lost
 component is simply dropped.
+
+Positions are computed, not looked up.  A word's position is the number of
+shorter words plus its base-``d`` rank, and the left creation operator is
+the index map :func:`creation_targets`; :func:`creation_matrix` is its
+dense form.  The multiplier norms take the dense matrix up to
+``linalg._DENSE_SVD_LIMIT`` coordinates, where ``operator_norm`` runs a
+full SVD anyway, and import ``scipy.sparse`` only for larger caps.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
+from .linalg import _DENSE_SVD_LIMIT, DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
 from .polynomials import Polynomial, graded_indices, graded_rank, graded_words, multinomial
 
 __all__ = [
@@ -35,12 +42,13 @@ __all__ = [
     "truncated_multiplier_norm",
     "truncated_multiplier_norms",
     "creation_matrix",
+    "creation_targets",
 ]
 
 
-@lru_cache(maxsize=None)
-def _word_positions(d: int, max_length: int) -> dict[tuple[int, ...], int]:
-    return {w: i for i, w in enumerate(graded_words(d, max_length))}
+def _word_offset(d: int, length: int) -> int:
+    """Number of words shorter than ``length``: the graded position of the first one."""
+    return length if d == 1 else (d**length - 1) // (d - 1)
 
 
 def _check_space_params(d: int, cap: int):
@@ -104,16 +112,29 @@ class TruncatedFock:
 
     @property
     def dim(self) -> int:
-        if self.d == 1:
-            return self.max_length + 1
-        return (self.d ** (self.max_length + 1) - 1) // (self.d - 1)
+        return _word_offset(self.d, self.max_length + 1)
 
     def basis(self) -> list[tuple[int, ...]]:
         """Words in graded order; the empty word (vacuum) comes first."""
         return graded_words(self.d, self.max_length)
 
     def position(self, word: tuple[int, ...]) -> int:
-        return _word_positions(self.d, self.max_length)[tuple(word)]
+        """Index of ``word`` in :meth:`basis`.
+
+        The number of shorter words plus the word's rank among those of its
+        length, its letters read as base-``d`` digits.  A letter outside
+        ``1..d`` or a word longer than the cap raises ``ShapeError``.
+        """
+        word = tuple(word)
+        letters = range(1, self.d + 1)
+        if len(word) > self.max_length or not all(a in letters for a in word):
+            raise ShapeError(
+                f"{word} is not a word over 1..{self.d} of length at most {self.max_length}"
+            )
+        rank = 0
+        for a in word:
+            rank = rank * self.d + int(a) - 1
+        return _word_offset(self.d, len(word)) + rank
 
 
 def da_monomial_norm(alpha: tuple[int, ...]) -> float:
@@ -145,7 +166,8 @@ def multiplication_matrix(p: Polynomial, space: TruncatedDA) -> np.ndarray:
     :func:`_multiplication_entries` are added into a zero array, as a CSR
     matrix's ``toarray`` adds them, so a ``-0.0`` entry reads ``+0.0``;
     each position occurs once, so nothing else is summed.
-    ``truncated_multiplier_norm`` keeps the sparse form.
+    ``truncated_multiplier_norm`` takes this form up to ``_DENSE_SVD_LIMIT``
+    coordinates and the sparse one above.
     """
     rows, cols, vals = _multiplication_entries(p, space)
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
@@ -153,12 +175,25 @@ def multiplication_matrix(p: Polynomial, space: TruncatedDA) -> np.ndarray:
     return out
 
 
+def _multiplier_operand(p: Polynomial, space: TruncatedDA):
+    """The compressed multiplier in the form :func:`operator_norm` takes it best.
+
+    Up to ``_DENSE_SVD_LIMIT`` coordinates ``operator_norm`` runs a dense
+    SVD, so the matrix is written dense, with the bits a CSR ``toarray``
+    gives; above it the CSR form keeps the Lanczos steps to the nonzeros.
+    """
+    if space.dim <= _DENSE_SVD_LIMIT:
+        return multiplication_matrix(p, space)
+    return _multiplication_sparse(p, space)
+
+
 def _multiplication_sparse(p: Polynomial, space: TruncatedDA):
     """``multiplication_matrix`` as a ``scipy.sparse`` CSR matrix.
 
     Built from the same entries, laid out row-major with sorted columns, as
     a COO-to-CSR conversion gives.  The one place outside
-    :func:`~rowtuples.linalg.operator_norm` that imports scipy.
+    :func:`~rowtuples.linalg.operator_norm` that imports scipy, and only for
+    a cap above ``_DENSE_SVD_LIMIT`` coordinates.
     """
     import scipy.sparse
 
@@ -219,12 +254,13 @@ def truncated_multiplier_norm(
 ) -> float:
     """Norm of the compressed multiplication operator at the given cap.
 
-    Nondecreasing in the cap, with limit the multiplier norm of ``p``.  The
-    operator is kept sparse, so large caps cost a Lanczos solve over its
-    nonzeros only; raises ``ConvergenceError`` if that solve does not
-    converge within ``tol.max_iter`` iterations.
+    Nondecreasing in the cap, with limit the multiplier norm of ``p``.  A
+    cap above ``_DENSE_SVD_LIMIT`` coordinates keeps the operator sparse, so
+    it costs a Lanczos solve over its nonzeros only; raises
+    ``ConvergenceError`` if that solve does not converge within
+    ``tol.max_iter`` iterations.
     """
-    return operator_norm(_multiplication_sparse(p, TruncatedDA(p.d, max_degree)), tol)
+    return operator_norm(_multiplier_operand(p, TruncatedDA(p.d, max_degree)), tol)
 
 
 def truncated_multiplier_norms(
@@ -236,20 +272,36 @@ def truncated_multiplier_norms(
     cap-``n`` matrix is its leading ``TruncatedDA(d, n).dim`` block, entry
     for entry, so each norm equals the one computed at its own cap.
     """
-    full = _multiplication_sparse(p, TruncatedDA(p.d, max_degree))
+    full = _multiplier_operand(p, TruncatedDA(p.d, max_degree))
     sizes = (TruncatedDA(p.d, n).dim for n in range(1, max_degree + 1))
     return [operator_norm(full[:k, :k], tol) for k in sizes]
+
+
+def creation_targets(k: int, space: TruncatedFock) -> np.ndarray:
+    """Where the left creation operator ``e_w -> e_{kw}`` sends each word.
+
+    Entry ``j`` is the position of ``(k, *w)`` for the word ``w`` at
+    position ``j``.  The words below the cap fill the leading
+    ``_word_offset(d, max_length)`` positions, so the result has one entry
+    for each of them; the words at the cap, which the truncation sends to
+    zero, come after and get none.  For ``w`` of length ``l`` the target is
+    ``offset(l + 1) + (k - 1) d^l + (j - offset(l)) = j + k d^l``, with
+    ``offset`` as in :meth:`TruncatedFock.position`.  ``k`` is 1-based.
+    """
+    if not 1 <= k <= space.d:
+        raise ShapeError(f"creation index {k} out of range for d={space.d}")
+    counts = space.d ** np.arange(space.max_length, dtype=np.int64)  # words of each length
+    return np.arange(int(counts.sum()), dtype=np.int64) + k * np.repeat(counts, counts)
 
 
 def creation_matrix(k: int, space: TruncatedFock) -> np.ndarray:
     """Left creation operator ``e_w -> e_{kw}``, compressed to the truncation.
 
-    Words of maximal length are sent to zero.  ``k`` is 1-based.
+    The dense form of :func:`creation_targets`: column ``j`` holds one 1, in
+    row ``creation_targets(k, space)[j]``, and words of maximal length are
+    sent to zero.  ``k`` is 1-based.
     """
-    if not 1 <= k <= space.d:
-        raise ShapeError(f"creation index {k} out of range for d={space.d}")
+    targets = creation_targets(k, space)
     out = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for j, word in enumerate(space.basis()):
-        if len(word) < space.max_length:
-            out[space.position((k, *word)), j] = 1.0
+    out[targets, np.arange(targets.size)] = 1.0
     return out

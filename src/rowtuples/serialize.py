@@ -16,14 +16,14 @@ pairs, strings, ``None``, ragged rows, wrong nesting, integers beyond
 numpy's integer types) goes through a walk over the entries, which
 decides whether the document is accepted and which diagnostic it draws.
 
-Input files are parsed strict-first.  orjson, a C parser, reads plain
-RFC 8259 JSON nested at most ``_STRICT_DEPTH`` levels deep.  The stdlib
-decoder reads everything else: the lenient extensions (``NaN``,
-``Infinity``, numbers beyond the float range, a byte order mark, UTF-16
-or UTF-32, lone surrogates), deeper documents, and malformed ones, whose
-diagnostic is the stdlib's.  The one value that differs is an integer
-literal outside the 64-bit range, which orjson returns as the nearest
-float.
+Input files are parsed strict-first.  orjson, a C parser imported on the
+first document read, reads plain RFC 8259 JSON nested at most
+``_STRICT_DEPTH`` levels deep.  The stdlib decoder reads everything else:
+the lenient extensions (``NaN``, ``Infinity``, numbers beyond the float
+range, a byte order mark, UTF-16 or UTF-32, lone surrogates), deeper
+documents, and malformed ones, whose diagnostic is the stdlib's.  The one
+value that differs is an integer literal outside the 64-bit range, which
+orjson returns as the nearest float.
 
 Reports are written from arrays.  ``pairs_text`` returns exactly the text
 ``json.dumps`` gives for ``matrix_to_json(arr)``, but encodes each
@@ -43,7 +43,6 @@ import hashlib
 import json
 
 import numpy as np
-import orjson
 
 from .errors import ShapeError
 from .tuples import RowTuple
@@ -244,6 +243,13 @@ def _shallow(raw: bytes) -> bool:
 
 
 def _parse(raw: bytes):
+    """orjson for a shallow document, the stdlib decoder for the rest.
+
+    orjson is imported here, its one user, so a command that reads no
+    document (``sweep``, ``fixtures``, ``fock``) never loads it.
+    """
+    import orjson
+
     if _shallow(raw):
         try:
             return orjson.loads(raw)

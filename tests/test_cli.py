@@ -722,23 +722,36 @@ class TestNoRandomDraws:
 
 
 class TestScipyOnDemand:
-    """Only the fock multiplier and the sparse Lanczos norm import scipy."""
+    """Only the fock multiplier past the dense-SVD limit and the sparse Lanczos
+    norm import scipy; only reading a document imports orjson."""
 
     SCRIPT = """
 import contextlib, io, json, sys
 from rowtuples.cli import main
 
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "orjson"))
+
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-before = sorted(name for name in sys.modules if name.startswith("scipy"))
+before = loaded()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes.append(main(["fock", "--poly", "x1 + x2", "--degree", "8", "--json"]))
-after = "scipy.sparse" in sys.modules
-print(json.dumps({"codes": codes, "before": before, "after": after, "fock": out.getvalue()}))
+print(json.dumps({"codes": codes, "before": before, "after": loaded(), "fock": out.getvalue()}))
 """
+
+    def fresh(self, argvs):
+        """Run ``argvs``, then ``fock --degree 8``, in a new interpreter."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowtuples.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout)
 
     def test_tuple_commands_and_sweeps_leave_scipy_unloaded(self, capsys, tmp_path):
         from rowtuples.cli import _TUPLE_COMMANDS
@@ -762,18 +775,26 @@ print(json.dumps({"codes": codes, "before": before, "after": after, "fock": out.
             ["fixtures", "--json"],
             ["sweep", "--suite", "all", "--count", "2", "--json"],
         ]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rowtuples.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        fresh = json.loads(proc.stdout)
+        fresh = self.fresh(argvs)
         assert fresh["codes"] == [0] * 8 + [2] + [0] * 9
-        assert fresh["before"] == []
-        assert fresh["after"]
+        # the --input runs read documents, so orjson is loaded; scipy is not
+        assert [name for name in fresh["before"] if name.startswith("scipy")] == []
+        assert "orjson" in fresh["before"]
+        # a cap of 45 coordinates is multiplied dense, without scipy.sparse
+        assert fresh["after"] == fresh["before"]
         _, rep, _ = run_json(capsys, "fock", "--poly", "x1 + x2", "--degree", "8")
         assert json.loads(fresh["fock"])["results"]["norms"] == rep["results"]["norms"]
+
+    def test_sweep_and_fock_load_neither_scipy_nor_orjson(self):
+        argvs = [
+            ["fixtures", "--json"],
+            ["sweep", "--suite", "all", "--count", "2", "--json"],
+            ["sweep", "--suite", "transform", "--count", "3", "--seed", "3001540", "--json"],
+        ]
+        fresh = self.fresh(argvs)
+        assert fresh["codes"] == [0, 0, 0, 0]
+        assert fresh["before"] == []
+        assert fresh["after"] == []
 
 
 class TestReportText:

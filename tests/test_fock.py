@@ -10,12 +10,14 @@ from rowtuples.fock import (
     TruncatedDA,
     TruncatedFock,
     creation_matrix,
+    creation_targets,
     da_kernel,
     da_monomial_norm,
     multiplication_matrix,
     truncated_multiplier_norm,
+    truncated_multiplier_norms,
 )
-from rowtuples.linalg import ToleranceConfig, psd_below_identity
+from rowtuples.linalg import _DENSE_SVD_LIMIT, ToleranceConfig, operator_norm, psd_below_identity
 from rowtuples.polynomials import (
     Polynomial,
     abelianize,
@@ -56,6 +58,16 @@ class TestSpaces:
     def test_position_outside_the_basis_is_refused(self, alpha):
         with pytest.raises(ShapeError):
             TruncatedDA(2, 2).position(alpha)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fock_position_is_the_basis_order(self, d):
+        fo = TruncatedFock(d, 4)
+        assert [fo.position(w) for w in fo.basis()] == list(range(fo.dim))
+
+    @pytest.mark.parametrize("word", [(3,), (0,), (1, -1), (1, 2, 1), (1.5,)])
+    def test_fock_position_outside_the_basis_is_refused(self, word):
+        with pytest.raises(ShapeError):
+            TruncatedFock(2, 2).position(word)
 
     def test_coordinates_rejects_overflow(self):
         with pytest.raises(ShapeError):
@@ -169,6 +181,29 @@ def per_entry_multiplier(p, space):
         (np.asarray(vals, dtype=np.complex128), (rows, cols)),
         shape=(space.dim, space.dim),
     )
+
+
+class TestDenseNorms:
+    """Caps up to the dense-SVD limit take the dense multiplier, with the same norms."""
+
+    @pytest.mark.parametrize(
+        "text, d, cap", [("x1 + x2", 2, 12), ("x1*x3 - 2i*x2^2 + 0.5", 3, 6)]
+    )
+    def test_norms_match_the_sparse_route_bit_for_bit(self, monkeypatch, text, d, cap):
+        p = parse_polynomial(text, d)
+        full = fock._multiplication_sparse(p, TruncatedDA(d, cap))
+        sizes = [TruncatedDA(d, n).dim for n in range(1, cap + 1)]
+        want = [operator_norm(full[:k, :k]) for k in sizes]
+        monkeypatch.setattr(fock, "_multiplication_sparse", None)  # any call fails
+        got = truncated_multiplier_norms(p, cap)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        assert truncated_multiplier_norm(p, cap) == want[-1]
+
+    def test_caps_past_the_limit_stay_sparse(self, monkeypatch):
+        cap = 14  # C(17, 3) = 680 coordinates
+        assert TruncatedDA(3, cap - 1).dim <= _DENSE_SVD_LIMIT < TruncatedDA(3, cap).dim
+        monkeypatch.setattr(fock, "multiplication_matrix", None)
+        assert truncated_multiplier_norm(parse_polynomial("x1", 3), cap) == pytest.approx(1.0)
 
 
 class TestArrayAssembly:
@@ -294,6 +329,18 @@ class TestCreation:
     def test_bad_index(self):
         with pytest.raises(ShapeError):
             creation_matrix(3, TruncatedFock(2, 2))
+        with pytest.raises(ShapeError):
+            creation_targets(0, TruncatedFock(2, 2))
+
+    @pytest.mark.parametrize("d, cap", [(1, 0), (1, 5), (2, 0), (2, 4), (3, 3)])
+    def test_targets_are_the_positions_of_the_extended_words(self, d, cap):
+        fo = TruncatedFock(d, cap)
+        below = [w for w in fo.basis() if len(w) < cap]
+        for k in range(1, d + 1):
+            targets = creation_targets(k, fo)
+            assert targets.dtype == np.int64
+            # the words below the cap lead the graded order, one target each
+            assert targets.tolist() == [fo.position((k, *w)) for w in below]
 
 
 def _symmetrization(fo: TruncatedFock, da: TruncatedDA) -> np.ndarray:

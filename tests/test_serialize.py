@@ -11,6 +11,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,8 +334,8 @@ class TestNestingGuard:
 
     def test_deep_documents_skip_the_strict_parser(self, monkeypatch):
         seen = []
-        strict = serialize.orjson.loads
-        monkeypatch.setattr(serialize.orjson, "loads", lambda raw: seen.append(raw) or strict(raw))
+        strict = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda raw: seen.append(raw) or strict(raw))
         for depth in (serialize._STRICT_DEPTH, serialize._STRICT_DEPTH + 1):
             raw = b"[" * depth + b"]" * depth
             assert serialize._parse(raw) == json.loads(raw)

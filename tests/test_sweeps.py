@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowtuples import fixtures, fock, ideals, sweeps
 
@@ -144,6 +146,55 @@ class TestGenerators:
             assert t.dim <= 4
             assert nilpotency_index(t) is not None
             assert validate(t).commuting
+
+
+class TestFockCheck:
+    """The transform sweep applies the creation operators as column gathers."""
+
+    @given(
+        d=st.integers(1, 3),
+        cap=st.integers(0, 6),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-1074, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gather_is_the_product_with_the_creation_matrix(self, d, cap, rows, seed, exponent):
+        space = fock.TruncatedFock(d, cap)
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((rows, space.dim)) + 1j * rng.standard_normal((rows, space.dim))
+        y *= 2.0**exponent  # subnormal parts at the low end
+        parts = y.view(np.float64)
+        parts[rng.random(parts.shape) < 0.2] = 0.0
+        parts[rng.random(parts.shape) < 0.2] = -0.0
+
+        def bits(a):
+            # adding 0.0 maps -0.0 to +0.0 and keeps every other value: the
+            # matmul picks a zero's sign by how the BLAS kernel orders its sums
+            return (a + 0.0).view(np.int64)
+
+        for k in range(1, d + 1):
+            product = y @ fock.creation_matrix(k, space)
+            assert np.array_equal(bits(sweeps._after_creation(y, k, space)), bits(product))
+
+    def test_the_sweep_forms_no_creation_matrix(self, monkeypatch):
+        calls = []
+        original = fock.creation_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for bound in list(sys.modules.values()):
+            if getattr(bound, "__name__", "").startswith("rowtuples") and (
+                getattr(bound, "creation_matrix", None) is original
+            ):
+                monkeypatch.setattr(bound, "creation_matrix", counting)
+        (out,) = run_suite("transform", seed=11, count=6)
+        assert out.ok and out.passed == 6
+        assert calls == []
+        fock.creation_matrix(1, fock.TruncatedFock(2, 1))
+        assert len(calls) == 1
 
 
 # Draws of fixed seeds.  The generators must keep consuming random numbers
