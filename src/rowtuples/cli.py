@@ -89,7 +89,7 @@ _FLAGS = {
     "input": dict(help="JSON input file (tuple, vector, or payload)"),
     "fixture": dict(help="named fixture, e.g. maxcount or jordan(3)"),
     "seed": dict(type=int, default=0, help="seed of the sweep's instance streams"),
-    "tol": dict(type=float, help="rank/PSD decision tolerance"),
+    "tol": dict(type=float, help="decision tolerance (rank_rel_tol, default 1e-9)"),
     "degree": dict(type=int, help="degree cap"),
     "json": dict(action="store_true", help="machine-readable report"),
     "poly": dict(help="polynomial string, e.g. 'x1 + x2'"),
@@ -120,23 +120,14 @@ def _build_parser() -> _Parser:
     add("rigidity", "annihilator-rigidity verdict for a subspace pair", *tup)
     add("decompose", "invariant-decomposition certificate via the commutant", *tup)
     add("split", "complement an invariant subspace (splitting construction)", *tup)
-    add("fock", "truncated multiplier norms of a polynomial", "poly", "degree", "tol")
+    add("fock", "truncated multiplier norms of a polynomial", "poly", "degree")
     add("fixtures", "list the built-in fixtures")
     add("sweep", "run the randomized property suites", "suite", "count", "seed")
     return parser
 
 
 def _tolerance(args) -> ToleranceConfig:
-    if args.tol is None:
-        return DEFAULT_TOL
-    if args.tol <= 0:
-        raise UsageError("tol: must be positive")
-    return ToleranceConfig(
-        rank_rel_tol=args.tol,
-        psd_tol=args.tol,
-        iter_tol=DEFAULT_TOL.iter_tol,
-        max_iter=DEFAULT_TOL.max_iter,
-    )
+    return DEFAULT_TOL if args.tol is None else ToleranceConfig(rank_rel_tol=args.tol)
 
 
 def _load_inputs(args, *, need_tuple=True):
@@ -346,14 +337,14 @@ def _cmd_split(t, payload, args, tol):
     return results, warnings, EXIT_OK
 
 
-def _cmd_fock(args, tol):
+def _cmd_fock(args):
     if not args.poly:
         raise UsageError("poly: the fock command needs --poly")
     p = parse_polynomial(args.poly)
     top = args.degree if args.degree is not None else 12
     if top < 1:
         raise UsageError("degree: must be at least 1")
-    norms = [_float(x) for x in truncated_multiplier_norms(p, top, tol)]
+    norms = [_float(x) for x in truncated_multiplier_norms(p, top)]
     results = {
         "poly": str(p),
         "d": p.d,
@@ -452,7 +443,7 @@ def main(argv=None) -> int:
             results, warnings, code = _cmd_fixtures()
             dig = digest(b"")
         elif args.command == "fock":
-            results, warnings, code = _cmd_fock(args, _tolerance(args))
+            results, warnings, code = _cmd_fock(args)
             dig = digest((args.poly or "").encode())
         elif args.command == "sweep":
             if args.suite != "all" and args.suite not in SUITES:

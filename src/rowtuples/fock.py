@@ -18,7 +18,8 @@ shorter words plus its base-``d`` rank, and the left creation operator is
 the index map :func:`creation_targets`; :func:`creation_matrix` is its
 dense form.  The multiplier norms take the dense matrix up to
 ``linalg._DENSE_SVD_LIMIT`` coordinates, where ``operator_norm`` runs a
-full SVD anyway, and import ``scipy.sparse`` only for larger caps.
+full SVD anyway, and import ``scipy.sparse`` only for larger caps, where
+its Lanczos runs at a fixed accuracy: they take no tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import _DENSE_SVD_LIMIT, DEFAULT_TOL, ToleranceConfig, as_vector, operator_norm
+from .linalg import _DENSE_SVD_LIMIT, as_vector, operator_norm
 from .polynomials import Polynomial, graded_indices, graded_rank, graded_words, multinomial
 
 __all__ = [
@@ -249,24 +250,20 @@ def _scaled(c: complex, nb: np.ndarray, na: np.ndarray) -> np.ndarray:
     return out
 
 
-def truncated_multiplier_norm(
-    p: Polynomial, max_degree: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def truncated_multiplier_norm(p: Polynomial, max_degree: int) -> float:
     """Norm of the compressed multiplication operator at the given cap.
 
     Nondecreasing in the cap, with limit the multiplier norm of ``p``.  A
     cap above ``_DENSE_SVD_LIMIT`` coordinates keeps the operator sparse, so
     it costs a Lanczos solve over its nonzeros only; raises
-    ``ConvergenceError`` if that solve does not converge within
-    ``tol.max_iter`` iterations.
+    ``ConvergenceError`` if that solve does not converge within the
+    iteration budget of :func:`~rowtuples.linalg.operator_norm`.
     """
-    return operator_norm(_multiplier_operand(p, TruncatedDA(p.d, max_degree)), tol)
+    return operator_norm(_multiplier_operand(p, TruncatedDA(p.d, max_degree)))
 
 
-def truncated_multiplier_norms(
-    p: Polynomial, max_degree: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[float]:
-    """``truncated_multiplier_norm(p, n, tol)`` for every cap ``n = 1 .. max_degree``.
+def truncated_multiplier_norms(p: Polynomial, max_degree: int) -> list[float]:
+    """``truncated_multiplier_norm(p, n)`` for every cap ``n = 1 .. max_degree``.
 
     The operator is assembled once, at the top cap: in the graded order the
     cap-``n`` matrix is its leading ``TruncatedDA(d, n).dim`` block, entry
@@ -274,7 +271,7 @@ def truncated_multiplier_norms(
     """
     full = _multiplier_operand(p, TruncatedDA(p.d, max_degree))
     sizes = (TruncatedDA(p.d, n).dim for n in range(1, max_degree + 1))
-    return [operator_norm(full[:k, :k], tol) for k in sizes]
+    return [operator_norm(full[:k, :k]) for k in sizes]
 
 
 def creation_targets(k: int, space: TruncatedFock) -> np.ndarray:

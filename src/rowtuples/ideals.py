@@ -48,6 +48,7 @@ import numpy as np
 from .errors import DomainError, NotNilpotentError, ShapeError
 from .fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from .linalg import (
+    _FRAME_TOL,
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
@@ -56,6 +57,7 @@ from .linalg import (
     numerical_rank,
     _rank_kernel_norm,
     orthonormalize,
+    zero_cutoff,
 )
 from .polynomials import Polynomial, graded_indices, graded_positions, graded_rank
 from .tuples import RowTuple, _nakayama_pass, _orbits, nilpotency_index
@@ -187,7 +189,7 @@ def nakayama_generators(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     as a ``C[x]``-module when ``T`` is nilpotent; their number is the
     multiplicity.  They are the trailing left singular vectors of the row
     operator ``[T_1 .. T_d]``, past the singular values above the relative
-    rank cutoff and the zero-test cutoff ``rank_rel_tol * t.scale``; the
+    rank cutoff and the zero-test cutoff (``zero_cutoff(max_k ||T_k||)``); the
     pass of :func:`~rowtuples.tuples.nilpotency_index` computes them once
     per tolerance.
     """
@@ -362,7 +364,7 @@ def staircase_model(d: int, staircase) -> RowTuple:
 
 
 def annihilators_equal(
-    a: AnnihilatorBasis, b: AnnihilatorBasis, tol: float = 1e-8
+    a: AnnihilatorBasis, b: AnnihilatorBasis, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
     """Whether two annihilator slices generate the same ideal.
 
@@ -370,18 +372,18 @@ def annihilators_equal(
     same dimension (rows minus numerical rank of each slice, the same at
     every degree bound) and ``I_a ⊆ I_b``: when the columns of ``a``, cut or
     zero-padded to the graded monomials of ``b``, lie within
-    ``tol·max(1, ||a||_F)`` of ``span(b)``
-    (:func:`~rowtuples.linalg.in_span`).  The cut is exact, since every
-    monomial beyond ``b``'s degree bound lies in ``I_b``.
+    ``1e-8·max(1, ||a||_F)`` of ``span(b)`` (:func:`~rowtuples.linalg.in_span`
+    at the frame tolerance).  The cut is exact, since every monomial beyond
+    ``b``'s degree bound lies in ``I_b``.  The ranks are decided at ``tol``.
     """
     if a.d != b.d:
         return False
-    x, rows, frame = a.coefficients, len(b.coefficients), orthonormalize(b.coefficients)
-    if len(x) - numerical_rank(x) != rows - frame.shape[1]:
+    x, rows, frame = a.coefficients, len(b.coefficients), orthonormalize(b.coefficients, tol)
+    if len(x) - numerical_rank(x, tol) != rows - frame.shape[1]:
         return False
     cut = np.zeros((rows, x.shape[1]), dtype=np.complex128)
     cut[: len(x)] = x[:rows]
-    return in_span(cut, frame, tol * max(1.0, float(np.linalg.norm(x))))
+    return in_span(cut, frame, zero_cutoff(float(np.linalg.norm(x)), _FRAME_TOL))
 
 
 def quotient_algebra(
@@ -423,7 +425,10 @@ def _quotient(
     monomials = ann.monomials()
     n = len(monomials)
     cutoff = tol.rank_rel_tol * norm
-    lengths = np.linalg.norm(e, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths = np.linalg.norm(e, axis=0)
+    if not np.isfinite(lengths).all():
+        raise DomainError("the orbit norms overflow: the tuple's norm is too large")
     frame = np.zeros((n, e.shape[0]), dtype=np.complex128)  # rows: the standard columns
     rows, live = [], []  # S, and the other columns above the cutoff
     for pos in np.flatnonzero(lengths > cutoff):  # no residual outgrows its column

@@ -1,16 +1,20 @@
-"""Numerical linear algebra substrate: tolerances, norms, ranks, frames.
+"""Numerical linear algebra substrate: the tolerance, norms, ranks, frames.
 
 All matrices are dense ``numpy.ndarray`` objects with dtype ``complex128``;
 ``operator_norm`` alone also takes a ``scipy.sparse`` matrix.  Everything
 here runs on numpy: scipy is imported only by ``operator_norm``'s Lanczos
 branch, and sparse input is recognised without importing it, since a
-caller holding a sparse matrix has imported ``scipy.sparse`` already.  Rank
-decisions are made relative to the largest singular value ``sigma_max`` of
-the matrix at hand, so that uniformly scaled inputs produce identical
-decisions.  The exception is the ``floor`` that ``numerical_rank`` and
-``cokernel_basis`` also take, for callers whose zero test is absolute: a
-singular value at or below the floor counts as zero however large
-``sigma_max`` is.
+caller holding a sparse matrix has imported ``scipy.sparse`` already.
+
+One number, ``ToleranceConfig.rank_rel_tol``, is the caller's threshold
+of every rank decision and zero test.  A rank decision cuts at
+``rank_rel_tol * sigma_max`` of the matrix at hand, so uniformly scaled
+inputs get identical decisions.  A zero test of a tuple (a commutator, an
+orbit block, the corner of a subspace) cuts at :func:`zero_cutoff` of a
+reference scale that the caller names, relative above scale 1 and
+absolute below; ``numerical_rank`` and ``cokernel_basis`` take such a
+cutoff as their ``floor``.  Iteration budgets and the frame tolerance of
+subspace and ideal equality are private constants.
 
 Each decision computes only the factors it returns.  ``numerical_rank``
 needs singular values alone.  ``rank_and_kernel`` needs the right singular
@@ -49,6 +53,7 @@ from .errors import ConvergenceError, NotHermitianError, ShapeError, ToleranceEr
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "zero_cutoff",
     "as_matrix",
     "as_vector",
     "operator_norm",
@@ -81,35 +86,35 @@ _BRACKET_MARGIN = 1e-8
 # squares lost entirely below the normal range (< 2.3e-308 each) move the
 # sum by under 1e-21 relative per million entries.
 _FROBENIUS_FLOOR = 1e-140
+# Relative accuracy and budget of Lanczos, tuples.purity and vectors.gram_operator.
+_ITER_TOL = 1e-12
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Bundle of the numerical thresholds used across the package.
+    """The one numerical threshold of the package, ``rank_rel_tol``.
 
-    rank_rel_tol : singular values below ``rank_rel_tol * sigma_max`` are
-        treated as zero in rank decisions.
-    psd_tol : eigenvalues above ``-psd_tol`` count as nonnegative in
-        positive-semidefiniteness tests.
-    iter_tol : convergence threshold for iterative computations.
-    max_iter : iteration budget for iterative computations.
+    Rank decisions cut at ``rank_rel_tol * sigma_max``, zero tests of a
+    tuple at :func:`zero_cutoff`, and PSD tests allow ``rank_rel_tol``.
     """
 
     rank_rel_tol: float = 1e-9
-    psd_tol: float = 1e-9
-    iter_tol: float = 1e-12
-    max_iter: int = 10_000
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "psd_tol", "iter_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0 < value < 1):
-                raise ToleranceError(f"{name} must lie in (0, 1), got {value!r}")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ToleranceError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        value = self.rank_rel_tol
+        if not (isinstance(value, (int, float)) and 0 < value < 1):
+            raise ToleranceError(f"rank_rel_tol must lie in (0, 1), got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
+# Frame orthonormality, subspace and ideal equality: fixed, whatever the caller's.
+_FRAME_TOL = ToleranceConfig(rank_rel_tol=1e-8)
+
+
+def zero_cutoff(reference: float, tol: ToleranceConfig) -> float:
+    """``rank_rel_tol * max(1, reference)``, the cutoff of a zero test of scale ``reference``."""
+    return tol.rank_rel_tol * max(1.0, reference)
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -134,16 +139,16 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
-def operator_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def operator_norm(a) -> float:
     """Largest singular value of ``a``, a dense array or a ``scipy.sparse`` matrix.
 
     Small matrices get a full SVD (sparse ones are densified first).  Large
     ones get a Lanczos eigensolve of the Gram operator with a deterministic
-    start vector, accurate to ``tol.iter_tol`` relative error, which is all
+    start vector, accurate to ``_ITER_TOL`` relative error, which is all
     downstream rank and convergence decisions require; sparse input keeps
     its sparsity there, so each step costs only its nonzeros.  Raises
     ``ConvergenceError`` when Lanczos does not converge within
-    ``tol.max_iter`` iterations.
+    ``_MAX_ITER`` iterations.
     """
     m = _as_operand(a)
     if min(m.shape) == 0:
@@ -161,7 +166,7 @@ def operator_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
         top = scipy.sparse.linalg.eigsh(
-            gram, k=1, which="LA", v0=v0, tol=tol.iter_tol, maxiter=tol.max_iter,
+            gram, k=1, which="LA", v0=v0, tol=_ITER_TOL, maxiter=_MAX_ITER,
             return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackError as exc:
@@ -169,8 +174,8 @@ def operator_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     return float(np.sqrt(max(top[0].real, 0.0)))
 
 
-def norm_at_most(a, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether ``operator_norm(a, tol) <= bound``, mostly without an SVD.
+def norm_at_most(a, bound: float) -> bool:
+    """Whether ``operator_norm(a) <= bound``, mostly without an SVD.
 
     With ``f = ||a||_F`` and ``k = min(a.shape)``, ``f <= bound`` proves the
     verdict true and ``f > bound * sqrt(k)`` proves it false; each test has
@@ -189,17 +194,17 @@ def norm_at_most(a, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
             return True
         if fro > bound * np.sqrt(min(m.shape)) * (1.0 + _BRACKET_MARGIN):
             return False
-    return bool(operator_norm(m, tol) <= bound)
+    return bool(operator_norm(m) <= bound)
 
 
-def in_span(a, frame, bound: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def in_span(a, frame, bound: float) -> bool:
     """Whether ``||A - F (F* A)|| = ||(I - F F*) A|| <= bound``, by :func:`norm_at_most`.
 
     ``frame`` must have orthonormal columns; the projector is never formed.
     """
     m = as_matrix(a)
     f = as_matrix(frame)
-    return norm_at_most(m - f @ (f.conj().T @ m), bound, tol)
+    return norm_at_most(m - f @ (f.conj().T @ m), bound)
 
 
 def _as_operand(a):
@@ -289,18 +294,18 @@ def _rank_from_singular_values(s: np.ndarray, tol: ToleranceConfig, floor: float
 def psd_below_identity(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether the Hermitian matrix ``a`` satisfies ``0 <= a <= I``.
 
-    ``a`` must be Hermitian within ``tol.psd_tol`` (relative to its norm);
-    it is symmetrized before the eigensolve so the test is well posed.
-    Eigenvalues in ``[-psd_tol, 1 + psd_tol]`` pass.
+    ``a`` must be Hermitian within ``tol.rank_rel_tol`` (relative to its
+    norm); it is symmetrized before the eigensolve so the test is well
+    posed.  Eigenvalues in ``[-rank_rel_tol, 1 + rank_rel_tol]`` pass.
     """
     m = as_matrix(a, square=True)
     if m.size == 0:
         return True
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() > tol.psd_tol * scale:
+    if np.abs(m - m.conj().T).max() > tol.rank_rel_tol * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return bool(eigs[0] >= -tol.psd_tol and eigs[-1] <= 1.0 + tol.psd_tol)
+    return bool(eigs[0] >= -tol.rank_rel_tol and eigs[-1] <= 1.0 + tol.rank_rel_tol)
 
 
 def orthonormalize(v, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -331,12 +336,12 @@ def subspace_distance(frame_a, frame_b) -> float:
     return operator_norm(projector(frame_a) - projector(frame_b))
 
 
-def subspaces_equal(frame_a, frame_b, tol: float = 1e-8) -> bool:
+def subspaces_equal(frame_a, frame_b) -> bool:
     """Whether two orthonormal frames span the same subspace.
 
-    Requires matching dimension and ``||F_a - F_b (F_b* F_a)|| <= tol``
+    Requires matching dimension and ``||F_a - F_b (F_b* F_a)|| <= 1e-8``
     (:func:`in_span`), which for equal dimensions is the projector distance.
     """
     a = as_matrix(frame_a)
     b = as_matrix(frame_b)
-    return a.shape[1] == b.shape[1] and in_span(a, b, tol)
+    return a.shape[1] == b.shape[1] and in_span(a, b, _FRAME_TOL.rank_rel_tol)

@@ -9,6 +9,7 @@ construction for invariant subspaces whose restricted adjoint is cyclic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .ideals import annihilator, annihilators_equal, nakayama_generators, orbit_matrix, quotient_of
 from .linalg import (
+    _FRAME_TOL,
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
@@ -34,6 +36,7 @@ from .linalg import (
     orthonormalize,
     rank_and_kernel,
     subspaces_equal,
+    zero_cutoff,
 )
 from .tuples import RowTuple, nilpotency_index
 
@@ -56,8 +59,6 @@ __all__ = [
     "splitting_construct",
 ]
 
-_FRAME_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -75,7 +76,7 @@ class SubspaceBasis:
         if frame.shape[1] > self.ambient_dim:
             raise ShapeError("frame has more columns than the ambient dimension")
         gram = frame.conj().T @ frame
-        if gram.size and np.abs(gram - np.eye(frame.shape[1])).max() > _FRAME_TOL:
+        if gram.size and np.abs(gram - np.eye(frame.shape[1])).max() > _FRAME_TOL.rank_rel_tol:
             raise ShapeError("frame columns are not orthonormal")
         frame = frame.copy()
         frame.setflags(write=False)
@@ -118,34 +119,28 @@ def _same_ambient(t: RowTuple, m: SubspaceBasis) -> None:
         )
 
 
-def _corner_vanishes(
-    t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig, atol: float, *, upper: bool
-) -> bool:
+def _corner_vanishes(t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig, *, upper: bool) -> bool:
     """Whether ``P T_k (I−P)`` (``upper``) or ``(I−P) T_k P`` vanishes for all k.
 
     Their norms are those of ``(I−P) T_k* F`` and ``(I−P) T_k F``, ``F`` the
-    frame, so :func:`~rowtuples.linalg.in_span` tests ``T_k* F`` or ``T_k F``.
+    frame, so :func:`~rowtuples.linalg.in_span` tests ``T_k* F`` or ``T_k F``
+    against the ``zero_cutoff`` of ``sqrt(1 + Σ_k ||T_k||²) >= ||[F, T_1 F, ..]||``:
+    no lower than the cutoff of :func:`generated_invariant`, whose residuals pass.
     """
     _same_ambient(t, m)
     mats = t.adjoint().mats if upper else t.mats
-    return all(
-        in_span(mat @ m.frame, m.frame, atol * max(1.0, norm), tol)
-        for mat, norm in zip(mats, t.norms)
-    )
+    bound = zero_cutoff(math.hypot(1.0, *t.norms), tol)
+    return all(in_span(mat @ m.frame, m.frame, bound) for mat in mats)
 
 
-def is_invariant(
-    t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL, *, atol: float = 1e-9
-) -> bool:
-    """Whether ``T_k M ⊆ M`` for all k, i.e. ``(I−P)T_kP`` vanishes."""
-    return _corner_vanishes(t, m, tol, atol, upper=False)
+def is_invariant(t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether ``T_k M ⊆ M``: ``||(I−P)T_kP|| <= rank_rel_tol·sqrt(1 + Σ_j ||T_j||²)``."""
+    return _corner_vanishes(t, m, tol, upper=False)
 
 
-def is_coinvariant(
-    t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL, *, atol: float = 1e-9
-) -> bool:
-    """Whether the orthogonal complement of ``M`` is invariant."""
-    return _corner_vanishes(t, m, tol, atol, upper=True)
+def is_coinvariant(t: RowTuple, m: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether the orthogonal complement of ``M`` is invariant (bound as :func:`is_invariant`)."""
+    return _corner_vanishes(t, m, tol, upper=True)
 
 
 def generated_invariant(
@@ -262,7 +257,7 @@ def _compare_pair(
 ) -> tuple[bool, bool]:
     """Whether the compressions share an annihilator, and whether ``M = N``."""
     ann_eq = annihilators_equal(
-        annihilator(compress(t, m), tol), annihilator(compress(t, n), tol)
+        annihilator(compress(t, m), tol), annihilator(compress(t, n), tol), tol
     )
     return ann_eq, subspaces_equal(m.frame, n.frame)
 
@@ -341,6 +336,9 @@ class DecompositionReport:
 # semisimple quotient count as one cluster.  That element is diagonalizable,
 # so its repeated eigenvalues agree to roundoff, not to ε^{1/ν}.
 _CLUSTER_GAP = 1e-6
+# Roundoff in the lifted idempotent e grows with ||e|| and the frames of its
+# ranges inherit it, so their invariance is tested 100 times looser.
+_LIFT_TOL = ToleranceConfig(rank_rel_tol=1e-7)
 
 
 def _commutant(t: RowTuple, tol: ToleranceConfig) -> tuple:
@@ -416,11 +414,14 @@ def _decomposition_report(t: RowTuple, tol: ToleranceConfig) -> DecompositionRep
 
 
 def _certifies(e: np.ndarray, t: RowTuple, tol: ToleranceConfig) -> bool:
-    """Whether ``e`` is a nontrivial idempotent commuting with the tuple."""
-    if not np.isfinite(e).all() or not norm_at_most(e @ e - e, 1e-9, tol):
+    """Whether ``e`` is a nontrivial idempotent commuting with the tuple.
+
+    ``e² − e`` within ``rank_rel_tol``, ``e T_k − T_k e`` within ``zero_cutoff(||T_k||)``.
+    """
+    if not np.isfinite(e).all() or not norm_at_most(e @ e - e, tol.rank_rel_tol):
         return False
     if not all(
-        norm_at_most(e @ mat - mat @ e, 1e-9 * max(1.0, norm), tol)
+        norm_at_most(e @ mat - mat @ e, zero_cutoff(norm, tol))
         for mat, norm in zip(t.mats, t.norms)
     ):
         return False
@@ -442,7 +443,7 @@ def decomposition_find(t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL):
     m, n = (SubspaceBasis(t.dim, orthonormalize(part, tol)) for part in (e, np.eye(t.dim) - e))
     if m.dim + n.dim != t.dim:
         return None
-    if not (is_invariant(t, m, tol, atol=1e-7) and is_invariant(t, n, tol, atol=1e-7)):
+    if not (is_invariant(t, m, _LIFT_TOL) and is_invariant(t, n, _LIFT_TOL)):
         return None
     return m, n
 
@@ -476,7 +477,7 @@ def splitting_construct(
         raise HypothesisError(
             "adjoint_cyclic", "the adjoint of the restriction is not cyclic"
         )
-    if not annihilators_equal(annihilator(r, tol), annihilator(t, tol)):
+    if not annihilators_equal(annihilator(r, tol), annihilator(t, tol), tol):
         raise HypothesisError(
             "annihilator_equality",
             "the restriction has a different annihilator than the tuple",

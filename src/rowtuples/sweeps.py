@@ -26,7 +26,7 @@ from .ideals import (
     quotient_of,
     staircase_model,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank, operator_norm
+from .linalg import numerical_rank, operator_norm
 from .subspaces import (
     SubspaceBasis,
     Verdict,
@@ -117,9 +117,7 @@ def random_monomial_ideal(rng, d: int, max_delta: int) -> AnnihilatorBasis:
     return monomial_annihilator(d, staircase_generators(d, lam))
 
 
-def random_similarity(
-    rng, t: RowTuple, spread: float = 0.2, tol: ToleranceConfig = DEFAULT_TOL
-) -> RowTuple:
+def random_similarity(rng, t: RowTuple, spread: float = 0.2) -> RowTuple:
     """Conjugate by a well-conditioned perturbation of the identity.
 
     The result is rescaled into a row contraction when the conjugation
@@ -127,10 +125,10 @@ def random_similarity(
     staircase of a monomial annihilator, and all cyclicity invariants.
     """
     g = rng.standard_normal((t.dim, t.dim)) + 1j * rng.standard_normal((t.dim, t.dim))
-    s = np.eye(t.dim) + spread * g / operator_norm(g, tol)
+    s = np.eye(t.dim) + spread * g / operator_norm(g)
     sinv = np.linalg.inv(s)
     mats = [s @ mat @ sinv for mat in t.mats]
-    row = operator_norm(np.hstack(mats), tol)
+    row = operator_norm(np.hstack(mats))
     if row > 1.0:
         mats = [mat / (row * (1.0 + 1e-12)) for mat in mats]
     return RowTuple(mats)

@@ -37,6 +37,8 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
+    _ITER_TOL,
+    _MAX_ITER,
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
@@ -45,6 +47,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     psd_below_identity,
+    zero_cutoff,
 )
 from .polynomials import Polynomial, graded_positions, indices_of_degree
 
@@ -174,7 +177,7 @@ def _orbits(t: RowTuple, v: np.ndarray, monomials) -> np.ndarray:
     return np.concatenate(levels, axis=1)[:, [positions[alpha] for alpha in wanted]]
 
 
-def _vanishing(level: np.ndarray, cutoff: float, tol: ToleranceConfig) -> np.ndarray:
+def _vanishing(level: np.ndarray, cutoff: float) -> np.ndarray:
     """Whether each block ``level[:, i]`` has spectral norm at most ``cutoff``.
 
     A single column's norm is its spectral norm; wider blocks go through
@@ -182,15 +185,13 @@ def _vanishing(level: np.ndarray, cutoff: float, tol: ToleranceConfig) -> np.nda
     """
     if level.shape[2] != 1:
         return np.array(
-            [norm_at_most(level[:, i], cutoff, tol) for i in range(level.shape[1])], dtype=bool
+            [norm_at_most(level[:, i], cutoff) for i in range(level.shape[1])], dtype=bool
         )
     with np.errstate(over="ignore"):
         return np.sqrt((level.real**2 + level.imag**2).sum(axis=(0, 2))) <= cutoff
 
 
-def _power_index(
-    t: RowTuple, start: int, cutoff: float, tol: ToleranceConfig
-) -> tuple[int | None, list[np.ndarray]]:
+def _power_index(t: RowTuple, start: int, cutoff: float) -> tuple[int | None, list[np.ndarray]]:
     """First degree from ``start`` to ``dim + 1`` at which every ``||T^alpha|| <= cutoff``.
 
     The search over the ``n x n`` powers, the orbit blocks of ``V = I``, for
@@ -208,12 +209,12 @@ def _power_index(
     for degree in range(1, t.dim + 2):
         if not levels:
             powers = [m @ power for m, power in zip(t.mats, powers)]  # T_k^degree
-            if degree < start or not all(norm_at_most(p, cutoff, tol) for p in powers):
+            if degree < start or not all(norm_at_most(p, cutoff) for p in powers):
                 continue
             levels = [np.eye(t.dim, dtype=np.complex128)[:, None, :]]
         while len(levels) <= degree:
             levels.append(_orbit_step(t, levels[-1], len(levels)))
-        if _vanishing(levels[-1], cutoff, tol).all():
+        if _vanishing(levels[-1], cutoff).all():
             return degree, levels
     return None, []
 
@@ -281,30 +282,30 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
 
     ``G`` is the trailing left singular vectors of the row operator, past
     the singular values above both ``rank_rel_tol * sigma_max`` and the
-    zero-test cutoff ``c = rank_rel_tol * t.scale``.  A block ``T^alpha G``
-    is zero when its norm is at most ``c``.  The candidate index is the
-    first degree, from 1 on a nonzero space, whose blocks are all zero, at
-    most ``dim + 1``.  It stands if :func:`_orbit_certificate` proves it;
-    it is ``None`` if the orbits miss an invertible part of ``T``;
-    otherwise the search over the powers (:func:`_power_index`) continues
-    from it.  That search also takes over once the blocks stored have more
-    than ``n (n + 2)`` columns, those of the powers ``x_1^0 .. x_1^(n+1)``
-    that it forms for a tuple whose powers never vanish, so a tuple whose
-    orbits do not die out stores no more than that, not every block up to
-    degree ``dim + 1``.  Where the powers decide the index they also give
-    the zero verdicts.
+    zero-test cutoff ``c``, the :func:`zero_cutoff` of ``max_k ||T_k||``.
+    A block ``T^alpha G`` is zero when its norm is at most ``c``.  The
+    candidate index is the first degree, from 1 on a nonzero space, whose
+    blocks are all zero, at most ``dim + 1``.  It stands if
+    :func:`_orbit_certificate` proves it; it is ``None`` if the orbits miss
+    an invertible part of ``T``; otherwise the search over the powers
+    (:func:`_power_index`) continues from it.  That search also takes over
+    once the blocks stored have more than ``n (n + 2)`` columns, those of
+    the powers ``x_1^0 .. x_1^(n+1)`` that it forms for a tuple whose powers
+    never vanish, so a tuple whose orbits do not die out stores no more
+    than that, not every block up to degree ``dim + 1``.  Where the powers
+    decide the index they also give the zero verdicts.
     """
     require_commuting(t, tol)
 
     def compute() -> _NakayamaPass:
-        cutoff = tol.rank_rel_tol * t.scale
+        cutoff = zero_cutoff(max(t.norms), tol)
         gens = cokernel_basis(t.row(), tol, floor=cutoff)
         levels = [gens[:, None, :]]
-        zeros = [_vanishing(levels[0], cutoff, tol)]
+        zeros = [_vanishing(levels[0], cutoff)]
 
         def grow() -> None:
             levels.append(_orbit_step(t, levels[-1], len(levels)))
-            zeros.append(_vanishing(levels[-1], cutoff, tol))
+            zeros.append(_vanishing(levels[-1], cutoff))
 
         index, powers = (None if t.dim else 0), []
         while t.dim and len(levels) <= t.dim + 1:
@@ -314,14 +315,14 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
                 index = degree
                 break
             if sum(z.size for z in zeros) * gens.shape[1] > t.dim * (t.dim + 2):
-                index, powers = _power_index(t, degree + 1, cutoff, tol)
+                index, powers = _power_index(t, degree + 1, cutoff)
                 break
         while index and len(levels) <= index:
             grow()
         if index:
             certificate = _orbit_certificate(t, levels, index, cutoff, tol)
             if certificate is None:
-                index, powers = _power_index(t, index, cutoff, tol)
+                index, powers = _power_index(t, index, cutoff)
             elif not certificate:
                 index = None
         while index and len(levels) <= index:
@@ -332,7 +333,7 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
             levels, zeros = levels[: index + 1], zeros[: index + 1]
         if powers and index:
             # the verdicts of the powers that decided, as T^alpha G = 0 need not mean T^alpha = 0
-            zeros = [_vanishing(level, cutoff, tol) for level in powers]
+            zeros = [_vanishing(level, cutoff) for level in powers]
         out = _NakayamaPass(gens, index, np.concatenate(levels, axis=1), np.concatenate(zeros))
         for a in (out.generators, out.blocks, out.zero):
             a.setflags(write=False)
@@ -363,7 +364,7 @@ def _commuting(t: RowTuple, tol: ToleranceConfig) -> bool:
         square = t.scale * t.scale
         if square == math.inf:  # norms above about 1.3e154: products overflow
             raise DomainError(f"tuple norm {t.scale:.3g} is too large: its products overflow")
-        cutoff = tol.rank_rel_tol * square
+        cutoff = zero_cutoff(square, tol)
         return all(
             norm_at_most(t.mats[j] @ t.mats[k] - t.mats[k] @ t.mats[j], cutoff)
             for j in range(t.d)
@@ -402,7 +403,7 @@ def purity(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> bool | None:
     """Whether ``Phi^n(I) -> 0`` for ``Phi(X) = sum_k T_k X T_k^*``.
 
     For a row contraction the iterates are a nonincreasing chain of PSD
-    matrices, so the stopping rules are sound: norm below ``iter_tol``
+    matrices, so the stopping rules are sound: norm below ``_ITER_TOL``
     means pure; stagnation at a clearly nonzero level means not pure.
     ``None`` signals that the budget ran out before either rule fired.
     """
@@ -410,8 +411,8 @@ def purity(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> bool | None:
         raise NotRowContractionError("purity is defined for row contractions only")
     x = np.eye(t.dim, dtype=np.complex128)
     norm = operator_norm(x)
-    for _ in range(tol.max_iter):
-        if norm < tol.iter_tol:
+    for _ in range(_MAX_ITER):
+        if norm < _ITER_TOL:
             return True
         nxt = sum(m @ x @ m.conj().T for m in t.mats)
         nxt = (nxt + nxt.conj().T) / 2.0
@@ -419,8 +420,8 @@ def purity(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> bool | None:
         x = nxt
         norm = operator_norm(x)
         if step <= 1e-14 * max(1.0, norm):
-            return True if norm < tol.iter_tol else (False if norm >= 1e-6 else None)
-    return True if norm < tol.iter_tol else None
+            return True if norm < _ITER_TOL else (False if norm >= 1e-6 else None)
+    return True if norm < _ITER_TOL else None
 
 
 def nilpotency_index(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:

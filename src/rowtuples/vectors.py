@@ -23,6 +23,8 @@ from .errors import (
 from .fock import TruncatedFock
 from .ideals import _fix_phases, model_of, nakayama_generators, orbit_matrix, quotient_of
 from .linalg import (
+    _ITER_TOL,
+    _MAX_ITER,
     DEFAULT_TOL,
     ToleranceConfig,
     as_vector,
@@ -163,18 +165,18 @@ def gram_operator(
     term = np.outer(v, v.conj())
     gram = np.zeros_like(term)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(tol.max_iter):
+        for _ in range(_MAX_ITER):
             gram = gram + term
             peak = float(np.abs(gram).max())
             if not np.isfinite(peak):
                 raise ConvergenceError("the gram series diverges: a partial sum is not finite")
-            if np.abs(term).max() <= tol.iter_tol * max(1.0, peak):
+            if np.abs(term).max() <= _ITER_TOL * max(1.0, peak):
                 break
             term = sum(mat @ term @ mat.conj().T for mat in t.mats)
         else:
             raise ConvergenceError("gram series did not converge within the budget")
     gram = (gram + gram.conj().T) / 2.0
-    return GramReport(gram, operator_norm(gram, tol), is_cyclic(t, v, tol))
+    return GramReport(gram, operator_norm(gram), is_cyclic(t, v, tol))
 
 
 def fock_intertwiner(
@@ -218,4 +220,4 @@ def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     x = np.linalg.solve(model_orbit.T, orbit.T).T
     if numerical_rank(x, tol) != t.dim:
         raise WitnessSearchError("the orbit map of the generator is not invertible")
-    return x / operator_norm(x, tol)
+    return x / operator_norm(x)

@@ -11,9 +11,8 @@ import pytest
 
 import rowtuples
 from rowtuples.cli import main
-from rowtuples.fixtures import maxcount
+from rowtuples.fixtures import jordan, maxcount
 from rowtuples.fock import truncated_multiplier_norm
-from rowtuples.linalg import ToleranceConfig
 from rowtuples.polynomials import parse_polynomial
 from rowtuples.serialize import (
     matrix_from_json,
@@ -204,6 +203,21 @@ class TestCheck:
         code, _, err = run(capsys, "ann", "--input", path)
         assert code == 2
         assert err.startswith("inapplicable")
+
+    @pytest.mark.parametrize("command", ["ann", "model", "separating"])
+    def test_overflowing_orbit_norms_are_an_error(self, capsys, tmp_path, command):
+        # 2^140 J_6: every orbit entry is finite (at most 2^700), but their
+        # squares overflow; RuntimeWarning is an error here, so none may escape
+        from rowtuples.tuples import RowTuple
+
+        t = RowTuple([2.0**140 * m for m in jordan(6).mats])
+        path = write_json(tmp_path, "t.json", tuple_to_json(t))
+        code, rep, _ = run_json(capsys, "check", "--input", path)
+        assert code == 0 and rep["results"]["nilpotent"] == 6
+        code, out, err = run(capsys, command, "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflow" in err
 
 
 class TestAnnAndModel:
@@ -585,7 +599,7 @@ class TestFockAndFixtures:
 
     def test_fock_nonconvergence_exits_1(self, capsys, monkeypatch):
         # caps from 34 up take the Lanczos path, which cannot finish in 1 step
-        monkeypatch.setattr("rowtuples.cli.DEFAULT_TOL", ToleranceConfig(max_iter=1))
+        monkeypatch.setattr("rowtuples.linalg._MAX_ITER", 1)
         code, out, err = run(capsys, "fock", "--poly", "x1 + x2", "--degree", "40")
         assert code == 1
         assert out == ""
@@ -919,6 +933,7 @@ class TestUsage:
             ["fixtures", "--fixture", "maxcount"],
             ["separating", "--fixture", "maxcount", "--seed", "-1"],
             ["model", "--fixture", "maxcount", "--degree", "3"],
+            ["fock", "--poly", "x1 + x2", "--tol", "1e-6"],
         ],
     )
     def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv):

@@ -58,6 +58,33 @@ def test_rank_decisions_go_through_linalg(name):
     assert calls == []
 
 
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"])
+def test_zero_test_bounds_carry_no_literal(name):
+    # a bound of norm_at_most or in_span is a named cutoff or comes from
+    # linalg.zero_cutoff, so the threshold policy lives in one place
+    path = pathlib.Path(rowtuples.__file__).with_name(f"{name}.py")
+    position = {"norm_at_most": 1, "in_span": 2}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and _callee(node) in position):
+            continue
+        args = node.args[position[_callee(node)]:] + [
+            kw.value for kw in node.keywords if kw.arg == "bound"
+        ]
+        found += [
+            n.lineno
+            for arg in args[:1]
+            for n in ast.walk(arg)
+            if isinstance(n, ast.Constant) and type(n.value) in (int, float, complex)
+        ]
+    assert found == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_imported_name_is_used_or_exported(name):
     # an import left behind by a removed caller is dead code

@@ -17,7 +17,7 @@ from rowtuples.fock import (
     truncated_multiplier_norm,
     truncated_multiplier_norms,
 )
-from rowtuples.linalg import _DENSE_SVD_LIMIT, ToleranceConfig, operator_norm, psd_below_identity
+from rowtuples.linalg import _DENSE_SVD_LIMIT, operator_norm, psd_below_identity
 from rowtuples.polynomials import (
     Polynomial,
     abelianize,
@@ -283,10 +283,11 @@ class TestMultiplierNorm:
         dense = float(np.linalg.svd(m, compute_uv=False)[0])
         assert truncated_multiplier_norm(p, cap) == pytest.approx(dense, rel=1e-12)
 
-    def test_exhausted_iteration_budget_raises(self):
+    def test_exhausted_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr("rowtuples.linalg._MAX_ITER", 1)
         p = parse_polynomial("x1 + x2", d=2)
         with pytest.raises(ConvergenceError):
-            truncated_multiplier_norm(p, 40, ToleranceConfig(max_iter=1))
+            truncated_multiplier_norm(p, 40)
 
 
 class TestCreation:

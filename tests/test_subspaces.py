@@ -9,7 +9,7 @@ from scipy.linalg import block_diag
 from rowtuples.errors import DomainError, HypothesisError, ShapeError, WitnessSearchError
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.ideals import annihilator, annihilators_equal, staircase_model
-from rowtuples.linalg import numerical_rank, operator_norm, subspaces_equal
+from rowtuples.linalg import ToleranceConfig, numerical_rank, operator_norm, subspaces_equal
 from rowtuples.subspaces import (
     SubspaceBasis,
     Verdict,
@@ -142,6 +142,18 @@ class TestInvariance:
         with pytest.raises(DomainError):
             restrict(t, m)
 
+    def test_invariance_follows_the_tolerance(self):
+        # span(e3) is invariant for the Jordan cell e1 -> e2 -> e3; tilting it by
+        # 1e-7 toward e1 leaves a corner of 1e-7, inside the bound at
+        # rank_rel_tol 1e-6 and outside it at the default 1e-9
+        t = jordan(3)
+        m = SubspaceBasis.from_span(np.array([[1e-7], [0.0], [1.0]]))
+        assert not is_invariant(t, m)
+        assert is_invariant(t, m, ToleranceConfig(rank_rel_tol=1e-6))
+        n = SubspaceBasis.from_span(np.array([[1.0], [0.0], [1e-7]]))
+        assert not is_coinvariant(t, n)
+        assert is_coinvariant(t, n, ToleranceConfig(rank_rel_tol=1e-6))
+
     @given(
         d=st.integers(1, 3),
         size=st.integers(2, 8),
@@ -152,7 +164,7 @@ class TestInvariance:
     def test_span_residuals_agree_with_the_projector_formulas(self, d, size, log_tilt, seed):
         # a proper invariant subspace, its complement and a random subspace,
         # each also tilted by about 10^log_tilt, so verdicts fall on both
-        # sides of atol and tol
+        # sides of the invariance bound and the frame tolerance
         tilt = 10.0**log_tilt
         rng = np.random.default_rng(seed)
         t = random_similarity(rng, staircase_model(d, random_staircase(rng, d, size)))
@@ -162,14 +174,13 @@ class TestInvariance:
         for f in list(frames):
             noise = rng.standard_normal((n, f.dim)) + 1j * rng.standard_normal((n, f.dim))
             frames.append(SubspaceBasis.from_span(f.frame + tilt * noise))
+        bound = 1e-9 * np.sqrt(1.0 + sum(norm**2 for norm in t.norms))
         for f in frames:
             p = f.projector()
             q = np.eye(n) - p
             for upper, test in ((False, is_invariant), (True, is_coinvariant)):
                 corners = [p @ mat @ q if upper else q @ mat @ p for mat in t.mats]
-                expected = all(
-                    operator_norm(c) <= 1e-9 * max(1.0, norm) for c, norm in zip(corners, t.norms)
-                )
+                expected = all(operator_norm(c) <= bound for c in corners)
                 assert test(t, f) is expected
             for g in frames:
                 expected = f.dim == g.dim and operator_norm(p - g.projector()) <= 1e-8
