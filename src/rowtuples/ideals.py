@@ -3,20 +3,20 @@
 For a commuting nilpotent tuple ``T`` with vanishing degree ``m``, every
 polynomial of degree ``>= m`` annihilates ``T`` monomial by monomial, so
 the annihilator ideal is captured exactly by the finite-dimensional slice
-``Ann(T) ∩ C[x]_{<=m}``.  This module computes that slice as the kernel
-of the evaluation map and keeps it in that form: a matrix whose columns
-are coefficient vectors over the graded monomials of degree at most
-``m``.  The map is evaluated on the Nakayama generators ``G``, an
-orthonormal basis of ``(Σ_k T_k H)^⊥``: by graded Nakayama they generate
-``H`` as a ``C[x]``-module, so for commuting ``T`` a polynomial kills ``T``
-exactly when it kills ``G``, and the evaluation map needs ``n·μ`` rows
-(``μ`` generators), not ``n²``.  ``G``, the orbit blocks ``T^alpha G`` and
-their zero verdicts come from the one pass that decides the nilpotency
-index (:func:`~rowtuples.tuples.nilpotency_index`), built by the degree
-step ``T^alpha G = T_k (T^(alpha - e_k) G)``: the annihilator path forms
-no power ``T^alpha`` unless the orbits leave the index to the powers, which
-is rare, and :func:`omega_e` reads the stored verdicts.  The same orbit
-matrix gives the quotient
+``Ann(T) ∩ C[x]_{<=m}``, the kernel of the evaluation map ``p -> p(T)``
+on the graded monomials of degree at most ``m``.  The map is evaluated
+on the Nakayama generators ``G``, an orthonormal basis of
+``(Σ_k T_k H)^⊥``: by graded Nakayama they generate ``H`` as a
+``C[x]``-module, so for commuting ``T`` a polynomial kills ``T`` exactly
+when it kills ``G``, and the evaluation map is the orbit matrix
+``[T^alpha G]`` with ``n·μ`` rows (``μ`` generators), not ``n²``.  ``G``,
+the orbit matrix and its zero verdicts come from the one pass that
+decides the nilpotency index (:func:`~rowtuples.tuples.nilpotency_index`),
+built by the degree step ``T^alpha G = T_k (T^(alpha - e_k) G)``: no power
+``T^alpha`` is formed unless the orbits leave the index to the powers,
+which is rare, and :func:`omega_e` reads the stored verdicts.
+
+The orbit matrix alone gives the quotient
 ``A = C[x]/Ann(T)`` by the order-ideal and normal-form step of the
 Buchberger-Möller algorithm (Möller & Buchberger, EUROCAM 1982; Stetter,
 *Numerical Polynomial Algebra*, SIAM 2004): its monomial basis ``S``, the
@@ -34,7 +34,8 @@ it, and one orthonormalization of the columns in reverse order yields the
 canonical frame of ``H_J``: graded, with fixed phases (:func:`_model_graph`).
 For a monomial ideal ``H_J`` is the coordinate span of the staircase of
 standard monomials, and :func:`staircase_model` writes the model down in
-closed form.
+closed form.  The kernel itself (:func:`annihilator`) is taken only
+where two ideals are compared, as rigidity and splitting do.
 """
 
 from __future__ import annotations
@@ -49,18 +50,20 @@ from .errors import DomainError, NotNilpotentError, ShapeError
 from .fock import TruncatedDA, da_monomial_norm, multiplication_matrix
 from .linalg import (
     _FRAME_TOL,
+    _rank_from_singular_values,
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     cokernel_basis,
     in_span,
+    kernel_basis,
     numerical_rank,
-    _rank_kernel_norm,
     orthonormalize,
+    singular_values,
     zero_cutoff,
 )
 from .polynomials import Polynomial, graded_indices, graded_positions, graded_rank
-from .tuples import RowTuple, _nakayama_pass, _orbits, nilpotency_index
+from .tuples import RowTuple, _nakayama_pass, nilpotency_index, orbit_matrix
 
 __all__ = [
     "AnnihilatorBasis",
@@ -88,11 +91,12 @@ class AnnihilatorBasis:
 
     ``coefficients`` has one row per monomial of :meth:`monomials` and one
     column per basis element; it is copied on construction and read-only.
-    This is deliberately not a Gröbner basis: every construction in the
-    package needs only membership tests and quotient dimensions, which
-    are rank and span decisions on this matrix.  Every monomial of degree
-    ``degree_bound`` lies in the ideal, so a slice at another bound is never
-    built: :func:`annihilators_equal` cuts or zero-pads the rows instead.
+    This is deliberately not a Gröbner basis: comparing ideals needs only
+    membership tests and quotient dimensions, rank and span decisions on
+    this matrix; only :func:`annihilator` takes a kernel to build it.
+    Every monomial of degree ``degree_bound`` lies in the ideal, so a slice
+    at another bound is never built: :func:`annihilators_equal` cuts or
+    zero-pads the rows instead.
     The ``ann`` report renders the columns of :func:`annihilator_normal_form`
     as text straight from the matrix
     (:func:`~rowtuples.polynomials.format_columns`); :attr:`basis` turns
@@ -130,6 +134,8 @@ class AnnihilatorBasis:
 class QuotientAlgebra:
     """The algebra ``A = C[x]/(C[x] ∩ Ann(T))`` in a monomial basis.
 
+    ``_reducer`` maps each graded monomial of ``C[x]_{<=degree_bound}``, in
+    ``d`` variables, to its normal form over ``monomial_basis``.
     ``mult_table[i, j]`` holds the coordinates of the product class
     ``[x^a_i * x^a_j]`` over ``monomial_basis``, built on first use; the
     arrays are read-only.
@@ -137,13 +143,14 @@ class QuotientAlgebra:
 
     monomial_basis: tuple[tuple[int, ...], ...]
     dim: int
-    _ann: AnnihilatorBasis
+    d: int
+    degree_bound: int
     _standard: np.ndarray  # slice positions of monomial_basis
     _reducer: np.ndarray  # maps slice coefficients to quotient coordinates
 
     @functools.cached_property
     def mult_table(self) -> np.ndarray:
-        positions = graded_positions(self._ann.d, self._ann.degree_bound)
+        positions = graded_positions(self.d, self.degree_bound)
         table = np.zeros((self.dim,) * 3, dtype=np.complex128)
         for i, alpha in enumerate(self.monomial_basis):
             for j, beta in enumerate(self.monomial_basis):
@@ -159,11 +166,11 @@ class QuotientAlgebra:
         Terms of degree beyond the annihilator's degree bound are dropped
         first; each such monomial already lies in the annihilator.
         """
-        if p.d != self._ann.d:
-            raise ShapeError(f"polynomial has d={p.d}, algebra has d={self._ann.d}")
-        m = self._ann.degree_bound
+        if p.d != self.d:
+            raise ShapeError(f"polynomial has d={p.d}, algebra has d={self.d}")
+        m = self.degree_bound
         low = Polynomial(p.d, {a: c for a, c in p.coeffs.items() if sum(a) <= m})
-        return self._reducer @ low.coefficient_vector(self._ann.monomials())
+        return self._reducer @ low.coefficient_vector(graded_indices(self.d, m))
 
 
 @dataclass(frozen=True)
@@ -199,37 +206,12 @@ def nakayama_generators(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     return found.generators
 
 
-def orbit_matrix(t: RowTuple, vectors, monomials) -> np.ndarray:
-    """One column ``T^alpha V`` per exponent ``alpha`` of ``monomials``.
-
-    ``vectors`` is one vector or an ``n x k`` matrix ``V``; each column of
-    the result is ``T^alpha V`` flattened row-major, so it has ``n * k``
-    rows.  The blocks come from the degree step of the nilpotency pass,
-    ``T^alpha V = T_k (T^(alpha - e_k) V)``, run up to the largest degree
-    in ``monomials``; no power ``T^alpha`` is formed.
-    """
-    v = np.asarray(vectors, dtype=np.complex128)
-    return _columns(_orbits(t, v[:, None] if v.ndim == 1 else v, monomials))
-
-
-def _columns(blocks: np.ndarray) -> np.ndarray:
-    """Blocks stacked as ``(n, N, k)`` as the ``n·k x N`` matrix of flattened blocks."""
-    n, count, k = blocks.shape
-    return blocks.transpose(1, 0, 2).reshape(count, n * k).T
-
-
 def _generator_orbits(t: RowTuple, tol: ToleranceConfig) -> np.ndarray:
     """``E = [T^alpha G]`` over the graded monomials of degree at most ``m``, read-only."""
-
-    def compute() -> np.ndarray:
-        found = _nakayama_pass(t, tol)
-        if found.index is None:
-            raise NotNilpotentError("the generator orbits need a nilpotent tuple")
-        orbits = _columns(found.blocks)
-        orbits.setflags(write=False)
-        return orbits
-
-    return t.memo(("generator_orbits", tol), compute)
+    found = _nakayama_pass(t, tol)
+    if found.index is None:
+        raise NotNilpotentError(f"no vanishing degree at or below dim+1 = {t.dim + 1}")
+    return found.orbits
 
 
 def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorBasis:
@@ -240,24 +222,14 @@ def annihilator(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorB
     ``T`` commutes and the Nakayama generators ``G`` generate ``H``,
     ``p(T) = 0`` exactly when ``p(T) G = 0``, so the kernel is taken of the
     ``n·μ``-row orbit matrix ``[T^alpha G]``.  The tuple computes it once
-    per tolerance.
+    per tolerance; the quotient and the model do not need it.
     """
-    return _orbit_kernel(t, tol)[0]
-
-
-def _orbit_kernel(t: RowTuple, tol: ToleranceConfig) -> tuple[AnnihilatorBasis, float]:
-    """The annihilator and ``sigma_max`` of the orbit matrix, memoized together."""
     return t.memo(("annihilator", tol), lambda: _annihilator(t, tol))
 
 
-def _annihilator(t: RowTuple, tol: ToleranceConfig) -> tuple[AnnihilatorBasis, float]:
-    m = nilpotency_index(t, tol=tol)
-    if m is None:
-        raise NotNilpotentError(
-            f"no vanishing degree at or below dim+1 = {t.dim + 1}"
-        )
-    _, kernel, norm = _rank_kernel_norm(_generator_orbits(t, tol), tol)
-    return AnnihilatorBasis(d=t.d, degree_bound=m, coefficients=kernel), norm
+def _annihilator(t: RowTuple, tol: ToleranceConfig) -> AnnihilatorBasis:
+    kernel = kernel_basis(_generator_orbits(t, tol), tol)
+    return AnnihilatorBasis(t.d, nilpotency_index(t, tol=tol), kernel)
 
 
 def annihilator_normal_form(
@@ -276,7 +248,7 @@ def annihilator_normal_form(
     forms = np.eye(q._reducer.shape[1], dtype=np.complex128)
     forms[q._standard] -= q._reducer  # zero on the columns of S
     outside = np.setdiff1d(np.arange(forms.shape[1]), q._standard)
-    return AnnihilatorBasis(t.d, q._ann.degree_bound, forms[:, outside])
+    return AnnihilatorBasis(t.d, q.degree_bound, forms[:, outside])
 
 
 def _staircase(d: int, generators) -> list[tuple[int, ...]]:
@@ -346,10 +318,7 @@ def staircase_model(d: int, staircase) -> RowTuple:
             raise ShapeError(f"bad staircase exponent {alpha} for d={d}")
     if (0,) * d not in points:
         raise DomainError("a staircase must contain the origin")
-    for alpha in points:
-        for k in range(d):
-            if alpha[k] and alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :] not in points:
-                raise DomainError(f"staircase is not an order ideal below {alpha}")
+    _require_order_ideal(points, d, "staircase is not an order ideal")
     unordered = list(points)
     basis = [unordered[i] for i in np.argsort(graded_rank(np.array(unordered)))]
     positions = {alpha: i for i, alpha in enumerate(basis)}
@@ -361,6 +330,15 @@ def staircase_model(d: int, staircase) -> RowTuple:
             if i is not None:
                 mats[k, i, j] = da_monomial_norm(beta) / da_monomial_norm(alpha)
     return RowTuple(mats)
+
+
+def _require_order_ideal(points, d: int, failure: str) -> None:
+    """Raise ``DomainError(failure)`` at a point one step above a point not in ``points``."""
+    members = set(points)
+    for alpha in points:
+        for k in range(d):
+            if alpha[k] and alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :] not in members:
+                raise DomainError(f"{failure} below {alpha}")
 
 
 def annihilators_equal(
@@ -394,41 +372,42 @@ def quotient_algebra(
     :func:`_quotient` on ``W*``, ``W`` an orthonormal basis of the complement
     of ``span(ann)``; ``W*`` has norm 1, so the cutoff is ``rank_rel_tol``.
     """
-    return _quotient(ann, cokernel_basis(ann.coefficients, tol).conj().T, 1.0, tol)
+    return _quotient(ann.d, ann.degree_bound, cokernel_basis(ann.coefficients, tol).conj().T, tol)
 
 
 def quotient_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> QuotientAlgebra:
     """:func:`_quotient` on the orbit matrix ``[T^alpha G]``, computed once per tolerance.
 
-    Its ``sigma_max`` comes from the SVD that found the annihilator.
+    No kernel is taken: the quotient needs the matrix, its ``sigma_max`` and its rank.
     """
 
     def compute() -> QuotientAlgebra:
-        ann = annihilator(t, tol)
-        return _quotient(ann, _generator_orbits(t, tol), _orbit_kernel(t, tol)[1], tol)
+        return _quotient(t.d, nilpotency_index(t, tol=tol), _generator_orbits(t, tol), tol)
 
     return t.memo(("quotient", tol), compute)
 
 
-def _quotient(
-    ann: AnnihilatorBasis, e: np.ndarray, norm: float, tol: ToleranceConfig
-) -> QuotientAlgebra:
+def _quotient(d: int, m: int, e: np.ndarray, tol: ToleranceConfig) -> QuotientAlgebra:
     """Standard monomials ``S``, normal form and multiplication table of the quotient.
 
     ``e`` represents the quotient map on ``C[x]_{<=m}``: one column per graded
-    monomial, kernel ``span(ann)``.  In graded order, ``x^alpha`` joins ``S``
-    when its column's residual against those of ``S`` (two Gram-Schmidt
-    passes) exceeds ``rank_rel_tol * sigma_max(e)``, the rule of
-    ``rank_and_kernel``.  A column at or below that cutoff has normal form
-    exactly zero, any other solves ``e_S c = e[:, beta]`` in least squares.
+    monomial, kernel the annihilator slice.  In graded order, ``x^alpha``
+    joins ``S`` when its column's residual against those of ``S`` (two
+    Gram-Schmidt passes) exceeds ``rank_rel_tol * sigma_max(e)``, the rule of
+    ``rank_and_kernel``, read with the rank of ``e`` off its singular values.
+    ``S`` must have that many monomials and, as the standard set of a term
+    order in exact arithmetic, be an order ideal.  A column at or below the
+    cutoff has normal form exactly zero, any other solves
+    ``e_S c = e[:, beta]`` in least squares.
     """
-    monomials = ann.monomials()
+    monomials = graded_indices(d, m)
     n = len(monomials)
-    cutoff = tol.rank_rel_tol * norm
     with np.errstate(over="ignore", invalid="ignore"):
         lengths = np.linalg.norm(e, axis=0)
     if not np.isfinite(lengths).all():
         raise DomainError("the orbit norms overflow: the tuple's norm is too large")
+    s = singular_values(e)
+    cutoff = tol.rank_rel_tol * (s[0] if s.size else 0.0)
     frame = np.zeros((n, e.shape[0]), dtype=np.complex128)  # rows: the standard columns
     rows, live = [], []  # S, and the other columns above the cutoff
     for pos in np.flatnonzero(lengths > cutoff):  # no residual outgrows its column
@@ -441,12 +420,14 @@ def _quotient(
         (rows if norm > cutoff else live).append(int(pos))
 
     delta = len(rows)
-    # an ann that merely spans the slice is checked against the rank of e instead
-    if delta + ann.coefficients.shape[1] != n and delta != numerical_rank(e, tol):
+    if delta != _rank_from_singular_values(s, tol):
         raise DomainError(
             "annihilator span and monomial classes do not fill the slice; "
             "the basis is numerically degenerate"
         )
+    basis = tuple(monomials[i] for i in rows)
+    failure = "the cutoff outgrows the low orbits: the standard monomials are not an order ideal"
+    _require_order_ideal(basis, d, failure)
     standard = np.array(rows, dtype=np.intp)
     reducer = np.zeros((delta, n), dtype=np.complex128)
     reducer[np.arange(delta), standard] = 1.0
@@ -454,7 +435,7 @@ def _quotient(
         reducer[:, live] = np.linalg.lstsq(e[:, standard], e[:, live], rcond=None)[0]
     standard.setflags(write=False)
     reducer.setflags(write=False)
-    return QuotientAlgebra(tuple(monomials[i] for i in rows), delta, ann, standard, reducer)
+    return QuotientAlgebra(basis, delta, d, m, standard, reducer)
 
 
 def omega_e(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> set[tuple[int, ...]]:
@@ -511,9 +492,8 @@ def _model_graph(q: QuotientAlgebra) -> ModelSpace:
     monomial ideal has the 0/1 graph with ``Y_S = I``, so ``R = I``, every
     step is exact and the frame is the 0/1 staircase columns.
     """
-    ann = q._ann
-    m = ann.degree_bound
-    monomials = ann.monomials()
+    m = q.degree_bound
+    monomials = graded_indices(q.d, m)
     for i, alpha in enumerate(monomials):
         if sum(alpha) == m and q._reducer[:, i].any():  # standard, or a nonzero normal form
             raise DomainError(
@@ -530,7 +510,7 @@ def _model_graph(q: QuotientAlgebra) -> ModelSpace:
         graph = np.linalg.solve(r.T, graph.T).T
     frame = _fix_phases(graph[:, ::-1])
     frame.setflags(write=False)
-    return ModelSpace(d=ann.d, degree_cap=m, frame=frame)
+    return ModelSpace(d=q.d, degree_cap=m, frame=frame)
 
 
 def _fix_phases(x: np.ndarray) -> np.ndarray:
@@ -561,5 +541,9 @@ def model_tuple(space: ModelSpace) -> RowTuple:
 
 def model_of(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[ModelSpace, RowTuple]:
     """Model space of ``Ann(T)`` and its model tuple, computed once per tolerance."""
-    space = t.memo(("model_space", tol), lambda: _model_graph(quotient_of(t, tol)))
-    return space, t.memo(("model_tuple", tol), lambda: model_tuple(space))
+
+    def compute() -> tuple[ModelSpace, RowTuple]:
+        space = _model_graph(quotient_of(t, tol))
+        return space, model_tuple(space)
+
+    return t.memo(("model", tol), compute)

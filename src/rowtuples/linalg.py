@@ -17,12 +17,12 @@ cutoff as their ``floor``.  Iteration budgets and the frame tolerance of
 subspace and ideal equality are private constants.
 
 Each decision computes only the factors it returns.  ``numerical_rank``
-needs singular values alone.  ``rank_and_kernel`` needs the right singular
-vectors too, but never the left ones: a tall matrix is first reduced to
-the square triangular factor ``R`` of its QR decomposition
-(``numpy.linalg.qr`` in mode ``"r"``), which has the same singular values
-and right singular vectors (the R-SVD of T. F. Chan, ACM TOMS 8(1), 1982),
-so no factor as tall as the input is ever formed.
+needs singular values alone (``singular_values``).  ``rank_and_kernel``
+needs the right singular vectors too, but never the left ones: a tall
+matrix is first reduced to the square triangular factor ``R`` of its QR
+decomposition (``numpy.linalg.qr`` in mode ``"r"``), which has the same
+singular values and right singular vectors (the R-SVD of T. F. Chan,
+ACM TOMS 8(1), 1982), so no factor as tall as the input is ever formed.
 ``cokernel_basis`` needs the left singular vectors instead, and takes them
 from one SVD of the matrix itself, not of its adjoint.
 
@@ -60,6 +60,7 @@ __all__ = [
     "norm_at_most",
     "in_span",
     "rank_and_kernel",
+    "singular_values",
     "numerical_rank",
     "kernel_basis",
     "cokernel_basis",
@@ -236,29 +237,25 @@ def rank_and_kernel(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, np.ndar
     formed.  A wide ``a`` gets a full SVD directly, since its kernel needs
     all of ``vh`` and its left factor is only ``nrows x nrows``.
     """
-    rank, kernel, _ = _rank_kernel_norm(a, tol)
-    return rank, kernel
-
-
-def _rank_kernel_norm(a, tol: ToleranceConfig) -> tuple[int, np.ndarray, float]:
-    """:func:`rank_and_kernel` and ``sigma_max``, read off the same SVD."""
     m = as_matrix(a)
     nrows, ncols = m.shape
     if m.size == 0:
-        return 0, np.eye(ncols, dtype=np.complex128), 0.0
+        return 0, np.eye(ncols, dtype=np.complex128)
     if nrows > ncols:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     rank = _rank_from_singular_values(s, tol)
-    return rank, vh[rank:].conj().T, float(s[0])
+    return rank, vh[rank:].conj().T
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values of ``a``, descending, from an SVD without factors."""
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL, *, floor: float = 0.0) -> int:
     """Count of singular values of ``a`` above ``rank_rel_tol * sigma_max`` and ``floor``."""
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0
-    return _rank_from_singular_values(np.linalg.svd(m, compute_uv=False), tol, floor)
+    return _rank_from_singular_values(singular_values(a), tol, floor)
 
 
 def kernel_basis(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -341,11 +341,6 @@ _CLUSTER_GAP = 1e-6
 _LIFT_TOL = ToleranceConfig(rank_rel_tol=1e-7)
 
 
-def _commutant(t: RowTuple, tol: ToleranceConfig) -> tuple:
-    """Basis of the commutant ``{X : X T_k = T_k X}``, computed once per tolerance."""
-    return t.memo(("commutant", tol), lambda: intertwiner_space(t, t, tol).basis)
-
-
 def decomposition_exists(
     t: RowTuple, *, tol: ToleranceConfig = DEFAULT_TOL
 ) -> DecompositionReport:
@@ -363,13 +358,13 @@ def decomposition_exists(
     Newton iteration ``e ← 3e² − 2e³`` lifts it to an idempotent of ``C``
     (Friedl & Rónyai, STOC 1985).  Raises :class:`WitnessSearchError` when
     the lifted idempotent fails its certificate.  The tuple keeps the
-    report and the commutant per ``tol``.
+    report per ``tol``.
     """
     return t.memo(("decomposition", tol), lambda: _decomposition_report(t, tol))
 
 
 def _decomposition_report(t: RowTuple, tol: ToleranceConfig) -> DecompositionReport:
-    basis = _commutant(t, tol)
+    basis = intertwiner_space(t, t, tol).basis
     r = len(basis)
     if r == 0:
         return DecompositionReport(False, 0, 0, None)

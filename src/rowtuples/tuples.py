@@ -39,6 +39,7 @@ from .errors import (
 from .linalg import (
     _ITER_TOL,
     _MAX_ITER,
+    _rank_from_singular_values,
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
@@ -47,12 +48,13 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     psd_below_identity,
+    singular_values,
     zero_cutoff,
 )
 from .polynomials import Polynomial, graded_positions, indices_of_degree
 
 __all__ = ["RowTuple", "TupleReport", "validate", "purity", "nilpotency_index",
-           "require_commuting", "poly_eval"]
+           "require_commuting", "poly_eval", "orbit_matrix"]
 
 
 class RowTuple:
@@ -152,29 +154,47 @@ def _orbit_step(t: RowTuple, prev: np.ndarray, degree: int) -> np.ndarray:
     """
     count, plan = _graded_step(t.d, degree)
     out = np.empty((prev.shape[0], count, prev.shape[2]), dtype=np.complex128)
-    for var, slots, sources in plan:
-        block = prev[:, sources]
-        n, run, k = block.shape
-        out[:, slots] = (t.mats[var] @ block.reshape(n, run * k)).reshape(block.shape)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for var, slots, sources in plan:
+            block = prev[:, sources]
+            n, run, k = block.shape
+            out[:, slots] = (t.mats[var] @ block.reshape(n, run * k)).reshape(block.shape)
+    return _finite(out)
 
 
-def _orbits(t: RowTuple, v: np.ndarray, monomials) -> np.ndarray:
-    """``T^alpha V`` for each exponent of ``monomials``, stacked as ``(n, len, k)``.
+def _finite(product: np.ndarray) -> np.ndarray:
+    """``product`` if finite: a product that overflowed cannot be tested for zero."""
+    if not np.isfinite(product).all():
+        raise DomainError("the orbit products overflow: the tuple's norm is too large")
+    return product
 
-    ``V`` is ``n x k``.  :func:`_orbit_step` builds every degree up to the
-    largest wanted one, and the wanted blocks are picked from them.
+
+def _columns(blocks: np.ndarray) -> np.ndarray:
+    """Blocks stacked as ``(n, N, k)`` as the ``n·k x N`` matrix of flattened blocks."""
+    n, count, k = blocks.shape
+    return blocks.transpose(1, 0, 2).reshape(count, n * k).T
+
+
+def orbit_matrix(t: RowTuple, vectors, monomials) -> np.ndarray:
+    """One column ``T^alpha V`` per exponent ``alpha`` of ``monomials``.
+
+    ``vectors`` is one vector or an ``n x k`` matrix ``V``; each column of
+    the result is ``T^alpha V`` flattened row-major, so it has ``n * k``
+    rows.  :func:`_orbit_step` builds every degree up to the largest in
+    ``monomials``, and the wanted blocks are picked from them; no power
+    ``T^alpha`` is formed.
     """
+    v = np.asarray(vectors, dtype=np.complex128)
     wanted = [tuple(int(a) for a in alpha) for alpha in monomials]
     for alpha in wanted:
         if len(alpha) != t.d or any(a < 0 for a in alpha):
             raise ShapeError(f"bad exponent tuple {alpha} for d={t.d}")
     top = max(map(sum, wanted), default=0)
-    levels = [v[:, None, :]]
+    levels = [v[:, None, None] if v.ndim == 1 else v[:, None, :]]
     for degree in range(1, top + 1):
         levels.append(_orbit_step(t, levels[-1], degree))
     positions = graded_positions(t.d, top)
-    return np.concatenate(levels, axis=1)[:, [positions[alpha] for alpha in wanted]]
+    return _columns(np.concatenate(levels, axis=1)[:, [positions[alpha] for alpha in wanted]])
 
 
 def _vanishing(level: np.ndarray, cutoff: float) -> np.ndarray:
@@ -208,7 +228,8 @@ def _power_index(t: RowTuple, start: int, cutoff: float) -> tuple[int | None, li
     levels: list[np.ndarray] = []
     for degree in range(1, t.dim + 2):
         if not levels:
-            powers = [m @ power for m, power in zip(t.mats, powers)]  # T_k^degree
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = [_finite(m @ power) for m, power in zip(t.mats, powers)]  # T_k^degree
             if degree < start or not all(norm_at_most(p, cutoff) for p in powers):
                 continue
             levels = [np.eye(t.dim, dtype=np.complex128)[:, None, :]]
@@ -249,9 +270,10 @@ def _orbit_certificate(
     below = np.concatenate(below, axis=1).reshape(t.dim, -1)
     top = levels[index] / cutoff  # columns of norm at most 1: no square overflows
     top = (top.real**2 + top.imag**2).sum(axis=0).max(initial=0.0)
-    if numerical_rank(below, tol, floor=math.sqrt(top * below.shape[1])) == t.dim:
+    s = singular_values(below)
+    if _rank_from_singular_values(s, tol, math.sqrt(top * below.shape[1])) == t.dim:
         return True
-    if numerical_rank(below, tol) == t.dim:
+    if _rank_from_singular_values(s, tol) == t.dim:
         return None
     w = cokernel_basis(below, tol)
     rows = [w.conj().T @ m for m in t.mats]  # W* T_k
@@ -266,14 +288,14 @@ def _orbit_certificate(
 class _NakayamaPass:
     """Outcome of :func:`_nakayama_pass`; the arrays are read-only.
 
-    ``blocks[:, i]`` is ``T^alpha G`` for the ``i``-th exponent of
-    ``graded_indices(d, index)`` and ``zero[i]`` its zero verdict; both are
+    ``orbits[:, i]`` is ``T^alpha G`` flattened, for the ``i``-th exponent of
+    ``graded_indices(d, index)``, and ``zero[i]`` its zero verdict; both are
     empty when ``index`` is ``None``.
     """
 
     generators: np.ndarray
     index: int | None
-    blocks: np.ndarray
+    orbits: np.ndarray
     zero: np.ndarray
 
 
@@ -334,8 +356,9 @@ def _nakayama_pass(t: RowTuple, tol: ToleranceConfig) -> _NakayamaPass:
         if powers and index:
             # the verdicts of the powers that decided, as T^alpha G = 0 need not mean T^alpha = 0
             zeros = [_vanishing(level, cutoff) for level in powers]
-        out = _NakayamaPass(gens, index, np.concatenate(levels, axis=1), np.concatenate(zeros))
-        for a in (out.generators, out.blocks, out.zero):
+        orbits = _columns(np.concatenate(levels, axis=1))
+        out = _NakayamaPass(gens, index, orbits, np.concatenate(zeros))
+        for a in (out.generators, out.orbits, out.zero):
             a.setflags(write=False)
         return out
 
@@ -381,7 +404,7 @@ def require_commuting(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> None:
 
 
 def validate(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> TupleReport:
-    """Full basic analysis of a tuple; never raises on mathematical grounds."""
+    """Full basic analysis of a tuple; only products that overflow make it raise."""
     commuting = _commuting(t, tol)
     gram = t.row_gram()
     row_contraction = psd_below_identity(gram, tol)

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -8,10 +10,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rowtuples
 from rowtuples.cli import main
-from rowtuples.fixtures import jordan, maxcount
+from rowtuples.fixtures import jordan, maxcount, rectangle
 from rowtuples.fock import truncated_multiplier_norm
 from rowtuples.polynomials import parse_polynomial
 from rowtuples.serialize import (
@@ -23,6 +27,7 @@ from rowtuples.serialize import (
     vector_to_json,
 )
 from rowtuples.errors import ShapeError
+from rowtuples.sweeps import cyclic_instance
 
 
 def run(capsys, *argv):
@@ -219,6 +224,38 @@ class TestCheck:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "overflow" in err
 
+    @pytest.mark.parametrize(
+        "command", ["check", "ann", "model", "cyclic", "separating", "transform"]
+    )
+    def test_overflowing_orbit_products_are_an_error(self, capsys, tmp_path, command):
+        # 2^250 J_6: the degree-5 orbit entries pass 2^1024 and overflow
+        from rowtuples.tuples import RowTuple
+
+        t = RowTuple([2.0**250 * m for m in jordan(6).mats])
+        path = write_json(tmp_path, "t.json", tuple_to_json(t))
+        code, out, err = run(capsys, command, "--input", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: the orbit products overflow") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [
+            [(2.0**10 * jordan(6).mats[0].real).tolist()],
+            [[[0, 1e9], [0, 0]], [[0, 0], [0, 0]]],
+        ],
+    )
+    def test_standard_monomials_off_an_order_ideal_are_refused(self, capsys, tmp_path, matrices):
+        # the rank cutoff outgrows the orbits of low degree, so S would lose 1
+        doc = {"d": len(matrices), "dim": len(matrices[0]), "matrices": matrices}
+        path = write_json(tmp_path, "t.json", doc)
+        code, rep, _ = run_json(capsys, "check", "--input", path)
+        assert code == 0 and rep["results"]["nilpotent"] == len(matrices[0])
+        for command in ("ann", "model"):
+            code, out, err = run(capsys, command, "--input", path)
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert "the standard monomials are not an order ideal below" in err
+            assert err.count("\n") == 1
+
 
 class TestAnnAndModel:
     def test_ann_maxcount(self, capsys):
@@ -382,18 +419,20 @@ class TestTransform:
         assert r["rank"] == 3
 
     def test_annihilator_computed_once(self, capsys, monkeypatch):
+        # at most once, and in fact never: the model comes from the quotient alone
         calls = count_annihilator_calls(monkeypatch)
         code, rep, _ = run_json(capsys, "transform", "--fixture", "rectangle(3,3)")
         assert code == 0
         assert rep["results"]["model_dim"] == 9
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_sweep_computes_annihilator_once_per_instance(self, capsys, monkeypatch):
+        # at most once per instance, and in fact never
         calls = count_annihilator_calls(monkeypatch)
         code, rep, _ = run_json(capsys, "sweep", "--suite", "transform", "--count", "3")
         assert code == 0
         assert rep["results"]["suites"][0]["passed"] == 3
-        assert len(calls) == 3
+        assert len(calls) == 0
 
     def test_noncyclic_is_inapplicable(self, capsys):
         code, _, err = run(capsys, "transform", "--fixture", "maxcount")
@@ -407,6 +446,108 @@ class TestTransform:
         assert code == 2
         assert out == ""
         assert err.startswith("inapplicable:") and "commut" in err
+
+
+class TestAnnihilatorKernel:
+    """The quotient, the model and the witnesses need no kernel of the orbit
+    matrix; only the comparison of two ideals does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ann", "--fixture", "rectangle(3,3)"),
+            ("model", "--fixture", "rectangle(2,3,2)"),
+            ("transform", "--fixture", "jordan(4)"),
+            ("separating", "--fixture", "maxcount"),
+            ("sweep", "--suite", "greedy", "--count", "3"),
+            ("sweep", "--suite", "transform", "--count", "3"),
+        ],
+    )
+    def test_commands_without_a_comparison_take_no_kernel(self, capsys, monkeypatch, argv):
+        calls = count_annihilator_calls(monkeypatch)
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert calls == []
+
+    def test_rigidity_and_split_compute_each_annihilator_once(self, capsys, tmp_path, monkeypatch):
+        calls = count_annihilator_calls(monkeypatch)
+        subspaces = {"m": [[1, 0], [0, 1], [0, 0]], "n": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+        pair = write_json(tmp_path, "r.json", subspaces)
+        code, _, _ = run_json(capsys, "rigidity", "--fixture", "maxcount", "--input", pair)
+        assert code == 0
+        assert len(calls) == len({id(args[0]) for args in calls}) == 2
+        calls.clear()
+        split = write_json(
+            tmp_path, "s.json", {"tuple": TWO_CELLS, "m": [[1, 0], [0, 1], [0, 0], [0, 0]]}
+        )
+        code, _, _ = run_json(capsys, "split", "--input", split)
+        assert code == 0
+        assert len(calls) == len({id(args[0]) for args in calls}) == 2
+
+    def test_quotient_takes_one_singular_value_svd_of_the_orbit_matrix(self, monkeypatch):
+        import rowtuples.ideals as ideals
+        from rowtuples.sweeps import random_similarity
+
+        shapes = []
+
+        def recording(a, _real=ideals.singular_values):
+            shapes.append(np.shape(a))
+            return _real(a)
+
+        monkeypatch.setattr(ideals, "singular_values", recording)
+        t = random_similarity(np.random.default_rng(7), rectangle(3, 2))
+        assert rowtuples.quotient_of(t).dim == 6
+        mu = rowtuples.nakayama_generators(t).shape[1]
+        index = rowtuples.nilpotency_index(t)
+        assert shapes == [(t.dim * mu, math.comb(index + t.d, t.d))]
+
+
+class TestScaledTuples:
+    """``ann`` on ``2^e T``: scaling by a power of two is exact, so only the
+    tolerance's view of the orbits changes with ``e``."""
+
+    BASES = {
+        "jordan(6)": lambda seed: jordan(6),
+        "rectangle(3,3)": lambda seed: rectangle(3, 3),
+        "cyclic_instance": lambda seed: cyclic_instance(np.random.default_rng(seed)),
+    }
+
+    @given(
+        e=st.integers(-40, 260),
+        base=st.sampled_from(sorted(BASES)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(e=10, base="jordan(6)", seed=0)
+    @example(e=250, base="jordan(6)", seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_ann_is_an_order_ideal_or_one_error_line(self, tmp_path_factory, e, base, seed):
+        # every failure reaches the user as one line; a RuntimeWarning is an
+        # error here (pyproject.toml), so none may escape main either
+        from rowtuples.tuples import RowTuple
+
+        t = RowTuple([2.0**e * m for m in self.BASES[base](seed).mats])
+        path = tmp_path_factory.getbasetemp() / "scaled.json"
+        path.write_text(json.dumps(tuple_to_json(t)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ann", "--input", str(path), "--json"])
+        if code == 0:
+            report = json.loads(out.getvalue())
+            basis = {tuple(alpha) for alpha in report["results"]["monomial_basis"]}
+            assert (0,) * t.d in basis
+            for alpha in basis:
+                for k in range(t.d):
+                    assert not alpha[k] or alpha[:k] + (alpha[k] - 1,) + alpha[k + 1 :] in basis
+            return
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        if code == 2 and base == "cyclic_instance":
+            # a random similarity keeps roundoff orbits of size eps·2^(e·|alpha|)
+            # that the cutoff, linear in 2^e, never calls zero: the index of a
+            # scaled tuple is overestimated (ROADMAP, scale-dependent nilpotency)
+            assert lines[0].startswith("inapplicable: no vanishing degree")
+            return
+        assert code == 1 and lines[0].startswith("error:")
 
 
 class TestRigidityAndSplit:
@@ -693,11 +834,11 @@ class TestSweepCommand:
         ]
 
     def test_greedy_analyses_each_instance_once(self, capsys, monkeypatch):
-        # the sweep and separating_greedy share one annihilator and one quotient
+        # the sweep and separating_greedy share one quotient, and take no kernel for it
         import rowtuples.ideals as ideals
 
         calls = []
-        for name in ("_rank_kernel_norm", "_quotient"):
+        for name in ("_annihilator", "_quotient"):
 
             def recording(*args, _real=getattr(ideals, name), _name=name, **kwargs):
                 calls.append(_name)
@@ -707,7 +848,7 @@ class TestSweepCommand:
         code, rep, _ = run_json(capsys, "sweep", "--suite", "greedy", "--count", "3")
         assert code == 0
         assert rep["results"]["suites"][0]["passed"] == 3
-        assert sorted(calls) == ["_quotient"] * 3 + ["_rank_kernel_norm"] * 3
+        assert calls == ["_quotient"] * 3
 
 
 class TestNoRandomDraws:

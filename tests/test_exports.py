@@ -58,6 +58,19 @@ def test_rank_decisions_go_through_linalg(name):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in ("linalg", "sweeps")])
+def test_svds_go_through_linalg(name):
+    # every rank cutoff is then one of linalg's; the sweeps' own checks keep
+    # an SVD of their own, so that they stay independent of the library
+    path = pathlib.Path(rowtuples.__file__).with_name(f"{name}.py")
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "svd"
+    ]
+    assert calls == []
+
+
 def _callee(call: ast.Call) -> str | None:
     func = call.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)

@@ -233,8 +233,10 @@ class TestMemoizedVerdicts:
         calls = []
         for module, name in [
             (tuples, "norm_at_most"),
-            (ideals, "_rank_kernel_norm"),
+            (ideals, "kernel_basis"),
+            (ideals, "singular_values"),
             (ideals, "quotient_algebra"),
+            (ideals, "_model_graph"),
             (ideals, "model_space"),
             (ideals, "model_tuple"),
             (subspaces, "intertwiner_space"),
@@ -268,7 +270,7 @@ class TestMemoizedVerdicts:
             *model.mats,
             *u.adjoint().mats,
             report.idempotent,
-            *subspaces._commutant(u, linalg.DEFAULT_TOL),
+            tuples._nakayama_pass(u, linalg.DEFAULT_TOL).orbits,
         ]
         assert report.exists
         assert not any(a.flags.writeable for a in arrays)
