@@ -26,9 +26,6 @@ from .errors import (
 from .fixtures import build, fixture_catalog, fromgriff, jordan, maxcount, model, rectangle
 from .fock import (
     TruncatedDA,
-    TruncatedFock,
-    creation_matrix,
-    creation_targets,
     da_kernel,
     da_monomial_norm,
     multiplication_matrix,

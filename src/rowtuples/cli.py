@@ -350,7 +350,7 @@ def _cmd_fock(args):
         "d": p.d,
         "degrees": list(range(1, top + 1)),
         "norms": norms,
-        "nondecreasing": all(b >= a - 1e-12 for a, b in zip(norms, norms[1:])),
+        "nondecreasing": all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:])),
     }
     return results, [], EXIT_OK
 

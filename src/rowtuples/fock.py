@@ -1,22 +1,20 @@
-"""Truncated symmetric and full Fock spaces and their canonical operators.
+"""The truncated symmetric Fock space and its canonical operators.
 
-Two finite-dimensional coordinate models are used throughout:
+``TruncatedDA`` holds the polynomials of degree at most ``N`` inside the
+Drury-Arveson space ``H^2_d``, the symmetric Fock space over ``C^d``, in
+the orthonormal basis of weighted monomials ``x^a / ||x^a||`` with
+``||x^a||^2 = a! / |a|!``.  For commuting tuples, the only ones the
+package analyses, this is the one Fock space needed: the compression of
+the full Fock space's left creation operator ``L_k`` to it is the shift
+``M_{x_k}`` (Arveson, Acta Math. 1998).
 
-* ``TruncatedDA`` — polynomials of degree at most ``N`` inside the
-  Drury-Arveson space ``H^2_d``, in the orthonormal basis of weighted
-  monomials ``x^a / ||x^a||`` with ``||x^a||^2 = a! / |a|!``.
-* ``TruncatedFock`` — the span of words of length at most ``N`` in the
-  full Fock space over ``C^d``, in the orthonormal word basis.
+The basis follows the graded order of :mod:`rowtuples.polynomials`, so
+degree truncation is always compression onto a leading block of
+coordinates.  Operators that raise the degree past the cap are
+compressed: the lost component is simply dropped.
 
-Both use the graded orders of :mod:`rowtuples.polynomials`, so degree
-truncation is always compression onto a leading block of coordinates.
-Operators that raise the degree past the cap are compressed: the lost
-component is simply dropped.
-
-Positions are computed, not looked up.  A word's position is the number of
-shorter words plus its base-``d`` rank, and the left creation operator is
-the index map :func:`creation_targets`; :func:`creation_matrix` is its
-dense form.  The multiplier norms take the dense matrix up to
+Positions are computed, not looked up (:func:`graded_rank`).  The
+multiplier norms take the dense matrix up to
 ``linalg._DENSE_SVD_LIMIT`` coordinates, where ``operator_norm`` runs a
 full SVD anyway, and import ``scipy.sparse`` only for larger caps, where
 its Lanczos runs at a fixed accuracy: they take no tolerance.
@@ -32,31 +30,16 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .linalg import _DENSE_SVD_LIMIT, as_vector, operator_norm
-from .polynomials import Polynomial, graded_indices, graded_rank, graded_words, multinomial
+from .polynomials import Polynomial, graded_indices, graded_rank, multinomial
 
 __all__ = [
     "TruncatedDA",
-    "TruncatedFock",
     "da_monomial_norm",
     "da_kernel",
     "multiplication_matrix",
     "truncated_multiplier_norm",
     "truncated_multiplier_norms",
-    "creation_matrix",
-    "creation_targets",
 ]
-
-
-def _word_offset(d: int, length: int) -> int:
-    """Number of words shorter than ``length``: the graded position of the first one."""
-    return length if d == 1 else (d**length - 1) // (d - 1)
-
-
-def _check_space_params(d: int, cap: int):
-    if d < 1:
-        raise ShapeError(f"need at least one variable, got d={d}")
-    if cap < 0:
-        raise ShapeError(f"degree cap must be nonnegative, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +50,10 @@ class TruncatedDA:
     max_degree: int
 
     def __post_init__(self):
-        _check_space_params(self.d, self.max_degree)
+        if self.d < 1:
+            raise ShapeError(f"need at least one variable, got d={self.d}")
+        if self.max_degree < 0:
+            raise ShapeError(f"degree cap must be nonnegative, got {self.max_degree}")
 
     @property
     def dim(self) -> int:
@@ -99,43 +85,6 @@ class TruncatedDA:
         for alpha, c in p.coeffs.items():
             vec[self.position(alpha)] = c * da_monomial_norm(alpha)
         return vec
-
-
-@dataclass(frozen=True)
-class TruncatedFock:
-    """Words of length at most ``max_length`` in the full Fock space."""
-
-    d: int
-    max_length: int
-
-    def __post_init__(self):
-        _check_space_params(self.d, self.max_length)
-
-    @property
-    def dim(self) -> int:
-        return _word_offset(self.d, self.max_length + 1)
-
-    def basis(self) -> list[tuple[int, ...]]:
-        """Words in graded order; the empty word (vacuum) comes first."""
-        return graded_words(self.d, self.max_length)
-
-    def position(self, word: tuple[int, ...]) -> int:
-        """Index of ``word`` in :meth:`basis`.
-
-        The number of shorter words plus the word's rank among those of its
-        length, its letters read as base-``d`` digits.  A letter outside
-        ``1..d`` or a word longer than the cap raises ``ShapeError``.
-        """
-        word = tuple(word)
-        letters = range(1, self.d + 1)
-        if len(word) > self.max_length or not all(a in letters for a in word):
-            raise ShapeError(
-                f"{word} is not a word over 1..{self.d} of length at most {self.max_length}"
-            )
-        rank = 0
-        for a in word:
-            rank = rank * self.d + int(a) - 1
-        return _word_offset(self.d, len(word)) + rank
 
 
 def da_monomial_norm(alpha: tuple[int, ...]) -> float:
@@ -272,33 +221,3 @@ def truncated_multiplier_norms(p: Polynomial, max_degree: int) -> list[float]:
     full = _multiplier_operand(p, TruncatedDA(p.d, max_degree))
     sizes = (TruncatedDA(p.d, n).dim for n in range(1, max_degree + 1))
     return [operator_norm(full[:k, :k]) for k in sizes]
-
-
-def creation_targets(k: int, space: TruncatedFock) -> np.ndarray:
-    """Where the left creation operator ``e_w -> e_{kw}`` sends each word.
-
-    Entry ``j`` is the position of ``(k, *w)`` for the word ``w`` at
-    position ``j``.  The words below the cap fill the leading
-    ``_word_offset(d, max_length)`` positions, so the result has one entry
-    for each of them; the words at the cap, which the truncation sends to
-    zero, come after and get none.  For ``w`` of length ``l`` the target is
-    ``offset(l + 1) + (k - 1) d^l + (j - offset(l)) = j + k d^l``, with
-    ``offset`` as in :meth:`TruncatedFock.position`.  ``k`` is 1-based.
-    """
-    if not 1 <= k <= space.d:
-        raise ShapeError(f"creation index {k} out of range for d={space.d}")
-    counts = space.d ** np.arange(space.max_length, dtype=np.int64)  # words of each length
-    return np.arange(int(counts.sum()), dtype=np.int64) + k * np.repeat(counts, counts)
-
-
-def creation_matrix(k: int, space: TruncatedFock) -> np.ndarray:
-    """Left creation operator ``e_w -> e_{kw}``, compressed to the truncation.
-
-    The dense form of :func:`creation_targets`: column ``j`` holds one 1, in
-    row ``creation_targets(k, space)[j]``, and words of maximal length are
-    sent to zero.  ``k`` is 1-based.
-    """
-    targets = creation_targets(k, space)
-    out = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    out[targets, np.arange(targets.size)] = 1.0
-    return out

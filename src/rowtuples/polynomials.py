@@ -5,9 +5,6 @@ tuples (length ``d``) to complex coefficients; exact-zero coefficients are
 never stored.  Basis enumeration is graded: multi-indices are ordered by
 total degree, then lexicographically with ``x1`` ranked highest, so that
 degree truncation always corresponds to a leading block of the basis.
-
-Words over the alphabet ``{1, .., d}`` (for the noncommutative side) use
-the analogous order: by length, then left-to-right letter comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import product
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -28,9 +24,6 @@ __all__ = [
     "graded_positions",
     "graded_rank",
     "indices_of_degree",
-    "graded_words",
-    "words_of_length",
-    "abelianize",
     "multinomial",
     "Polynomial",
     "parse_polynomial",
@@ -88,29 +81,8 @@ def graded_rank(exps: np.ndarray) -> np.ndarray:
     return rank
 
 
-def words_of_length(d: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Words over ``{1..d}`` of the given length, in dictionary order."""
-    return product(range(1, d + 1), repeat=length)
-
-
-def graded_words(d: int, max_length: int) -> list[tuple[int, ...]]:
-    """All words of length at most ``max_length``, by length then dictionary order."""
-    out: list[tuple[int, ...]] = []
-    for length in range(max_length + 1):
-        out.extend(words_of_length(d, length))
-    return out
-
-
-def abelianize(word: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Letter-count multi-index of a word."""
-    alpha = [0] * d
-    for letter in word:
-        alpha[letter - 1] += 1
-    return tuple(alpha)
-
-
 def multinomial(alpha: tuple[int, ...]) -> int:
-    """Number of words abelianizing to ``alpha``: ``|alpha|! / alpha!``."""
+    """``|alpha|! / alpha!``: the number of words with letter counts ``alpha``."""
     out = math.factorial(sum(alpha))
     for a in alpha:
         out //= math.factorial(a)

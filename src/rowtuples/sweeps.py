@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixtures import rectangle
-from .fock import TruncatedFock, creation_targets
+from .fock import TruncatedDA, multiplication_matrix
 from .ideals import (
     AnnihilatorBasis,
     model_of,
@@ -27,6 +27,7 @@ from .ideals import (
     staircase_model,
 )
 from .linalg import numerical_rank, operator_norm
+from .polynomials import Polynomial
 from .subspaces import (
     SubspaceBasis,
     Verdict,
@@ -362,27 +363,14 @@ def sweep_greedy(seed: int = 0, count: int = 200) -> SweepOutcome:
     return _sweep("greedy", seed, count, case)
 
 
-def _after_creation(y: np.ndarray, k: int, space: TruncatedFock) -> np.ndarray:
-    """``y @ creation_matrix(k, space)``, gathered from the columns of ``y``.
-
-    Column ``j`` of the product is column ``creation_targets(k, space)[j]``
-    of ``y``, and zero for a word at the cap.  A matmul adds exact zeros to
-    that one product, so the two agree entry for entry; only the sign of a
-    zero entry may differ, as the BLAS kernel orders its sums.
-    """
-    targets = creation_targets(k, space)
-    out = np.zeros_like(y)
-    out[:, : targets.size] = y[:, targets]
-    return out
-
-
 def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
     """Quasi-affine witness sweep with Gram and Fock intertwiner checks.
 
-    The Fock check compares ``y L_k`` with ``T_k y`` for the creation
-    operators ``L_k``; ``y L_k`` is gathered from the columns of ``y``
-    (:func:`_after_creation`), so no ``D x D`` operator is formed for the
-    ``D = (d^(m+1) - 1)/(d - 1)`` words.
+    The Fock check compares ``y M_{x_k}`` with ``T_k y`` for the orbit map
+    ``y`` of :func:`~rowtuples.vectors.fock_intertwiner` on the truncated
+    symmetric Fock space, ``C(m + d, d)`` columns at nilpotency index ``m``.
+    The residual has the norm of the full Fock space's word check
+    ``y_w L_k - T_k y_w``: both matrices have the same ``R R*``.
     """
 
     def case(i, rng):
@@ -397,11 +385,9 @@ def sweep_transform(seed: int = 0, count: int = 100) -> SweepOutcome:
         gram = gram_operator(t, xi)
         idx = nilpotency_index(t)
         y = fock_intertwiner(t, xi, idx)
-        fock = TruncatedFock(t.d, idx)
-        fock_res = max(
-            operator_norm(_after_creation(y, k, fock) - t.mats[k - 1] @ y)
-            for k in range(1, t.d + 1)
-        )
+        fock = TruncatedDA(t.d, idx)
+        shifts = (multiplication_matrix(Polynomial.variable(t.d, k), fock) for k in range(1, t.d + 1))
+        fock_res = max(operator_norm(y @ mk - tk @ y) for mk, tk in zip(shifts, t.mats))
         ok = (
             residual < 1e-8
             and full_rank

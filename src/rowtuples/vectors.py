@@ -2,7 +2,7 @@
 
 Krylov subspaces, multiplicity counts, separating-vector certificates and
 a separating set walked from the Nakayama generators, the Gram operator
-of a vector's word orbit, the induced intertwiner from truncated Fock
+of a vector's orbit, the orbit map from the truncated symmetric Fock
 space, and the quasi-affine witness identifying a cyclic nilpotent tuple
 with its model.  Every analysis here is deterministic: none draws random
 numbers.
@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
     WitnessSearchError,
 )
-from .fock import TruncatedFock
+from .fock import TruncatedDA, da_monomial_norm
 from .ideals import _fix_phases, model_of, nakayama_generators, orbit_matrix, quotient_of
 from .linalg import (
     _ITER_TOL,
@@ -32,7 +32,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
 )
-from .polynomials import Polynomial, abelianize
+from .polynomials import Polynomial
 from .subspaces import SubspaceBasis, generated_invariant
 from .tuples import RowTuple, require_commuting
 
@@ -143,7 +143,7 @@ def separating_greedy(
 
 @dataclass(frozen=True)
 class GramReport:
-    """Gram operator of a word orbit with its norm bound."""
+    """Gram operator of an orbit with its norm bound."""
 
     gram: np.ndarray
     bound: float
@@ -158,7 +158,10 @@ def gram_operator(
     For commuting tuples the word sum collapses to multi-index terms with
     multinomial weights, which is exactly the iteration of the completely
     positive map ``Φ(X) = Σ T_k X T_kᴴ`` on ``ξξᴴ``; the sum is finite
-    for nilpotent tuples and truncated at convergence for pure ones.
+    for nilpotent tuples and truncated at convergence for pure ones.  The
+    sum stops once a term's largest entry is at most ``1e-12`` of the
+    partial sum's, a relative test, so ``G`` of ``2^e ξ`` is ``4^e G``
+    exactly.
     """
     v = _check_vector(t, xi)
     require_commuting(t, tol)
@@ -170,7 +173,7 @@ def gram_operator(
             peak = float(np.abs(gram).max())
             if not np.isfinite(peak):
                 raise ConvergenceError("the gram series diverges: a partial sum is not finite")
-            if np.abs(term).max() <= _ITER_TOL * max(1.0, peak):
+            if np.abs(term).max() <= _ITER_TOL * peak:
                 break
             term = sum(mat @ term @ mat.conj().T for mat in t.mats)
         else:
@@ -180,20 +183,24 @@ def gram_operator(
 
 
 def fock_intertwiner(
-    t: RowTuple, xi, max_length: int, tol: ToleranceConfig = DEFAULT_TOL
+    t: RowTuple, xi, max_degree: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
-    """Matrix of ``e_w ↦ T_w ξ`` on the truncated Fock space.
+    """Matrix of the orbit map ``e_α ↦ T^α ξ / ‖x^α‖`` on ``TruncatedDA(d, max_degree)``.
 
-    The tuple commutes, so ``T_w ξ = T^α ξ`` for the letter counts ``α``
-    of the word ``w``, and the columns come from :func:`orbit_matrix`.
-    When ``max_length`` reaches the nilpotency index, the result
-    intertwines the creation operators with the tuple exactly, and its
-    squared norm equals the Gram bound.
+    The columns come from :func:`orbit_matrix`, one per weighted monomial,
+    so there are ``C(max_degree + d, d)`` of them.  The full Fock space's
+    word map ``e_w ↦ T_w ξ`` adds nothing: the tuple commutes, so
+    ``T_w ξ = T^α ξ`` for the letter counts ``α`` of ``w``, and the word
+    map is this one composed with the symmetrization isometry.  When
+    ``max_degree`` reaches the nilpotency index, the result intertwines the
+    shifts ``M_{x_k}`` (:func:`~rowtuples.fock.multiplication_matrix`) with
+    the tuple exactly, and ``Y Y*`` is the Gram operator
+    ``Σ_α (|α|!/α!) T^α ξξ* T^α*`` of :func:`gram_operator`.
     """
     v = _check_vector(t, xi)
     require_commuting(t, tol)
-    words = TruncatedFock(t.d, max_length).basis()
-    return orbit_matrix(t, v, [abelianize(w, t.d) for w in words])
+    basis = TruncatedDA(t.d, max_degree).basis()
+    return orbit_matrix(t, v, basis) / np.array([da_monomial_norm(a) for a in basis])
 
 
 def quasiaffine_witness(t: RowTuple, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -16,10 +16,9 @@ import scipy.linalg
 from rowtuples.fixtures import fromgriff, jordan, maxcount, rectangle
 from rowtuples.fock import (
     TruncatedDA,
-    TruncatedFock,
-    creation_matrix,
     da_kernel,
     da_monomial_norm,
+    multiplication_matrix,
     truncated_multiplier_norm,
 )
 from rowtuples.ideals import (
@@ -221,9 +220,9 @@ def test_criterion_08_gram_intertwiner():
         assert rep.bound <= 1.0 + 1e-8, f"instance {i}: bound {rep.bound:.8f}"
         idx = nilpotency_index(t)
         y = fock_intertwiner(t, xi, idx)
-        fock = TruncatedFock(t.d, idx)
+        fock = TruncatedDA(t.d, idx)
         residual = max(
-            operator_norm(y @ creation_matrix(k, fock) - t.mats[k - 1] @ y)
+            operator_norm(y @ multiplication_matrix(Polynomial.variable(t.d, k), fock) - t.mats[k - 1] @ y)
             for k in range(1, t.d + 1)
         )
         assert residual < 1e-10, f"instance {i}: fock residual {residual:.2e}"

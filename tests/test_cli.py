@@ -28,6 +28,7 @@ from rowtuples.serialize import (
 )
 from rowtuples.errors import ShapeError
 from rowtuples.sweeps import cyclic_instance
+from rowtuples.tuples import RowTuple
 
 
 def run(capsys, *argv):
@@ -549,6 +550,89 @@ class TestScaledTuples:
             return
         assert code == 1 and lines[0].startswith("error:")
 
+    CONTRACT_BASES = {
+        "maxcount": lambda rng: maxcount(),
+        "jordan(6)": lambda rng: jordan(6),
+        "rectangle(3,3)": lambda rng: rectangle(3, 3),
+        "cyclic_instance": lambda rng: cyclic_instance(rng),
+        "zero": lambda rng: RowTuple([np.zeros((int(rng.integers(0, 4)),) * 2)] * 2),
+        "diagonal": lambda rng: RowTuple([np.diag(rng.uniform(0.1, 0.5, 3)) for _ in range(2)]),
+        "non_commuting": lambda rng: RowTuple([[[0, 0.5], [0, 0]], [[0, 0], [0.5, 0]]]),
+    }
+    PAYLOADS = {
+        "check": [None],
+        "model": [None],
+        "transform": [None],
+        "decompose": [None],
+        "cyclic": [None, "vector"],
+        "separating": [None, "vector"],
+        "gram": ["vector"],
+        "split": ["m"],
+        "rigidity": ["invariant", "coinvariant"],
+    }
+
+    @staticmethod
+    def _columns(rng, t, kind):
+        """Columns of a subspace: the whole space, the range of T_1, or random ones."""
+        n = t.dim
+        if kind == "whole":
+            return np.eye(n)
+        if kind == "range":
+            return t.mats[0] if n else np.zeros((0, 1))
+        return rng.standard_normal((n, int(rng.integers(1, n + 1)) if n else 1))
+
+    @given(
+        command=st.sampled_from(sorted(PAYLOADS)),
+        base=st.sampled_from(sorted(CONTRACT_BASES)),
+        e=st.sampled_from([0, 8, -8, 40, -40, 140, 200, -200, 260, -300]),
+        tol=st.sampled_from([None, "1e-3"]),
+        choice=st.integers(0, 1),
+        subspaces=st.tuples(*[st.sampled_from(["whole", "range", "random"])] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        command="rigidity", base="maxcount", e=0, tol=None, choice=0, subspaces=("range", "whole"), seed=0
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tuple_commands_keep_the_exit_contract(
+        self, tmp_path_factory, command, base, e, tol, choice, subspaces, seed
+    ):
+        # exit 0 prints a report and nothing on stderr; rigidity's verdict
+        # exits (2 INAPPLICABLE, 3 THEOREM_VIOLATION) print their report on
+        # stdout only; every other exit prints one error or inapplicable line.
+        # A RuntimeWarning is an error here (pyproject.toml), so none escapes.
+        rng = np.random.default_rng(seed)
+        t0 = self.CONTRACT_BASES[base](rng)
+        t = RowTuple([2.0**e * m for m in t0.mats])
+        doc = {"tuple": tuple_to_json(t)}
+        payloads = self.PAYLOADS[command]
+        payload = payloads[choice % len(payloads)]
+        if payload == "vector":
+            doc["vector"] = vector_to_json(rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim))
+        elif payload == "m":
+            doc["m"] = matrix_to_json(self._columns(rng, t, subspaces[0]))
+        elif payload is not None:
+            doc["variant"] = payload
+            doc["m"], doc["n"] = (matrix_to_json(self._columns(rng, t, kind)) for kind in subspaces)
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--input", str(path), "--json"] + (["--tol", tol] if tol else [])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["command"] == command
+        elif command == "rigidity" and code in (2, 3) and not err.getvalue():
+            verdict = json.loads(out.getvalue())["results"]["verdict"]
+            assert verdict == {2: "INAPPLICABLE", 3: "THEOREM_VIOLATION"}[code]
+        else:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error:" if code == 1 else "inapplicable")
+
 
 class TestRigidityAndSplit:
     def test_consistent_pair(self, capsys, tmp_path):
@@ -737,6 +821,12 @@ class TestFockAndFixtures:
         assert code == 0
         p = parse_polynomial(text, d)
         assert rep["results"]["norms"] == [truncated_multiplier_norm(p, n) for n in range(1, 41)]
+
+    def test_fock_monotonicity_is_judged_relative_to_the_norms(self, capsys):
+        # the Lanczos caps dip by 3.5e-9 at a norm of 1.4e6, 2.5e-15 relative
+        code, rep, _ = run_json(capsys, "fock", "--poly", "1e6*x1 + 1e6*x2", "--degree", "38")
+        assert code == 0
+        assert rep["results"]["nondecreasing"] is True
 
     def test_fock_nonconvergence_exits_1(self, capsys, monkeypatch):
         # caps from 34 up take the Lanczos path, which cannot finish in 1 step

@@ -8,9 +8,6 @@ from rowtuples import fock
 from rowtuples.errors import ConvergenceError, DomainError, ShapeError
 from rowtuples.fock import (
     TruncatedDA,
-    TruncatedFock,
-    creation_matrix,
-    creation_targets,
     da_kernel,
     da_monomial_norm,
     multiplication_matrix,
@@ -20,10 +17,8 @@ from rowtuples.fock import (
 from rowtuples.linalg import _DENSE_SVD_LIMIT, operator_norm, psd_below_identity
 from rowtuples.polynomials import (
     Polynomial,
-    abelianize,
     graded_indices,
     graded_positions,
-    multinomial,
     parse_polynomial,
 )
 
@@ -34,17 +29,17 @@ class TestSpaces:
         assert TruncatedDA(1, 5).dim == 6
         assert TruncatedDA(3, 0).dim == 1
 
-    def test_fock_dimensions(self):
-        assert TruncatedFock(2, 2).dim == 7
-        assert TruncatedFock(1, 4).dim == 5
-        assert TruncatedFock(3, 2).dim == 13
+    def test_fock_dimensions(self, word_fock):
+        # the word reference has (d^(N+1) - 1)/(d - 1) coordinates
+        assert word_fock(2, 2).dim == 7
+        assert word_fock(1, 4).dim == 5
+        assert word_fock(3, 2).dim == 13
 
-    def test_basis_orders_are_graded(self):
+    def test_basis_orders_are_graded(self, word_fock):
         da = TruncatedDA(2, 3)
         degrees = [sum(a) for a in da.basis()]
         assert degrees == sorted(degrees)
-        fo = TruncatedFock(2, 3)
-        lengths = [len(w) for w in fo.basis()]
+        lengths = [len(w) for w in word_fock(2, 3).basis]
         assert lengths == sorted(lengths)
 
     def test_coordinates_weighted(self):
@@ -61,13 +56,9 @@ class TestSpaces:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_fock_position_is_the_basis_order(self, d):
-        fo = TruncatedFock(d, 4)
-        assert [fo.position(w) for w in fo.basis()] == list(range(fo.dim))
-
-    @pytest.mark.parametrize("word", [(3,), (0,), (1, -1), (1, 2, 1), (1.5,)])
-    def test_fock_position_outside_the_basis_is_refused(self, word):
-        with pytest.raises(ShapeError):
-            TruncatedFock(2, 2).position(word)
+        # the symmetric Fock space's closed-form position follows its basis
+        da = TruncatedDA(d, 4)
+        assert [da.position(alpha) for alpha in da.basis()] == list(range(da.dim))
 
     def test_coordinates_rejects_overflow(self):
         with pytest.raises(ShapeError):
@@ -77,7 +68,7 @@ class TestSpaces:
         with pytest.raises(ShapeError):
             TruncatedDA(0, 2)
         with pytest.raises(ShapeError):
-            TruncatedFock(2, -1)
+            TruncatedDA(2, -1)
 
 
 class TestDaNorm:
@@ -291,79 +282,61 @@ class TestMultiplierNorm:
 
 
 class TestCreation:
-    def test_vacuum_column(self):
-        fo = TruncatedFock(2, 2)
-        l1 = creation_matrix(1, fo)
-        vacuum = np.zeros(fo.dim)
-        vacuum[fo.position(())] = 1.0
-        image = l1 @ vacuum
+    """The word reference's creation operators, which the symmetrization checks use."""
+
+    def test_vacuum_column(self, word_fock):
+        fo = word_fock(2, 2)
+        image = fo.creation(1)[:, fo.basis.index(())]
         expected = np.zeros(fo.dim)
-        expected[fo.position((1,))] = 1.0
+        expected[fo.basis.index((1,))] = 1.0
         assert np.abs(image - expected).max() == 0.0
 
-    def test_top_length_killed(self):
-        fo = TruncatedFock(2, 2)
-        l2 = creation_matrix(2, fo)
-        for w in fo.basis():
+    def test_top_length_killed(self, word_fock):
+        fo = word_fock(2, 2)
+        l2 = fo.creation(2)
+        for j, w in enumerate(fo.basis):
             if len(w) == 2:
-                col = l2[:, fo.position(w)]
-                assert np.abs(col).max() == 0.0
+                assert np.abs(l2[:, j]).max() == 0.0
 
-    def test_row_sum_projection(self):
+    def test_row_sum_projection(self, word_fock):
         # sum_k L_k L_k^* is diagonal: 0 at the vacuum, 1 at nonempty words
-        fo = TruncatedFock(2, 3)
-        gram = sum(
-            creation_matrix(k, fo) @ creation_matrix(k, fo).conj().T for k in (1, 2)
-        )
-        diag = np.array([0.0 if w == () else 1.0 for w in fo.basis()])
+        fo = word_fock(2, 3)
+        gram = sum(fo.creation(k) @ fo.creation(k).T for k in (1, 2))
+        diag = np.array([0.0 if w == () else 1.0 for w in fo.basis])
         assert np.abs(gram - np.diag(diag)).max() < 1e-15
 
-    def test_isometry_below_cap(self):
-        fo = TruncatedFock(2, 3)
-        l1 = creation_matrix(1, fo)
-        prod = l1.conj().T @ l1
-        for w in fo.basis():
-            j = fo.position(w)
+    def test_isometry_below_cap(self, word_fock):
+        fo = word_fock(2, 3)
+        l1 = fo.creation(1)
+        prod = l1.T @ l1
+        for j, w in enumerate(fo.basis):
             expected = 0.0 if len(w) == fo.max_length else 1.0
             assert prod[j, j] == pytest.approx(expected)
 
-    def test_bad_index(self):
-        with pytest.raises(ShapeError):
-            creation_matrix(3, TruncatedFock(2, 2))
-        with pytest.raises(ShapeError):
-            creation_targets(0, TruncatedFock(2, 2))
-
     @pytest.mark.parametrize("d, cap", [(1, 0), (1, 5), (2, 0), (2, 4), (3, 3)])
-    def test_targets_are_the_positions_of_the_extended_words(self, d, cap):
-        fo = TruncatedFock(d, cap)
-        below = [w for w in fo.basis() if len(w) < cap]
+    def test_targets_are_the_positions_of_the_extended_words(self, word_fock, d, cap):
+        fo = word_fock(d, cap)
         for k in range(1, d + 1):
-            targets = creation_targets(k, fo)
-            assert targets.dtype == np.int64
-            # the words below the cap lead the graded order, one target each
-            assert targets.tolist() == [fo.position((k, *w)) for w in below]
-
-
-def _symmetrization(fo: TruncatedFock, da: TruncatedDA) -> np.ndarray:
-    """Isometry sending ``x^α/||x^α||`` to the normalized sum of the words of ``α``."""
-    out = np.zeros((fo.dim, da.dim), dtype=np.complex128)
-    for j, alpha in enumerate(da.basis()):
-        for i, word in enumerate(fo.basis()):
-            if abelianize(word, fo.d) == alpha:
-                out[i, j] = 1.0 / math.sqrt(multinomial(alpha))
-    return out
+            lk = fo.creation(k)
+            for j, w in enumerate(fo.basis):
+                expected = np.zeros(fo.dim)
+                if len(w) < cap:
+                    expected[fo.basis.index((k, *w))] = 1.0
+                assert np.array_equal(lk[:, j], expected)
 
 
 class TestSymmetrization:
+    """The symmetric Fock space's shift is the compressed creation operator."""
+
     @pytest.mark.parametrize("d,cap", [(2, 2), (2, 4), (3, 3)])
-    def test_intertwines_shift_with_compressed_creation(self, d, cap):
-        fo = TruncatedFock(d, cap)
+    def test_intertwines_shift_with_compressed_creation(self, word_fock, d, cap):
+        fo = word_fock(d, cap)
         da = TruncatedDA(d, cap)
-        u = _symmetrization(fo, da)
+        u = fo.symmetrization()
         assert np.abs(u.conj().T @ u - np.eye(da.dim)).max() < 1e-14
         p_sym = u @ u.conj().T
         low = [j for j, a in enumerate(da.basis()) if sum(a) < cap]
         for k in range(1, d + 1):
             lhs = u @ multiplication_matrix(Polynomial.variable(d, k), da)
-            rhs = p_sym @ creation_matrix(k, fo) @ u
+            rhs = p_sym @ fo.creation(k) @ u
             assert np.abs((lhs - rhs)[:, low]).max() < 1e-10

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from rowtuples.errors import PolynomialParseError, ShapeError
 from rowtuples.polynomials import (
     Polynomial,
-    abelianize,
     format_columns,
     format_polynomial,
     graded_indices,
     graded_positions,
     graded_rank,
-    graded_words,
     multinomial,
     parse_polynomial,
 )
@@ -32,8 +30,9 @@ class TestGradedEnumeration:
     def test_indices_d1(self):
         assert graded_indices(1, 3) == [(0,), (1,), (2,), (3,)]
 
-    def test_words_d2_len2(self):
-        assert graded_words(2, 2) == [
+    def test_words_d2_len2(self, word_fock):
+        # the word reference of the Fock tests: by length, then dictionary order
+        assert word_fock(2, 2).basis == [
             (),
             (1,),
             (2,),
@@ -43,11 +42,12 @@ class TestGradedEnumeration:
             (2, 2),
         ]
 
-    def test_word_order_mirrors_index_order(self):
-        # first occurrence of each abelianization follows the graded index order
+    def test_word_order_mirrors_index_order(self, word_fock):
+        # first occurrence of each letter count follows the graded index order
+        fo = word_fock(3, 3)
         seen = []
-        for w in graded_words(3, 3):
-            a = abelianize(w, 3)
+        for w in fo.basis:
+            a = fo.letter_counts(w)
             if a not in seen:
                 seen.append(a)
         assert seen == graded_indices(3, 3)
@@ -62,13 +62,13 @@ class TestGradedEnumeration:
             assert graded_rank(np.array(shuffled)).tolist() == [positions[a] for a in shuffled]
         assert graded_rank(np.zeros((0, d), dtype=int)).shape == (0,)
 
-    def test_counts(self):
+    def test_counts(self, word_fock):
         import math
 
         for d in (1, 2, 3):
             for n in (0, 1, 4):
                 assert len(graded_indices(d, n)) == math.comb(n + d, d)
-                assert len(graded_words(d, n)) == sum(d**k for k in range(n + 1))
+                assert word_fock(d, n).dim == sum(d**k for k in range(n + 1))
 
 
 class TestMultinomial:
@@ -79,10 +79,11 @@ class TestMultinomial:
     def test_known_values(self, alpha, expected):
         assert multinomial(alpha) == expected
 
-    def test_counts_words(self):
+    def test_counts_words(self, word_fock):
         from collections import Counter
 
-        counts = Counter(abelianize(w, 2) for w in graded_words(2, 5) if len(w) == 5)
+        fo = word_fock(2, 5)
+        counts = Counter(fo.letter_counts(w) for w in fo.basis if len(w) == 5)
         for alpha, n in counts.items():
             assert multinomial(alpha) == n
 

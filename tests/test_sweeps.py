@@ -27,8 +27,10 @@ from rowtuples.sweeps import (
     staircase_generators,
 )
 from rowtuples.fixtures import maxcount
+from rowtuples.linalg import operator_norm
+from rowtuples.polynomials import Polynomial
 from rowtuples.tuples import nilpotency_index, validate
-from rowtuples.vectors import multiplicity
+from rowtuples.vectors import fock_intertwiner, multiplicity, quasiaffine_witness
 
 
 def _rngs(seed, n):
@@ -149,52 +151,45 @@ class TestGenerators:
 
 
 class TestFockCheck:
-    """The transform sweep applies the creation operators as column gathers."""
+    """The transform sweep checks the orbit map on the symmetric Fock space."""
 
-    @given(
-        d=st.integers(1, 3),
-        cap=st.integers(0, 6),
-        rows=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-        exponent=st.integers(-1074, 1000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_gather_is_the_product_with_the_creation_matrix(self, d, cap, rows, seed, exponent):
-        space = fock.TruncatedFock(d, cap)
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal((rows, space.dim)) + 1j * rng.standard_normal((rows, space.dim))
-        y *= 2.0**exponent  # subnormal parts at the low end
-        parts = y.view(np.float64)
-        parts[rng.random(parts.shape) < 0.2] = 0.0
-        parts[rng.random(parts.shape) < 0.2] = -0.0
-
-        def bits(a):
-            # adding 0.0 maps -0.0 to +0.0 and keeps every other value: the
-            # matmul picks a zero's sign by how the BLAS kernel orders its sums
-            return (a + 0.0).view(np.int64)
-
-        for k in range(1, d + 1):
-            product = y @ fock.creation_matrix(k, space)
-            assert np.array_equal(bits(sweeps._after_creation(y, k, space)), bits(product))
+    def test_the_symmetric_check_equals_the_word_check(self, word_fock):
+        # ||Y M_{x_k} - T_k Y|| on C(m+d, d) columns against the word check
+        # ||Y_w L_k - T_k Y_w|| on (d^(m+1) - 1)/(d - 1) columns, at every cap:
+        # the two residuals have the same R R*, so the verdicts match
+        for i, rng in enumerate(_rngs(1207, 100)):
+            t = cyclic_instance(rng, d=2, max_delta=8)
+            x = quasiaffine_witness(t)
+            space, _ = ideals.model_of(t)
+            xi = x @ space.frame[0].conj()
+            for cap in range(nilpotency_index(t) + 1):
+                fo, da = word_fock(t.d, cap), fock.TruncatedDA(t.d, cap)
+                y, y_words = fock_intertwiner(t, xi, cap), fo.intertwiner(t, xi)
+                shifts = [fock.multiplication_matrix(Polynomial.variable(t.d, k), da) for k in (1, 2)]
+                new = max(operator_norm(y @ mk - tk @ y) for mk, tk in zip(shifts, t.mats))
+                old = max(
+                    operator_norm(y_words @ fo.creation(k) - tk @ y_words)
+                    for k, tk in zip((1, 2), t.mats)
+                )
+                assert (new < 1e-10) == (old < 1e-10), f"instance {i} cap {cap}: {new:.2e} {old:.2e}"
+                if old >= 1e-10:
+                    assert abs(new - old) <= 1e-12 * old, f"instance {i} cap {cap}"
 
     def test_the_sweep_forms_no_creation_matrix(self, monkeypatch):
-        calls = []
-        original = fock.creation_matrix
+        # the check multiplies by the C(m+2, 2)-square shifts, no word operator
+        shapes = []
+        original = sweeps.multiplication_matrix
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def recording(p, space):
+            out = original(p, space)
+            shapes.append((out.shape, math.comb(space.max_degree + 2, 2)))
+            return out
 
-        for bound in list(sys.modules.values()):
-            if getattr(bound, "__name__", "").startswith("rowtuples") and (
-                getattr(bound, "creation_matrix", None) is original
-            ):
-                monkeypatch.setattr(bound, "creation_matrix", counting)
+        monkeypatch.setattr(sweeps, "multiplication_matrix", recording)
         (out,) = run_suite("transform", seed=11, count=6)
         assert out.ok and out.passed == 6
-        assert calls == []
-        fock.creation_matrix(1, fock.TruncatedFock(2, 1))
-        assert len(calls) == 1
+        assert len(shapes) == 12
+        assert all(shape == (dim, dim) for shape, dim in shapes)
 
 
 # Draws of fixed seeds.  The generators must keep consuming random numbers

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -16,7 +16,7 @@ from rowtuples.errors import (
     WitnessSearchError,
 )
 from rowtuples.fixtures import build, fromgriff, jordan, maxcount, rectangle
-from rowtuples.fock import TruncatedFock, creation_matrix
+from rowtuples.fock import TruncatedDA, multiplication_matrix
 from rowtuples.ideals import (
     annihilator,
     model_of,
@@ -28,6 +28,7 @@ from rowtuples.ideals import (
     staircase_model,
 )
 from rowtuples.linalg import numerical_rank, operator_norm, orthonormalize
+from rowtuples.polynomials import Polynomial
 from rowtuples.subspaces import generated_invariant, intertwiner_space
 from rowtuples.sweeps import (
     cyclic_instance,
@@ -302,36 +303,57 @@ class TestGramOperator:
         double = gram_operator(t, 2 * E1)
         assert abs(double.bound - 4 * one.bound) < 1e-10
 
+    @given(e=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1))
+    @example(e=-19, seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_gram_scales_by_four_to_the_e_bit_for_bit(self, e, seed):
+        # scaling ξ by 2^e scales every term by 4^e exactly, so the series
+        # must stop at the same term: its stopping test is relative
+        t = cyclic_instance(np.random.default_rng(seed))
+        xi = np.ones(t.dim) / math.sqrt(t.dim)
+        scaled = gram_operator(t, 2.0**e * xi).gram
+        assert np.array_equal(scaled, 4.0**e * gram_operator(t, xi).gram)
+
 
 class TestFockIntertwiner:
     def test_shape_and_norm(self):
+        # C(2 + 2, 2) = 6 weighted monomials, against 7 words
         X = fock_intertwiner(maxcount(), E1, 2)
-        assert X.shape == (3, 7)
+        assert X.shape == (3, 6)
         assert abs(operator_norm(X) - 1.0) < 1e-12
 
     def test_first_column_is_the_vector(self):
         X = fock_intertwiner(maxcount(), E1, 2)
         assert np.allclose(X[:, 0], E1)
 
-    def test_intertwines_creation_operators(self):
+    def test_intertwines_creation_operators(self, word_fock):
+        # X intertwines the shifts; X U* is the word map e_w -> T_w ξ, which
+        # intertwines the full Fock space's creation operators
         t = maxcount()
         X = fock_intertwiner(t, E1, 3)
-        fock = TruncatedFock(2, 3)
+        fo = word_fock(2, 3)
+        word_map = X @ fo.symmetrization().T
+        assert np.abs(word_map - fo.intertwiner(t, E1)).max() < 1e-15
+        da = TruncatedDA(2, 3)
         for k in range(2):
-            resid = t.mats[k] @ X - X @ creation_matrix(k + 1, fock)
-            assert operator_norm(resid) < 1e-12
+            shift = multiplication_matrix(Polynomial.variable(2, k + 1), da)
+            assert operator_norm(t.mats[k] @ X - X @ shift) < 1e-12
+            assert operator_norm(t.mats[k] @ word_map - word_map @ fo.creation(k + 1)) < 1e-12
 
-    def test_words_with_the_same_letters_share_a_column(self):
+    def test_words_with_the_same_letters_share_a_column(self, word_fock):
         # T_w ξ = T^α ξ for the letter counts α of w: the tuple must commute
         t = fromgriff(2)
-        X = fock_intertwiner(t, np.ones(t.dim), 2)
-        fock = TruncatedFock(2, 2)
-        assert np.array_equal(X[:, fock.position((1, 2))], X[:, fock.position((2, 1))])
+        fo = word_fock(2, 2)
+        word_map = fock_intertwiner(t, np.ones(t.dim), 2) @ fo.symmetrization().T
+        assert np.array_equal(
+            word_map[:, fo.basis.index((1, 2))], word_map[:, fo.basis.index((2, 1))]
+        )
+        assert np.abs(word_map - fo.intertwiner(t, np.ones(t.dim))).max() < 1e-12
         with pytest.raises(NotCommutingError):
             fock_intertwiner(RowTuple([[[0, 1], [0, 0]], [[0, 0], [1, 0]]]), [1, 0], 2)
 
     def test_gram_factorization(self):
-        # G = X X^H reproduces the word-orbit gram operator
+        # G = X X^H reproduces the orbit gram operator
         t = fromgriff(2)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim)
